@@ -27,8 +27,7 @@ from .bifurcations import (a0_root, a_quadruple, a_sub_boundary,
                            catalog_point_kappa0, solve_bifurcations_numeric,
                            _ell_from_mu2, _h_from_mu2, _m_branches_numeric)
 from .critical_values import (classify_fiber, critical_slice,
-                              minimum_crossing_loci, thread_segments,
-                              _c12_detach)
+                              minimum_crossing_loci, thread_segments)
 from .errors import NumericalError, Res112Error, ValidationError
 from .model import CasimirValues, ModelParams, kappa_scaling
 from .monodromy import generator_loop, monodromy_vector, to_matrix
@@ -434,8 +433,9 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
     # threads with their instability and above-minimum spans (kappa=1 frame)
     thread_rows = []
     if lambda1 == 0.0 and lambda2 == 0.0 and abs(kappa - 1.0) <= 1e-12:
-        for seg in thread_segments(ReducedParams(lam=delta, kappa=1.0),
-                                   ell_floor=min(ell_lo, -abs(delta) ** 2 - 5.0)):
+        segs = thread_segments(ReducedParams(lam=delta, kappa=1.0),
+                               ell_floor=min(ell_lo, -abs(delta) ** 2 - 5.0))
+        for seg in segs:
             lo_u, hi_u = seg.ell_unstable or (math.nan, math.nan)
             lo_p, hi_p = seg.ell_positive or (math.nan, math.nan)
             for ell in ells:
@@ -451,7 +451,10 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
         _write_rows(f"{out}_threads.{ext}",
                     ["curve", "mu", "ell", "h_c", "unstable", "above_min"],
                     thread_rows, fmt)
-        loci_rows = [("ell_star", 0.0, _c12_detach(delta), 0.0)]
+        # ell* closes the C12 above-minimum span, which is never empty here
+        # because ell_floor lies below -delta^2
+        c12 = next(seg for seg in segs if seg.name == "C12")
+        loci_rows = [("ell_star", 0.0, c12.ell_positive[1], 0.0)]
         if 0.5 < delta < 1.0:
             root = math.sqrt(2.0 * delta - 1.0)
             ell_hi = 1.0 - delta - root  # cusp height: the topmost horns

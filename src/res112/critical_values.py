@@ -7,8 +7,9 @@ the reduced orbit has Y^2 = -F(R).  The root structure of F on
 the torus action, which only needs to know whether the singular tip is
 involved and what kind it is.  This module classifies fibers, describes
 the three normal-mode curves with their isolated (thread) and
-above-minimum parts, and samples whole critical-value slices (minimal
-energy surface, threads, tetrahedron faces).
+above-minimum parts (``thread_segments``, once per detuning), and samples
+critical-value slices node by node (``critical_slice``: minimal-energy
+surface, tip heights tagged thread or tip-stable, tetrahedron faces).
 
 Reconstruction rules (reduced component -> fiber component):
   open F<0 interval, tip not involved ................ Torus3
@@ -416,7 +417,6 @@ class CriticalSlice:
     lam: float
     kappa: float
     nodes: tuple[SliceNode, ...]
-    threads: tuple[ThreadSegments, ...]
 
 
 def critical_slice(rp: ReducedParams, mu_values, ell_values,
@@ -427,7 +427,9 @@ def critical_slice(rp: ReducedParams, mu_values, ell_values,
     energy, tagged elliptic (Fe), hyperbolic (Fh), stable tip above B
     (tip-stable) or unstable tip (thread).  Each height is optionally
     cross-validated by the fiber classifier; mismatches are flagged on the
-    node, never fatal.
+    node, never fatal.  The spans of the normal-mode curves themselves
+    (instability and above-minimum intervals) are not per-node data: get
+    them once per lam from ``thread_segments``.
     """
     if rp.kappa <= 0.0:
         raise UnsupportedRegimeError("critical_slice requires kappa > 0")
@@ -435,9 +437,7 @@ def critical_slice(rp: ReducedParams, mu_values, ell_values,
     for mu in mu_values:
         for ell in ell_values:
             nodes.append(_slice_node(float(mu), float(ell), rp, validate))
-    threads = tuple(thread_segments(rp)) if abs(rp.kappa - 1.0) <= 1e-12 else ()
-    return CriticalSlice(lam=rp.lam, kappa=rp.kappa, nodes=tuple(nodes),
-                         threads=threads)
+    return CriticalSlice(lam=rp.lam, kappa=rp.kappa, nodes=tuple(nodes))
 
 
 def _slice_node(mu: float, ell: float, rp: ReducedParams, validate: bool) -> SliceNode:

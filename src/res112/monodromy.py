@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import LoopError, NumericalError, ValidationError
-from .model import CasimirValues, ModelParams
+from .model import CasimirValues, ModelParams, detuning_lambda
 from .bifurcations import f_quartic
 from .critical_values import FiberKind, classify_fiber
 from .reduced_dynamics import ReducedParams, h_min
@@ -111,10 +111,6 @@ def inverse(a: MonodromyMatrix) -> MonodromyMatrix:
 # Rotation numbers on a single fiber
 # ---------------------------------------------------------------------------
 
-def _lambda_at(params: ModelParams, mu: float, ell: float) -> float:
-    return params.delta + params.lambda1 * mu + params.lambda2 * ell
-
-
 def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
                      component: int = 0, rtol: float = 1e-11,
                      atol: float = 1e-12, t_max: float = 2000.0) -> RotationData:
@@ -128,9 +124,9 @@ def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
     """
     mu, iota, h = value
     ell = 2.0 * iota - mu
-    lam = _lambda_at(params, mu, ell)
-    kappa = params.kappa
     cas = CasimirValues(mu=mu, ell=ell)
+    lam = detuning_lambda(params, cas)
+    kappa = params.kappa
     rp = ReducedParams(lam=lam, kappa=kappa)
 
     rep = classify_fiber(cas, rp, h)
@@ -362,9 +358,8 @@ def _fiber_tori(value, params: ModelParams) -> list[tuple[float, float]]:
     """Sorted torus-component intervals of the fiber over ``value``."""
     mu, iota, h = value
     ell = 2.0 * iota - mu
-    lam = _lambda_at(params, mu, ell)
     cas = CasimirValues(mu=mu, ell=ell)
-    rep = classify_fiber(cas, ReducedParams(lam=lam, kappa=params.kappa), h)
+    rep = classify_fiber(cas, ReducedParams.from_model(params, cas), h)
     tori = [c.r_interval for c in rep.components if c.kind is FiberKind.TORUS3]
     if rep.is_critical or not tori:
         raise LoopError(f"loop value {value} is not regular: {rep.multiset()}")
@@ -483,10 +478,9 @@ def generator_loop(name: str, params: ModelParams, n_points: int = 48,
 def _loop_regular(loop, params: ModelParams) -> bool:
     for mu, iota, h in loop:
         ell = 2.0 * iota - mu
-        lam = _lambda_at(params, mu, ell)
         try:
-            rep = classify_fiber(CasimirValues(mu=mu, ell=ell),
-                                 ReducedParams(lam=lam, kappa=params.kappa), h)
+            cas = CasimirValues(mu=mu, ell=ell)
+            rep = classify_fiber(cas, ReducedParams.from_model(params, cas), h)
         except (ValidationError, NumericalError):
             return False
         tori = [c for c in rep.components if c.kind is FiberKind.TORUS3]

@@ -75,10 +75,6 @@ def reduced_h(point: InvariantPoint, rp: ReducedParams) -> float:
     return point.X + rp.lam * point.R + 0.5 * rp.kappa * point.R * point.R
 
 
-def reduced_h_gradient(point: InvariantPoint, rp: ReducedParams) -> np.ndarray:
-    return np.array([rp.lam + rp.kappa * point.R, 1.0, 0.0])
-
-
 def vector_field(point: InvariantPoint, cas: CasimirValues, rp: ReducedParams) -> np.ndarray:
     """Reduced flow (dR, dX, dY) = grad(H) x grad(S) at a point.
 

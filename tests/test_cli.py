@@ -240,6 +240,29 @@ def test_critvals_loci_file(tmp_path, runner):
     assert -0.52 ** 2 < ell_star < 0.0
 
 
+def test_critvals_builds_threads_once(tmp_path, runner, monkeypatch):
+    # one thread_segments call per run, whichever binding it goes through
+    cv = res112.critical_values
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (cv, res112.cli):
+        monkeypatch.setattr(mod, "thread_segments", counted(mod.thread_segments))
+    out = tmp_path / "cv"
+    res = runner.invoke(cli, ["critvals", "--delta", "0.6", "--grid", "5",
+                              "--out", str(out)], catch_exceptions=False)
+    assert res.exit_code == 0
+    assert len(calls) == 1
+    loci = (tmp_path / "cv_loci.csv").read_text().splitlines()
+    assert loci[1].split(",")[:2] == ["ell_star", "0"]
+    assert loci[1].split(",")[2] == "%.17g" % cv._c12_detach(0.6)
+
+
 def test_bifdiag_workers_deterministic(tmp_path, runner):
     args = ["bifdiag", "--ell", "0.125", "--grid", "21", "--no-surface"]
     a = tmp_path / "w1"

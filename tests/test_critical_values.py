@@ -234,6 +234,20 @@ def test_critical_slice_thread_tagging():
     assert any(h.tag == "thread" for h in node.heights)
 
 
+def test_critical_slice_needs_no_thread_segments(monkeypatch):
+    # thread spans are per-lam data from thread_segments; the per-node slice
+    # reads tip stability off the instability interval alone
+    def boom(*args, **kwargs):
+        raise AssertionError("critical_slice called thread_segments")
+
+    monkeypatch.setattr("res112.critical_values.thread_segments", boom)
+    # lam = -1: the C12 thread is ell < -lam^2 = -1 (ell = -1 is the Hopf point)
+    sl = critical_slice(ReducedParams(-1.0, 1.0), [0.0], [-2.0], validate=True)
+    (node,) = sl.nodes
+    assert node.error is None and not node.flags
+    assert [h.tag for h in node.heights] == ["B", "thread"]
+
+
 def test_critical_slice_large_detuning_plain():
     rp = ReducedParams(lam=1.5, kappa=1.0)
     sl = critical_slice(rp, np.linspace(-1, 1, 5), np.linspace(-1.5, 1.5, 5),
