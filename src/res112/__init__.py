@@ -17,9 +17,10 @@ from .reduced_dynamics import (Equilibrium, ReducedParams, Stability,
 from .bifurcations import (BifurcationEvent, BifurcationKind, CatalogPoint,
                            InstabilityInterval, Quartic, a0_root,
                            catalog_point, catalog_point_kappa0,
-                           classify_multiple_root, f_quartic,
+                           catalog_slice, catalog_surface,
+                           classify_multiple_root, f_quartic, family_domain,
                            instability_interval, newton_triple_root,
-                           solve_bifurcations_numeric)
+                           oracle_slice, solve_bifurcations_numeric)
 from .critical_values import (ComponentDescriptor, CriticalSlice, FiberKind,
                               FiberReport, SliceNode, ThreadSegments,
                               classify_fiber, critical_slice, thread_segments)

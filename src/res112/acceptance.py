@@ -16,9 +16,9 @@ import numpy as np
 
 from .bifurcations import (BifurcationKind, catalog_point,
                            catalog_point_kappa0, classify_multiple_root,
-                           f_quartic, instability_interval, residual_scale,
-                           solve_bifurcations_numeric, a_sub_boundary,
-                           a0_root, _family_prediction)
+                           f_quartic, family_domain, instability_interval,
+                           residual_scale, solve_bifurcations_numeric,
+                           _family_prediction)
 from .critical_values import classify_fiber
 from .errors import LoopError, Res112Error, ValidationError
 from .model import (CasimirValues, FullState, InvariantPoint, ModelParams,
@@ -59,21 +59,21 @@ def _catalog_samples(n=200):
         pts = []
         for i, lam in enumerate(lam_cs12):
             lam = float(lam)
-            hi = (a_sub_boundary(lam, 1.0) if lam < 0.5 else 1.0 - lam)
+            hi = family_domain(fam, lam, 1.0)[1]
             a = (0.05 + 0.9 * ((i * 7) % n) / n) * hi
             pts.append(dict(lam=lam, a=a))
         samples[fam] = pts
     pts = []
     for i, lam in enumerate(np.linspace(-2.0, 0.45, n)):
         lam = float(lam)
-        lo, hi = a0_root(lam, 1.0), a_sub_boundary(lam, 1.0)
+        lo, hi = family_domain("CS3", lam, 1.0)
         a = lo + (eps + (1 - 2 * eps) * ((i * 11) % n) / n) * (hi - lo)
         pts.append(dict(lam=lam, a=a, sign=1 if i % 2 else -1))
     samples["CS3"] = pts
     pts = []
     for i, lam in enumerate(np.linspace(0.52, 0.97, n)):
         lam = float(lam)
-        lo, hi = 1.0 - lam, a0_root(lam, 1.0)
+        lo, hi = family_domain("CS4", lam, 1.0)
         a = lo + (eps + (1 - 2 * eps) * ((i * 13) % n) / n) * (hi - lo)
         pts.append(dict(lam=lam, a=a, sign=1 if i % 2 else -1))
     samples["CS4"] = pts
@@ -335,21 +335,15 @@ def check_conservation() -> AcceptanceResult:
     mu, iota, h = value
     ell = 2 * iota - mu
     lam = params.delta
-    from .monodromy import _lift, _polish_right_root
+    from .monodromy import _lift, _polish_right_root, full_vector_field
     r2 = rd.r_interval[1]
     r2 = _polish_right_root(r2, h, ReducedParams(lam=lam, kappa=1.0),
                             CasimirValues(mu, ell))
     z0 = _lift(r2, CasimirValues(mu, ell), ReducedParams(lam=lam, kappa=1.0), h)
 
-    def rhs(t, z):
-        gp = lam + 0.5 * (abs(z[0]) ** 2 + abs(z[1]) ** 2)
-        w = np.conj(z)
-        return np.array([1j * (w[1] * w[2] + gp * z[0]),
-                         1j * (w[0] * w[2] + gp * z[1]),
-                         1j * (w[0] * w[1])])
-
-    sol = solve_ivp(rhs, (0.0, rd.T_red), z0, method="DOP853", rtol=1e-11,
-                    atol=1e-12, t_eval=np.linspace(0.0, rd.T_red, 50))
+    sol = solve_ivp(full_vector_field(lam, 1.0), (0.0, rd.T_red), z0,
+                    method="DOP853", rtol=1e-11, atol=1e-12,
+                    t_eval=np.linspace(0.0, rd.T_red, 50))
     inv0 = np.array(full_invariants(z0, lam, 1.0))
     drift = max(float(np.max(np.abs(np.array(full_invariants(z, lam, 1.0)) - inv0)))
                 for z in sol.y.T)

@@ -27,8 +27,9 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (AmbiguousClassificationError, RootFindingError,
-                     UnsupportedRegimeError, ValidationError)
+from .errors import (AmbiguousClassificationError, Res112Error,
+                     RootFindingError, UnsupportedRegimeError,
+                     ValidationError)
 from .model import CasimirValues
 from .reduced_dynamics import ReducedParams
 from .reduced_space import r_min, tip_class
@@ -303,6 +304,55 @@ def a0_root(lam: float, kappa: float = 1.0) -> float:
     return a0
 
 
+def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, float]:
+    """Open interval (lo, hi) of the triple root a over which a centre-saddle
+    family has points at lam.
+
+    For kappa > 0:
+
+    - CS1, CS2: (0, a_sub_boundary) for lam < 1/(2 kappa) and
+      (0, (1 - kappa lam)/kappa^2) for 1/(2 kappa) <= lam < 1/kappa
+    - CS3: (a0_root, a_sub_boundary) for lam < 1/(2 kappa)
+    - CS4: ((1 - kappa lam)/kappa^2, a0_root) for 1/(2 kappa) < lam < 1/kappa
+
+    The kappa = 0 families CS1_k0, CS2_k0 and CS3_k0 span (0, lam^2/2),
+    (0, lam^2/2) and (4 lam^2/9, lam^2/2); kappa is not used for them.
+    Raises ValidationError at lam = 0 and wherever the family has no
+    stratum, and UnsupportedRegimeError for CS1..CS4 with kappa <= 0.
+    Within 1e-14/kappa of lam = 1/(2 kappa), catalog_point uses the boundary
+    formula and its own range (0, 1/(2 kappa^2)) instead.
+    ``a0_root`` runs at most once per call, so callers that probe many a at
+    one lam compute the interval once and pass it on.
+    """
+    if family in ("CS1_k0", "CS2_k0", "CS3_k0"):
+        if lam == 0.0:
+            raise ValidationError("kappa = 0 families need lam != 0")
+        L2 = lam * lam
+        return (4.0 * L2 / 9.0 if family == "CS3_k0" else 0.0), 0.5 * L2
+    if family not in ("CS1", "CS2", "CS3", "CS4"):
+        raise ValidationError(f"{family!r} is not a centre-saddle family")
+    if kappa <= 0.0:
+        raise UnsupportedRegimeError("centre-saddle a-ranges need kappa > 0")
+    if lam == 0.0:
+        raise ValidationError(
+            "no centre-saddle strata at lam = 0: only the resonant equilibrium "
+            "and the two supercritical Hopf points exist there")
+    k = kappa
+    if family in ("CS1", "CS2"):
+        if lam < 0.5 / k:
+            return 0.0, a_sub_boundary(lam, k)
+        if lam < 1.0 / k:
+            return 0.0, (1.0 - k * lam) / k ** 2
+        raise ValidationError("CS1/CS2 need lam < 1/kappa")
+    if family == "CS3":
+        if not lam < 0.5 / k:
+            raise ValidationError("CS3 needs lam < 1/(2 kappa)")
+        return a0_root(lam, k), a_sub_boundary(lam, k)
+    if not 0.5 / k < lam < 1.0 / k:
+        raise ValidationError("CS4 needs 1/(2 kappa) < lam < 1/kappa")
+    return (1.0 - k * lam) / k ** 2, a0_root(lam, k)
+
+
 @dataclass(frozen=True)
 class CatalogPoint:
     """A closed-form bifurcation point: parameters plus root data."""
@@ -336,7 +386,7 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
                   kappa: float = 1.0) -> CatalogPoint:
     """Closed-form catalog point of the kappa != 0 bifurcation set.
 
-    Centre-saddle families take (lam, a) with the a-range of the catalog
+    Centre-saddle families take (lam, a) with the a-range of family_domain
     enforced; CS3/CS4 additionally take ``sign`` selecting the mu-branch.
     Cusp1/2 and the Hopf families take lam alone; Cusp3 takes mu; the three
     degenerate points take no parameter.  lam = 0 and lam = 1/(2 kappa) are
@@ -415,46 +465,34 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
     # centre-saddle families
     if a is None:
         raise ValidationError(f"family {family} needs the triple root a")
-    if lam == 0.0:
-        raise ValidationError(
-            "no centre-saddle strata at lam = 0: only the resonant equilibrium "
-            "and the two supercritical Hopf points exist there")
-
-    if abs(lam - 0.5 / k) <= 1e-14 / k:
+    if _at_lambda_half(lam, k):
         return _cs_point_lambda_half(family, a, k)
+    return _cs_point(family, lam, a, sign, k, *family_domain(family, lam, k))
 
-    if family in ("CS1", "CS2"):
-        if lam < 0.5 / k:
-            hi = a_sub_boundary(lam, k)
-        elif lam < 1.0 / k:
-            hi = (1.0 - k * lam) / k ** 2
-        else:
-            raise ValidationError("CS1/CS2 need lam < 1/kappa")
-        if not 0.0 < a < hi:
-            raise ValidationError(f"{family} needs 0 < a < {hi}")
+
+def _at_lambda_half(lam: float, k: float) -> bool:
+    """lam is within roundoff of 1/(2 kappa), where the CS formulas factorise."""
+    return abs(lam - 0.5 / k) <= 1e-14 / k
+
+
+def _cs_point(family: str, lam: float, a: float, sign: int, k: float,
+              lo: float, hi: float) -> CatalogPoint:
+    """CS1..CS4 point at (lam, a) away from lam = 1/(2 kappa), given the
+    family's a-range (lo, hi) from family_domain; raises outside it."""
+    if not lo < a < hi:
+        raise ValidationError(f"{family} needs {lo} < a < {hi}")
+    if family == "CS3":
+        _, m_plus = _mu2_branches(a, lam, k)
+        mu_val = sign * math.sqrt(max(m_plus, 0.0))
+        mu2 = max(m_plus, 0.0)
+    else:
         m_minus, _ = _mu2_branches(a, lam, k)
         mu2 = max(m_minus, 0.0)
         mu_val = math.sqrt(mu2)
         if family == "CS1":
             mu_val = -mu_val
-    elif family == "CS3":
-        if not lam < 0.5 / k:
-            raise ValidationError("CS3 needs lam < 1/(2 kappa)")
-        lo, hi = a0_root(lam, k), a_sub_boundary(lam, k)
-        if not lo < a < hi:
-            raise ValidationError(f"CS3 needs {lo} < a < {hi}")
-        _, m_plus = _mu2_branches(a, lam, k)
-        mu_val = sign * math.sqrt(max(m_plus, 0.0))
-        mu2 = max(m_plus, 0.0)
-    else:  # CS4
-        if not 0.5 / k < lam < 1.0 / k:
-            raise ValidationError("CS4 needs 1/(2 kappa) < lam < 1/kappa")
-        lo, hi = (1.0 - k * lam) / k ** 2, a0_root(lam, k)
-        if not lo < a < hi:
-            raise ValidationError(f"CS4 needs {lo} < a < {hi}")
-        m_minus, _ = _mu2_branches(a, lam, k)
-        mu2 = max(m_minus, 0.0)
-        mu_val = sign * math.sqrt(mu2)
+        elif family == "CS4":
+            mu_val = sign * mu_val
 
     ell = _ell_from_mu2(a, mu2, lam, k)
     h = _h_from_mu2(a, mu2, lam, k)
@@ -506,28 +544,164 @@ def catalog_point_kappa0(family: str, *, lam: float, a: float | None = None,
     else:
         if a is None:
             raise ValidationError(f"family {family} needs the triple root a")
-        lo = 4.0 * L2 / 9.0 if family == "CS3_k0" else 0.0
-        if not lo < a < 0.5 * L2:
-            raise ValidationError(f"{family} needs {lo} < a < {0.5 * L2}")
-        rad = 2.0 * abs(lam) * (L2 - 2.0 * a) ** 1.5
-        base = -3.0 * a * a + 6.0 * a * L2 - 2.0 * L2 * L2
-        # mu_pm^2 = base -/+ rad: the plus-branch family takes the smaller root
-        if family == "CS3_k0":
-            mu2 = max(base - rad, 0.0)
-            mu = sign * math.sqrt(mu2)
-        else:
-            mu2 = max(base + rad, 0.0)
-            mu = math.sqrt(mu2)
-            if family == "CS1_k0":
-                mu = -mu
-        ell = 3.0 * a - L2
-        h = (mu2 + 3.0 * a * a) / (2.0 * lam)
-        return CatalogPoint(family=family, kind=BifurcationKind.CENTRE_SADDLE,
-                            lam=lam, mu=mu, ell=ell, a=a, b=None, h=h, kappa=0.0)
+        return _cs_point_kappa0(family, lam, a, sign,
+                                *family_domain(family, lam, 0.0))
 
     h = (mu * mu + 3.0 * a * a) / (2.0 * lam)
     return CatalogPoint(family=family, kind=BifurcationKind.HOPF_SUB, lam=lam,
                         mu=mu, ell=ell, a=a, b=None, h=h, kappa=0.0)
+
+
+def _cs_point_kappa0(family: str, lam: float, a: float, sign: int,
+                     lo: float, hi: float) -> CatalogPoint:
+    """CS1_k0..CS3_k0 point at (lam, a), given the family's a-range (lo, hi)
+    from family_domain; raises outside it."""
+    if not lo < a < hi:
+        raise ValidationError(f"{family} needs {lo} < a < {hi}")
+    L2 = lam * lam
+    rad = 2.0 * abs(lam) * (L2 - 2.0 * a) ** 1.5
+    base = -3.0 * a * a + 6.0 * a * L2 - 2.0 * L2 * L2
+    # mu_pm^2 = base -/+ rad: the plus-branch family takes the smaller root
+    if family == "CS3_k0":
+        mu2 = max(base - rad, 0.0)
+        mu = sign * math.sqrt(mu2)
+    else:
+        mu2 = max(base + rad, 0.0)
+        mu = math.sqrt(mu2)
+        if family == "CS1_k0":
+            mu = -mu
+    ell = 3.0 * a - L2
+    h = (mu2 + 3.0 * a * a) / (2.0 * lam)
+    return CatalogPoint(family=family, kind=BifurcationKind.CENTRE_SADDLE,
+                        lam=lam, mu=mu, ell=ell, a=a, b=None, h=h, kappa=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Slices and samples of the catalog
+# ---------------------------------------------------------------------------
+
+# families with a mu-branch of each sign
+_TWO_SIGN_FAMILIES = ("CS3", "CS4", "CS3_k0")
+
+
+def _cs_domains(lam: float, kappa: float) -> list[tuple[str, float, float]]:
+    """(family, lo, hi) of each centre-saddle family with interior points at
+    lam, in catalog order.  lam = 1/(2 kappa), where only the boundary points
+    of CS1/CS2 exist, gives none."""
+    if kappa == 0.0:
+        families = ("CS1_k0", "CS2_k0", "CS3_k0")
+    elif lam == 0.5 / kappa:
+        return []
+    else:
+        families = ("CS1", "CS2", "CS3", "CS4")
+    out = []
+    for family in families:
+        try:
+            out.append((family, *family_domain(family, lam, kappa)))
+        except Res112Error:
+            continue
+    return out
+
+
+def _cs_probe(family: str, lam: float, a: float, sign: int, kappa: float,
+              lo: float, hi: float) -> CatalogPoint:
+    """catalog_point (catalog_point_kappa0 for kappa = 0) of a centre-saddle
+    family, with the a-range (lo, hi) already taken from family_domain."""
+    if kappa == 0.0:
+        return _cs_point_kappa0(family, lam, a, sign, lo, hi)
+    if _at_lambda_half(lam, kappa):
+        return _cs_point_lambda_half(family, a, kappa)
+    return _cs_point(family, lam, a, sign, kappa, lo, hi)
+
+
+def catalog_slice(lam: float, ell_target: float,
+                  kappa: float = 1.0) -> list[tuple]:
+    """Centre-saddle points of the closed-form catalog on the plane
+    ell = ell_target at one lam.
+
+    Each family with points at lam (the _k0 families for kappa = 0) is
+    scanned on 65 points of its family_domain interval, padded by 1e-9 of
+    its width, once per mu-branch sign; every sign change of
+    ell(a) - ell_target is polished by brentq to xtol 1e-13.  The interval
+    is computed once per family, so a0_root runs at most once per call.
+    lam = 0 and lam = 1/(2 kappa) give no rows.  Returns
+    (family, lam, mu, ell, a, h) tuples in family, sign and a order.
+    """
+    rows = []
+    for family, lo, hi in _cs_domains(lam, kappa):
+        if not (hi > lo):
+            continue
+        signs = (1, -1) if family in _TWO_SIGN_FAMILIES else (1,)
+        pad = 1e-9 * (hi - lo)
+        grid = np.linspace(lo + pad, hi - pad, 65)
+        for sign in signs:
+            vals = []
+            for a in grid:
+                try:
+                    ell = _cs_probe(family, lam, float(a), sign, kappa, lo, hi).ell
+                except Res112Error:
+                    ell = math.nan
+                vals.append(ell - ell_target)
+            for i in range(len(grid) - 1):
+                v0, v1 = vals[i], vals[i + 1]
+                if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
+                    continue
+                a_star = brentq(
+                    lambda a: _cs_probe(family, lam, a, sign, kappa, lo, hi).ell
+                    - ell_target,
+                    grid[i], grid[i + 1], xtol=1e-13)
+                pt = _cs_probe(family, lam, a_star, sign, kappa, lo, hi)
+                rows.append((family, lam, pt.mu, pt.ell, a_star, pt.h))
+    return rows
+
+
+def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
+                    n: int) -> list[tuple]:
+    """(family, lam, a, mu, ell, h) samples of the whole bifurcation set.
+
+    At each of n equally spaced lam in [lam_lo, lam_hi]: every centre-saddle
+    family at 17 values of a spread over the inner 98% of its family_domain
+    interval (both signs for CS3, CS4 and CS3_k0), then the Hopf and cusp
+    families that exist there.  For kappa > 0 the Cusp3 line is sampled at n
+    values of mu in (-0.49, 0.49)/kappa^2, and the three degenerate Hopf
+    points are added.  Rows are sorted by (family, lam, a, mu).
+    """
+    rows = []
+    lam_grid = np.linspace(lam_lo, lam_hi, n)
+    for lam in lam_grid:
+        lam = float(lam)
+        for family, lo, hi in _cs_domains(lam, kappa):
+            if not hi > lo:
+                continue
+            signs = (1, -1) if family in _TWO_SIGN_FAMILIES else (1,)
+            for a in np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 17):
+                for sign in signs:
+                    try:
+                        pt = _cs_probe(family, lam, float(a), sign, kappa, lo, hi)
+                    except Res112Error:
+                        continue
+                    rows.append((family, lam, float(a), pt.mu, pt.ell, pt.h))
+        if kappa > 0.0:
+            for family in ("HHsub1", "HHsub2", "HHsub3", "HHsup1", "HHsup2",
+                           "HHsup3", "Cusp1", "Cusp2"):
+                try:
+                    pt = catalog_point(family, lam=lam, kappa=kappa)
+                except Res112Error:
+                    continue
+                rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
+        elif lam != 0.0:
+            for family in ("HHsub1_k0", "HHsub2_k0", "HHsub3_k0"):
+                pt = catalog_point_kappa0(family, lam=lam)
+                rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
+    if kappa > 0.0:
+        for mu in np.linspace(-0.49 / kappa ** 2, 0.49 / kappa ** 2, n):
+            pt = catalog_point("Cusp3", mu=float(mu), kappa=kappa)
+            rows.append(("Cusp3", pt.lam, pt.a, pt.mu, pt.ell, pt.h))
+        for family in ("HHdeg1", "HHdeg2", "HHdeg3"):
+            pt = catalog_point(family, kappa=kappa)
+            rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
+    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +914,74 @@ def _hopf_by_bisection(branch_data, lam, kappa, seen) -> list[BifurcationEvent]:
                                 out.append(ev)
             prev = (a, val)
     return out
+
+
+def oracle_slice(lam: float, ell_target: float,
+                 kappa: float = 1.0) -> list[tuple]:
+    """Numeric-oracle points on the plane ell = ell_target at one lam.
+
+    Independent of the catalog: along each root branch of the eliminated
+    quadratic in mu^2, the roots of ell(a) - ell_target are bracketed on a
+    129-point a-grid and polished by brentq to xtol 1e-13; points below the
+    tip are dropped.  At lam = 0 and lam = 1/(2 kappa) the events of
+    solve_bifurcations_numeric within 1e-6 of the plane are taken instead.
+    Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
+    """
+    rows = []
+    if abs(lam) < 1e-12 or (kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12):
+        for ev in solve_bifurcations_numeric(lam, kappa, n_grid=201):
+            if abs(ev.ell - ell_target) <= 1e-6:
+                rows.append(("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h))
+        return rows
+    a_hi_candidates = [1.0]
+    if kappa != 0.0:
+        if 1.0 - 2.0 * kappa * lam >= 0.0:
+            a_hi_candidates.append(a_sup_boundary(lam, kappa))
+        a_hi_candidates.append(max(a_quadruple(lam, kappa), 0.0))
+    else:
+        a_hi_candidates.append(0.5 * lam * lam)
+    a_hi = 1.05 * max(a_hi_candidates)
+    grid = np.linspace(0.0, a_hi, 129)
+
+    def ell_on_branch(a, ms, which):
+        if ms.size <= which or ms[which] < 0.0:
+            return math.nan
+        if kappa == 0.0:
+            return 3.0 * a - lam * lam
+        return _ell_from_mu2(a, float(ms[which]), lam, kappa)
+
+    # both branches read the roots of one quadratic solve per grid point
+    ms_grid = [_m_branches_numeric(float(a), lam, kappa) for a in grid]
+    for which in (0, 1):
+        vals = [ell_on_branch(float(a), ms, which) - ell_target
+                for a, ms in zip(grid, ms_grid)]
+        for i in range(len(grid) - 1):
+            v0, v1 = vals[i], vals[i + 1]
+            if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
+                continue
+            try:
+                a_star = brentq(
+                    lambda a: ell_on_branch(
+                        a, _m_branches_numeric(a, lam, kappa), which) - ell_target,
+                    grid[i], grid[i + 1], xtol=1e-13)
+            except ValueError:
+                continue
+            ms = _m_branches_numeric(a_star, lam, kappa)
+            if ms.size <= which or ms[which] < 0.0:
+                continue
+            m = float(ms[which])
+            if kappa == 0.0:
+                ell = 3.0 * a_star - lam * lam
+                h = (m + 3.0 * a_star ** 2) / (2.0 * lam)
+            else:
+                ell = _ell_from_mu2(a_star, m, lam, kappa)
+                h = _h_from_mu2(a_star, m, lam, kappa)
+            for sgn in ((1,) if m <= 1e-14 else (1, -1)):
+                mu = sgn * math.sqrt(max(m, 0.0))
+                if a_star < max(abs(mu), ell) - 1e-10:
+                    continue
+                rows.append(("numeric-oracle", lam, mu, ell, a_star, h))
+    return rows
 
 
 def _events_lambda_zero(kappa: float, tag: bool = True) -> list[BifurcationEvent]:

@@ -22,10 +22,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import acceptance
-from .bifurcations import (a0_root, a_quadruple, a_sub_boundary,
-                           a_sup_boundary, catalog_point,
-                           catalog_point_kappa0, solve_bifurcations_numeric,
-                           _ell_from_mu2, _h_from_mu2, _m_branches_numeric)
+from .bifurcations import (catalog_point, catalog_point_kappa0,
+                           catalog_slice, catalog_surface, oracle_slice)
 from .critical_values import (classify_fiber, critical_slice,
                               minimum_crossing_loci, thread_segments)
 from .errors import NumericalError, Res112Error, ValidationError
@@ -80,77 +78,6 @@ def _parse_floats(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # bifdiag
 # ---------------------------------------------------------------------------
-
-def _slice_families(lam: float, kappa: float) -> list[str]:
-    fams = []
-    if kappa == 0.0:
-        if lam != 0.0:
-            fams = ["CS1_k0", "CS2_k0", "CS3_k0"]
-        return fams
-    if lam != 0.0 and lam < 0.5 / kappa:
-        fams += ["CS1", "CS2", "CS3"]
-    if 0.5 / kappa < lam < 1.0 / kappa:
-        fams += ["CS1", "CS2", "CS4"]
-    return fams
-
-
-def _family_a_range(family: str, lam: float, kappa: float):
-    if kappa == 0.0:
-        hi = 0.5 * lam * lam
-        lo = 4.0 * lam * lam / 9.0 if family == "CS3_k0" else 0.0
-        return lo, hi
-    if family in ("CS1", "CS2"):
-        hi = (a_sub_boundary(lam, kappa) if lam < 0.5 / kappa
-              else (1.0 - kappa * lam) / kappa ** 2)
-        return 0.0, hi
-    if family == "CS3":
-        return a0_root(lam, kappa), a_sub_boundary(lam, kappa)
-    if family == "CS4":
-        return (1.0 - kappa * lam) / kappa ** 2, a0_root(lam, kappa)
-    raise ValidationError(family)
-
-
-def _cs_mu_ell(family: str, lam: float, a: float, kappa: float, sign: int):
-    if kappa == 0.0:
-        pt = catalog_point_kappa0(family, lam=lam, a=a, sign=sign)
-        return pt.mu, pt.ell, pt.h
-    pt = catalog_point(family, lam=lam, a=a, sign=sign, kappa=kappa)
-    return pt.mu, pt.ell, pt.h
-
-
-def _slice_rows_catalog(lam: float, ell_target: float, kappa: float):
-    """(family, lambda, mu, ell, a, h) points of the closed-form bifurcation
-    curves on the plane ell = ell_target, at one lam."""
-    rows = []
-    for family in _slice_families(lam, kappa):
-        try:
-            lo, hi = _family_a_range(family, lam, kappa)
-        except (ValidationError, Res112Error):
-            continue
-        if not (hi > lo):
-            continue
-        signs = (1, -1) if family in ("CS3", "CS4", "CS3_k0") else (1,)
-        pad = 1e-9 * (hi - lo)
-        grid = np.linspace(lo + pad, hi - pad, 65)
-        for sign in signs:
-            vals = []
-            for a in grid:
-                try:
-                    _, ell, _ = _cs_mu_ell(family, lam, float(a), kappa, sign)
-                except (ValidationError, Res112Error):
-                    ell = math.nan
-                vals.append(ell - ell_target)
-            for i in range(len(grid) - 1):
-                v0, v1 = vals[i], vals[i + 1]
-                if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
-                    continue
-                a_star = brentq(
-                    lambda a: _cs_mu_ell(family, lam, a, kappa, sign)[1] - ell_target,
-                    grid[i], grid[i + 1], xtol=1e-13)
-                mu, ell, h = _cs_mu_ell(family, lam, a_star, kappa, sign)
-                rows.append((family, lam, mu, ell, a_star, h))
-    return rows
-
 
 def _hopf_cusp_slice_rows(ell_target: float, kappa: float, lam_lo, lam_hi):
     """Intersections of the one-parameter families with the plane
@@ -215,67 +142,11 @@ def _hopf_cusp_slice_rows(ell_target: float, kappa: float, lam_lo, lam_hi):
     return rows
 
 
-def _slice_rows_numeric(lam: float, ell_target: float, kappa: float):
-    """Numeric-oracle points on the slice: roots of ell(a) - ell_target
-    chased along the eliminated branches, then classified from the quartic."""
-    rows = []
-    if abs(lam) < 1e-12 or (kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12):
-        for ev in solve_bifurcations_numeric(lam, kappa, n_grid=201):
-            if abs(ev.ell - ell_target) <= 1e-6:
-                rows.append(("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h))
-        return rows
-    a_hi_candidates = [1.0]
-    if kappa != 0.0:
-        if 1.0 - 2.0 * kappa * lam >= 0.0:
-            a_hi_candidates.append(a_sup_boundary(lam, kappa))
-        a_hi_candidates.append(max(a_quadruple(lam, kappa), 0.0))
-    else:
-        a_hi_candidates.append(0.5 * lam * lam)
-    a_hi = 1.05 * max(a_hi_candidates)
-    grid = np.linspace(0.0, a_hi, 129)
-
-    def branch_ell(a, which):
-        ms = _m_branches_numeric(a, lam, kappa)
-        if ms.size <= which or ms[which] < 0.0:
-            return math.nan
-        if kappa == 0.0:
-            return 3.0 * a - lam * lam
-        return _ell_from_mu2(a, float(ms[which]), lam, kappa)
-
-    for which in (0, 1):
-        vals = [branch_ell(float(a), which) - ell_target for a in grid]
-        for i in range(len(grid) - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
-                continue
-            try:
-                a_star = brentq(lambda a: branch_ell(a, which) - ell_target,
-                                grid[i], grid[i + 1], xtol=1e-13)
-            except ValueError:
-                continue
-            ms = _m_branches_numeric(a_star, lam, kappa)
-            if ms.size <= which or ms[which] < 0.0:
-                continue
-            m = float(ms[which])
-            if kappa == 0.0:
-                ell = 3.0 * a_star - lam * lam
-                h = (m + 3.0 * a_star ** 2) / (2.0 * lam)
-            else:
-                ell = _ell_from_mu2(a_star, m, lam, kappa)
-                h = _h_from_mu2(a_star, m, lam, kappa)
-            for sgn in ((1,) if m <= 1e-14 else (1, -1)):
-                mu = sgn * math.sqrt(max(m, 0.0))
-                if a_star < max(abs(mu), ell) - 1e-10:
-                    continue
-                rows.append(("numeric-oracle", lam, mu, ell, a_star, h))
-    return rows
-
-
 def _bifdiag_slice(args):
     lam, ell_target, kappa, oracle = args
-    rows = _slice_rows_catalog(lam, ell_target, kappa)
+    rows = catalog_slice(lam, ell_target, kappa)
     if oracle:
-        rows += _slice_rows_numeric(lam, ell_target, kappa)
+        rows += oracle_slice(lam, ell_target, kappa)
     return rows
 
 
@@ -297,6 +168,8 @@ def _bifdiag_slice(args):
 @click.option("--workers", type=int, default=1, show_default=True)
 def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out, workers):
     """Per-ell slices of the bifurcation set in the (lambda, mu)-plane."""
+    if kappa < 0.0:
+        raise ValidationError("bifdiag requires kappa >= 0; see the scale command")
     ells = _parse_floats(ell)
     lo, hi = _parse_floats(lambda_window)
     if not ells or hi <= lo or grid < 2:
@@ -323,53 +196,10 @@ def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out, workers)
     click.echo(f"wrote {len(rows)} slice rows to {out}_slices.{ext}")
 
     if surface:
-        srows = _surface_samples(kappa, lo, hi, max(grid // 4, 33))
+        srows = catalog_surface(kappa, lo, hi, max(grid // 4, 33))
         _write_rows(f"{out}_surface.{ext}",
                     ["family", "lambda", "a", "mu", "ell", "h"], srows, fmt)
         click.echo(f"wrote {len(srows)} surface rows to {out}_surface.{ext}")
-
-
-def _surface_samples(kappa, lam_lo, lam_hi, n):
-    rows = []
-    lam_grid = np.linspace(lam_lo, lam_hi, n)
-    for lam in lam_grid:
-        lam = float(lam)
-        for family in _slice_families(lam, kappa):
-            try:
-                lo, hi = _family_a_range(family, lam, kappa)
-            except (ValidationError, Res112Error):
-                continue
-            if not hi > lo:
-                continue
-            signs = (1, -1) if family in ("CS3", "CS4", "CS3_k0") else (1,)
-            for a in np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 17):
-                for sign in signs:
-                    try:
-                        mu, ell, h = _cs_mu_ell(family, lam, float(a), kappa, sign)
-                    except (ValidationError, Res112Error):
-                        continue
-                    rows.append((family, lam, float(a), mu, ell, h))
-        if kappa > 0.0:
-            for family in ("HHsub1", "HHsub2", "HHsub3", "HHsup1", "HHsup2",
-                           "HHsup3", "Cusp1", "Cusp2"):
-                try:
-                    pt = catalog_point(family, lam=lam, kappa=kappa)
-                except (ValidationError, Res112Error):
-                    continue
-                rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
-        elif lam != 0.0:
-            for family in ("HHsub1_k0", "HHsub2_k0", "HHsub3_k0"):
-                pt = catalog_point_kappa0(family, lam=lam)
-                rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
-    if kappa > 0.0:
-        for mu in np.linspace(-0.49 / kappa ** 2, 0.49 / kappa ** 2, n):
-            pt = catalog_point("Cusp3", mu=float(mu), kappa=kappa)
-            rows.append(("Cusp3", pt.lam, pt.a, pt.mu, pt.ell, pt.h))
-        for family in ("HHdeg1", "HHdeg2", "HHdeg3"):
-            pt = catalog_point(family, kappa=kappa)
-            rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    return rows
 
 
 # ---------------------------------------------------------------------------

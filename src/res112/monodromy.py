@@ -202,6 +202,22 @@ def _lift(r: float, cas: CasimirValues, rp: ReducedParams, h: float) -> np.ndarr
     return z
 
 
+def full_vector_field(lam: float, kappa: float):
+    """Right-hand side f(t, z) of the flow of H = Re(z1 z2 z3) + lam R +
+    (kappa/2) R^2 on C^3, in the form solve_ivp takes."""
+
+    def rhs(t, z):
+        gp = lam + 0.5 * kappa * (abs(z[0]) ** 2 + abs(z[1]) ** 2)
+        w = np.conj(z)
+        return np.array([
+            1j * (w[1] * w[2] + gp * z[0]),
+            1j * (w[0] * w[2] + gp * z[1]),
+            1j * (w[0] * w[1]),
+        ])
+
+    return rhs
+
+
 def _integrate_period(z0: np.ndarray, lam: float, kappa: float, rtol: float,
                       atol: float, t_max: float) -> tuple[np.ndarray, float]:
     """Flow of H = Re(z1 z2 z3) + lam R + (kappa/2) R^2 for one reduced period.
@@ -212,15 +228,7 @@ def _integrate_period(z0: np.ndarray, lam: float, kappa: float, rtol: float,
     start of that leg cannot trigger, which keeps the t = 0 section hit
     from firing spuriously.
     """
-
-    def rhs(t, z):
-        gp = lam + 0.5 * kappa * (abs(z[0]) ** 2 + abs(z[1]) ** 2)
-        w = np.conj(z)
-        return np.array([
-            1j * (w[1] * w[2] + gp * z[0]),
-            1j * (w[0] * w[2] + gp * z[1]),
-            1j * (w[0] * w[1]),
-        ])
+    rhs = full_vector_field(lam, kappa)
 
     def y_invariant(t, z):
         return (z[0] * z[1] * z[2]).imag

@@ -10,8 +10,8 @@ from scipy.optimize import brentq
 from res112 import (AmbiguousClassificationError, BifurcationKind,
                     CasimirValues, ReducedParams, ValidationError, a0_root,
                     catalog_point, catalog_point_kappa0,
-                    classify_multiple_root, f_quartic, instability_interval,
-                    kappa_scaling, newton_triple_root,
+                    classify_multiple_root, f_quartic, family_domain,
+                    instability_interval, kappa_scaling, newton_triple_root,
                     solve_bifurcations_numeric)
 from res112.bifurcations import (_family_prediction, a_quadruple,
                                  a_sub_boundary, a_sup_boundary,
@@ -201,6 +201,56 @@ def test_catalog_range_enforcement():
         catalog_point("Cusp3", mu=0.6)
     with pytest.raises(ValidationError):
         catalog_point("CS1", lam=0.0, a=0.1)
+
+
+def _restated_domain(family, lam, kappa):
+    """The catalog's a-ranges written out here, with a0 found by bisection of
+    the range cubic; None where the family has no stratum at lam."""
+    if family.endswith("_k0"):
+        return None if lam == 0.0 else (
+            4.0 * lam ** 2 / 9.0 if family == "CS3_k0" else 0.0, lam ** 2 / 2.0)
+    x = kappa * lam  # family boundaries sit at x = 0, 1/2 and 1
+    if x == 0.0 or x >= 1.0 or (family == "CS3" and x >= 0.5) \
+            or (family == "CS4" and x <= 0.5):
+        return None
+    hopf = (1.0 - x - math.sqrt(max(1.0 - 2.0 * x, 0.0))) / kappa ** 2
+    cusp = (1.0 - x) / kappa ** 2
+    if family in ("CS1", "CS2"):
+        return (0.0, hopf if x < 0.5 else cusp)
+    coeffs = g_cubic_coeffs(lam, kappa)
+    a0 = brentq(lambda a: np.polyval(coeffs, a), 1e-12, 10.0, xtol=1e-14)
+    return (a0, hopf) if family == "CS3" else (cusp, a0)
+
+
+def _cs_catalog_point(family, lam, a, kappa):
+    if family.endswith("_k0"):
+        return catalog_point_kappa0(family, lam=lam, a=a, sign=-1)
+    return catalog_point(family, lam=lam, a=a, sign=-1, kappa=kappa)
+
+
+@pytest.mark.parametrize("family,kappa", [
+    (fam, kap) for fam in ("CS1", "CS2", "CS3", "CS4") for kap in (1.0, 2.0)
+] + [(fam, 0.0) for fam in ("CS1_k0", "CS2_k0", "CS3_k0")])
+@pytest.mark.parametrize("x", [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25])
+def test_family_domain_matches_restated_ranges(family, kappa, x):
+    # lam = x / kappa lies on both sides of 0, 1/(2 kappa) and 1/kappa
+    # (kappa = 0: lam = x, on both sides of 0)
+    lam = x / kappa if kappa else x
+    expected = _restated_domain(family, lam, kappa)
+    if expected is None:
+        with pytest.raises(ValidationError):
+            family_domain(family, lam, kappa)
+        with pytest.raises(ValidationError):
+            _cs_catalog_point(family, lam, 0.01, kappa)
+        return
+    lo, hi = family_domain(family, lam, kappa)
+    assert (lo, hi) == pytest.approx(expected, rel=1e-12, abs=1e-10)
+    # the catalog enforces exactly this open interval
+    for a in (lo - 1e-12, hi + 1e-12):
+        with pytest.raises(ValidationError):
+            _cs_catalog_point(family, lam, a, kappa)
+    for a in (lo + 1e-12, hi - 1e-12):
+        assert _cs_catalog_point(family, lam, a, kappa).a == a
 
 
 def test_catalog_boundary_lambda_half():

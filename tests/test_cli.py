@@ -1,16 +1,19 @@
 """CLI: commands, formats, determinism, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import res112
 from res112.cli import cli
+from res112.errors import ValidationError
 
 
 def _cli_env(**extra):
@@ -139,6 +142,51 @@ def test_bifdiag_fig5_slice_content(tmp_path, runner):
     # mu -> 0 as lambda -> 0 along the slice (the cusp of the ell=0 panel)
     near0 = [abs(float(r[3])) for r in cs if abs(float(r[2])) < 0.06]
     assert near0 and min(near0) < 2e-3
+
+
+def test_bifdiag_a0_root_once_per_lambda_and_family(tmp_path, runner,
+                                                   monkeypatch):
+    # each ell slice and the surface pass take a family's a-range once per
+    # lam; at kappa = 1 only one family (CS3 or CS4) needs a0_root at a lam
+    original = res112.bifurcations.a0_root
+    calls = []
+
+    def counted(lam, *args, **kwargs):
+        calls.append(lam)
+        return original(lam, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "res112" or name.startswith("res112.")) \
+                and getattr(mod, "a0_root", None) is original:
+            monkeypatch.setattr(mod, "a0_root", counted)
+    out = tmp_path / "bd"
+    res = runner.invoke(cli, ["bifdiag", "--ell", "0.125,-0.5", "--grid", "21",
+                              "--out", str(out)], catch_exceptions=False)
+    assert res.exit_code == 0
+    slice_lams = [float(x) for x in np.linspace(-1.5, 1.5, 21)]
+    surface_lams = [float(x) for x in np.linspace(-1.5, 1.5, 33)]
+    assert calls
+    for lam in set(calls):
+        allowed = 2 * slice_lams.count(lam) + surface_lams.count(lam)
+        assert calls.count(lam) <= allowed, (lam, calls.count(lam))
+
+
+def test_bifdiag_rejects_negative_kappa(tmp_path, runner):
+    res = runner.invoke(cli, ["bifdiag", "--kappa", "-1", "--ell", "0",
+                              "--grid", "5", "--no-surface",
+                              "--out", str(tmp_path / "bd")])
+    assert isinstance(res.exception, ValidationError)
+
+
+def test_cli_imports_no_private_names():
+    # the CLI does I/O on top of the public library API
+    tree = ast.parse(Path(res112.cli.__file__).read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0
+                    or (node.module or "").split(".")[0] == "res112")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_critvals_outputs(tmp_path, runner):
