@@ -655,6 +655,75 @@ def catalog_slice(lam: float, ell_target: float,
     return rows
 
 
+def hopf_cusp_slice(ell_target: float, kappa: float, lam_lo: float,
+                    lam_hi: float) -> list[tuple]:
+    """Points of the one-parameter families (Hopf, cusp and degenerate Hopf)
+    on the plane ell = ell_target with lam_lo <= lam <= lam_hi.
+
+    Each family's closed form is solved for lam: the Hopf parabolas
+    ell = (1 - kappa lam -+ sqrt(1 - 2 kappa lam))/kappa^2 give
+    lam = +-sqrt(2 ell) - kappa ell, HHsub3/HHsup3 give
+    lam = +-sqrt(-ell), and the cusp curves
+    ell = (1 - x - sqrt(2x - 1))/kappa^2, x = kappa lam in (1/2, 1), give
+    x = (1 + u^2)/2 with u = -1 + sqrt(2 - 2 kappa^2 ell).  Returns
+    (family, lam, mu, ell, a, h) tuples.
+    """
+    rows = []
+
+    def add(family, lam, mu=None):
+        try:
+            if kappa == 0.0:
+                pt = catalog_point_kappa0(family, lam=lam)
+            elif family == "Cusp3":
+                pt = catalog_point(family, mu=mu, kappa=kappa)
+            elif family.startswith("HHdeg"):
+                pt = catalog_point(family, kappa=kappa)
+            else:
+                pt = catalog_point(family, lam=lam, kappa=kappa)
+        except Res112Error:
+            return
+        if abs(pt.ell - ell_target) <= 1e-9 * max(1.0, abs(ell_target)) and \
+                lam_lo - 1e-12 <= pt.lam <= lam_hi + 1e-12:
+            rows.append((pt.family, pt.lam, pt.mu, pt.ell, pt.a, pt.h))
+
+    if kappa == 0.0:
+        if ell_target > 0.0:
+            L = math.sqrt(2.0 * ell_target)
+            for lam in (L, -L):
+                add("HHsub1_k0", lam)
+                add("HHsub2_k0", lam)
+        if ell_target < 0.0:
+            L = math.sqrt(-ell_target)
+            for lam in (L, -L):
+                add("HHsub3_k0", lam)
+        return rows
+
+    k = kappa
+    if ell_target > 0.0:
+        for lam in (math.sqrt(2.0 * ell_target) - k * ell_target,
+                    -math.sqrt(2.0 * ell_target) - k * ell_target):
+            for fam in ("HHsub1", "HHsub2", "HHsup1", "HHsup2"):
+                add(fam, lam)
+    if ell_target < 0.0:
+        for lam in (math.sqrt(-ell_target), -math.sqrt(-ell_target)):
+            add("HHsub3", lam)
+            add("HHsup3", lam)
+    c = ell_target * k ** 2
+    if -1.0 < c < 0.5:
+        u = -1.0 + math.sqrt(2.0 - 2.0 * c)
+        x = 0.5 * (1.0 + u * u)
+        add("Cusp1", x / k)
+        add("Cusp2", x / k)
+    if abs(ell_target - 0.25 / k ** 2) < 0.25 / k ** 2 + 1e-12:
+        m2 = (ell_target - 0.25 / k ** 2) / k ** 2
+        if m2 >= 0.0:
+            for s in (1, -1):
+                add("Cusp3", 0.5 / k, mu=s * math.sqrt(m2))
+    for fam in ("HHdeg1", "HHdeg2", "HHdeg3"):
+        add(fam, None)
+    return rows
+
+
 def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
                     n: int) -> list[tuple]:
     """(family, lam, a, mu, ell, h) samples of the whole bifurcation set.

@@ -19,11 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import click
 import numpy as np
-from scipy.optimize import brentq
 
 from . import acceptance
-from .bifurcations import (catalog_point, catalog_point_kappa0,
-                           catalog_slice, catalog_surface, oracle_slice)
+from .bifurcations import (catalog_point, catalog_slice, catalog_surface,
+                           hopf_cusp_slice, oracle_slice)
 from .critical_values import (classify_fiber, critical_slice,
                               minimum_crossing_loci, thread_segments)
 from .errors import NumericalError, Res112Error, ValidationError
@@ -79,69 +78,6 @@ def _parse_floats(text: str) -> list[float]:
 # bifdiag
 # ---------------------------------------------------------------------------
 
-def _hopf_cusp_slice_rows(ell_target: float, kappa: float, lam_lo, lam_hi):
-    """Intersections of the one-parameter families with the plane
-    ell = ell_target (closed forms solved for lam)."""
-    rows = []
-
-    def add(family, lam, mu=None):
-        try:
-            if kappa == 0.0:
-                pt = catalog_point_kappa0(family, lam=lam)
-            elif family == "Cusp3":
-                pt = catalog_point(family, mu=mu, kappa=kappa)
-            elif family.startswith("HHdeg"):
-                pt = catalog_point(family, kappa=kappa)
-            else:
-                pt = catalog_point(family, lam=lam, kappa=kappa)
-        except (ValidationError, Res112Error):
-            return
-        if abs(pt.ell - ell_target) <= 1e-9 * max(1.0, abs(ell_target)) and \
-                lam_lo - 1e-12 <= pt.lam <= lam_hi + 1e-12:
-            rows.append((pt.family, pt.lam, pt.mu, pt.ell, pt.a, pt.h))
-
-    if kappa == 0.0:
-        if ell_target > 0.0:
-            L = math.sqrt(2.0 * ell_target)
-            for lam in (L, -L):
-                add("HHsub1_k0", lam)
-                add("HHsub2_k0", lam)
-        if ell_target < 0.0:
-            L = math.sqrt(-ell_target)
-            for lam in (L, -L):
-                add("HHsub3_k0", lam)
-        return rows
-
-    k = kappa
-    if ell_target > 0.0:
-        # ell = (1 - k lam -+ sqrt(1 - 2 k lam)) / k^2  =>  lam = -+sqrt(2 ell) - k ell
-        for lam in (math.sqrt(2.0 * ell_target) / k - k * ell_target,
-                    -math.sqrt(2.0 * ell_target) / k - k * ell_target):
-            for fam in ("HHsub1", "HHsub2", "HHsup1", "HHsup2"):
-                add(fam, lam)
-    if ell_target < 0.0:
-        for lam in (math.sqrt(-ell_target), -math.sqrt(-ell_target)):
-            add("HHsub3", lam)
-            add("HHsup3", lam)
-    # cusp curves: ell_c(lam) monotone on (1/(2k), 1/k)
-    if kappa > 0.0:
-        root = ell_target * k ** 2  # ell_c = (1 - k lam - sqrt(2 k lam - 1))/k^2
-        # solve 1 - x - sqrt(2x - 1) = root k^2 with x = k lam in (1/2, 1)
-        f = lambda x: 1.0 - x - math.sqrt(max(2.0 * x - 1.0, 0.0)) - root  # noqa: E731
-        if f(0.5 + 1e-12) * f(1.0 - 1e-12) < 0.0:
-            x = brentq(f, 0.5 + 1e-12, 1.0 - 1e-12, xtol=1e-14)
-            add("Cusp1", x / k)
-            add("Cusp2", x / k)
-        if abs(ell_target - 0.25 / k ** 2) < 0.25 / k ** 2 + 1e-12:
-            m2 = (ell_target - 0.25 / k ** 2) / k ** 2
-            if m2 >= 0.0:
-                for s in (1, -1):
-                    add("Cusp3", 0.5 / k, mu=s * math.sqrt(m2))
-        for fam in ("HHdeg1", "HHdeg2", "HHdeg3"):
-            add(fam, None)
-    return rows
-
-
 def _bifdiag_slice(args):
     lam, ell_target, kappa, oracle = args
     rows = catalog_slice(lam, ell_target, kappa)
@@ -188,7 +124,7 @@ def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out, workers)
         for chunk in chunks:
             for fam, lam, mu, l, a, h in chunk:
                 rows.append((fam, float(ell_t), lam, mu, l, a, h))
-        for fam, lam, mu, l, a, h in _hopf_cusp_slice_rows(float(ell_t), kappa, lo, hi):
+        for fam, lam, mu, l, a, h in hopf_cusp_slice(float(ell_t), kappa, lo, hi):
             rows.append((fam, float(ell_t), lam, mu, l, a, h))
     rows.sort(key=lambda r: (r[1], r[0], r[2], r[3]))
     ext = "csv" if fmt == "csv" else "jsonl"
@@ -260,11 +196,16 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
     _write_rows(f"{out}_faces.{ext}", ["mu", "ell", "h", "tag", "fiber"],
                 face_rows, fmt)
 
-    # threads with their instability and above-minimum spans (kappa=1 frame)
+    # threads with their instability and above-minimum spans, and the loci:
+    # closed forms in lam alone, so they exist only when lam is the same at
+    # every node
     thread_rows = []
-    if lambda1 == 0.0 and lambda2 == 0.0 and abs(kappa - 1.0) <= 1e-12:
-        segs = thread_segments(ReducedParams(lam=delta, kappa=1.0),
-                               ell_floor=min(ell_lo, -abs(delta) ** 2 - 5.0))
+    if lambda1 != 0.0 or lambda2 != 0.0:
+        click.echo("critvals: no threads or loci file, because lambda varies "
+                   "over the grid when lambda1 or lambda2 is nonzero", err=True)
+    else:
+        rp0 = ReducedParams(lam=delta, kappa=kappa)
+        segs = thread_segments(rp0, ell_floor=min(ell_lo, -abs(delta) ** 2 - 5.0))
         for seg in segs:
             lo_u, hi_u = seg.ell_unstable or (math.nan, math.nan)
             lo_p, hi_p = seg.ell_positive or (math.nan, math.nan)
@@ -275,7 +216,7 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
                 if seg.name != "C12" and e <= 0.0:
                     continue
                 mu = seg.mu_of_ell * e
-                thread_rows.append((seg.name, mu, e, seg.h_c(e, delta),
+                thread_rows.append((seg.name, mu, e, seg.h_c(e, delta, kappa),
                                     int(lo_u < e < hi_u if seg.ell_unstable else 0),
                                     int(lo_p < e < hi_p if seg.ell_positive else 0)))
         _write_rows(f"{out}_threads.{ext}",
@@ -285,11 +226,10 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
         # because ell_floor lies below -delta^2
         c12 = next(seg for seg in segs if seg.name == "C12")
         loci_rows = [("ell_star", 0.0, c12.ell_positive[1], 0.0)]
-        if 0.5 < delta < 1.0:
-            root = math.sqrt(2.0 * delta - 1.0)
-            ell_hi = 1.0 - delta - root  # cusp height: the topmost horns
+        if 0.5 / kappa < delta < 1.0 / kappa:
+            # L+ runs from (0, ell*, 0) up to the cusp height
+            ell_hi = catalog_point("Cusp1", lam=delta, kappa=kappa).ell
             ell_grid = np.linspace(loci_rows[0][2], ell_hi, max(grid // 2, 9))
-            rp0 = ReducedParams(lam=delta, kappa=1.0)
             for mu_l, ell_l, h_l in minimum_crossing_loci(rp0, ell_grid[1:-1]):
                 loci_rows.append(("L+", mu_l, ell_l, h_l))
                 loci_rows.append(("L-", -mu_l, ell_l, h_l))

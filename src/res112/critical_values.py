@@ -32,9 +32,10 @@ import numpy as np
 
 from .errors import NumericalError, UnsupportedRegimeError, ValidationError
 from .model import CasimirValues
-from .bifurcations import f_quartic, instability_interval
+from .bifurcations import (a_sub_boundary, a_sup_boundary, catalog_point,
+                           f_quartic, instability_interval)
 from .reduced_dynamics import (Equilibrium, ReducedParams, Stability,
-                               equilibria, h_min)
+                               equilibria)
 from .reduced_space import TipKind, tip_class
 
 # Relative tolerance deciding whether the level set passes through the tip,
@@ -270,39 +271,38 @@ class ThreadSegments:
 
 
 def thread_segments(rp: ReducedParams, ell_floor: float = -50.0) -> list[ThreadSegments]:
-    """Describe the three normal-mode curves in the kappa = 1 frame.
+    """Describe the three normal-mode curves at fixed reduced detuning.
 
-    For each curve: the instability interval in ell (read off the closed
-    forms at fixed lam), the classification of its endpoints, and the part
-    where the normal-mode energy sits strictly above the minimal energy
-    (located by bisection where it detaches).
+    For each curve: the instability interval in ell, the classification of
+    its endpoints, and the part where the normal-mode energy sits strictly
+    above the minimal energy.  All spans are closed forms, valid for every
+    kappa > 0: C23/C13 are unstable between the Hopf parabolas
+    ``a_sub_boundary`` and ``a_sup_boundary``, C12 below ell = -lam^2, and
+    C12 sits above the minimal energy below ell* (0 for kappa lam <= 1/2,
+    (1 - 2 kappa lam)/kappa^2 up to kappa lam = 1, -lam^2 beyond).
     """
-    if abs(rp.kappa - 1.0) > 1e-12:
-        raise UnsupportedRegimeError(
-            "thread_segments works in the kappa = 1 frame; rescale first")
-    lam = rp.lam
+    if rp.kappa <= 0.0:
+        raise UnsupportedRegimeError("thread_segments requires kappa > 0")
+    lam, k = rp.lam, rp.kappa
     out = []
     for name, sgn in (("C23", 1.0), ("C13", -1.0), ("C12", 0.0)):
         if name == "C12":
             ell_range = (ell_floor, 0.0)
             unstable = (ell_floor, -lam * lam) if -lam * lam > ell_floor else None
-            pos_hi = _c12_detach(lam)
+            pos_hi = _ell_star(lam, k)
             positive = (ell_floor, pos_hi) if pos_hi > ell_floor else None
         else:
             ell_range = (0.0, -ell_floor)
-            disc = 1.0 - 2.0 * lam
-            if disc > 0.0:
-                lo = 1.0 - lam - math.sqrt(disc)
-                hi = 1.0 - lam + math.sqrt(disc)
-                unstable = (lo, hi)
-                positive = (0.0, hi)
+            if 1.0 - 2.0 * k * lam > 0.0:
+                unstable = (a_sub_boundary(lam, k), a_sup_boundary(lam, k))
+                positive = (0.0, unstable[1])
             else:
                 unstable = None
                 positive = None
         kinds = None
         if unstable is not None:
             kinds = tuple(
-                _tip_endpoint_kind(name, sgn, e, lam) for e in unstable
+                _tip_endpoint_kind(name, sgn, e, lam, k) for e in unstable
                 if math.isfinite(e))
         out.append(ThreadSegments(name=name, mu_of_ell=sgn, ell_range=ell_range,
                                   ell_unstable=unstable, endpoint_kinds=kinds,
@@ -310,85 +310,70 @@ def thread_segments(rp: ReducedParams, ell_floor: float = -50.0) -> list[ThreadS
     return out
 
 
-def _tip_endpoint_kind(name, sgn, ell, lam):
+def _tip_endpoint_kind(name, sgn, ell, lam, kappa):
     if not math.isfinite(ell):
         return None
     mu = sgn * ell
     cas = CasimirValues(mu=mu, ell=ell) if name != "C12" else CasimirValues(mu=0.0, ell=ell)
     try:
-        iv = instability_interval(cas, kappa=1.0)
+        iv = instability_interval(cas, kappa=kappa)
     except ValidationError:
         return None
     # which endpoint of the lam-interval does this ell correspond to?
     return iv.kind_hi if abs(iv.lam_hi - lam) <= abs(iv.lam_lo - lam) else iv.kind_lo
 
 
-def minimum_crossing_loci(rp: ReducedParams, ell_values,
-                          mu_max: float = 2.0) -> list[tuple[float, float, float]]:
-    """Points of the L+ crease: two distinct tangencies share the minimal
-    energy (the second sheet of the minimal-energy surface crosses the
-    first).  Located per ell by minimising the gap between the two lowest
-    critical energies over mu >= 0; only near-exact crossings (gap below
-    1e-8) are reported.  The L- crease is the mu -> -mu mirror.
-    """
-    from scipy.optimize import minimize_scalar
+def _ell_star(lam: float, kappa: float) -> float:
+    """ell* where the normal 3-mode curve C12 (mu = 0, ell < 0, h = 0)
+    detaches from the minimal-energy surface: the upper end of its
+    above-minimum span.
 
+    0 for kappa lam <= 1/2; the foot (0, ell*, 0) of the L+ crease for
+    1/2 < kappa lam < 1; the Hopf point -lam^2 for kappa lam >= 1.
+    """
+    x = kappa * lam
+    if x <= 0.5:
+        return 0.0
+    if x >= 1.0:
+        return -lam * lam
+    return _crease_offset(lam, kappa)
+
+
+def _crease_offset(lam: float, kappa: float) -> float:
+    """ell - mu along the L+ crease: (1 - 2 kappa lam) / kappa^2."""
+    return (1.0 - 2.0 * kappa * lam) / kappa ** 2
+
+
+def _crease_energy(mu: float, ell: float, kappa: float) -> float:
+    """Energy of the L+ crease point (mu, ell): (kappa/2) mu ell + mu/(2 kappa)."""
+    return 0.5 * kappa * mu * ell + mu / (2.0 * kappa)
+
+
+def minimum_crossing_loci(rp: ReducedParams, ell_values) -> list[tuple[float, float, float]]:
+    """Points (mu, ell, h) of the L+ crease over the given ells, where two
+    distinct tangencies share the minimal energy (the second sheet of the
+    minimal-energy surface crosses the first).
+
+    Along L+ the quartic F is a perfect square, which forces
+    mu = ell - ell* and h = (kappa/2) mu ell + mu/(2 kappa).  The crease
+    exists for 1/2 < kappa lam < 1 and runs from (0, ell*, 0) to Cusp2;
+    ells outside that open span are skipped.  The L- crease is the
+    mu -> -mu mirror.
+    """
+    lam, k = rp.lam, rp.kappa
+    if k <= 0.0:
+        raise UnsupportedRegimeError("minimum_crossing_loci requires kappa > 0")
+    if not 0.5 / k < lam < 1.0 / k:
+        return []
+    ell_lo = _ell_star(lam, k)
+    ell_hi = catalog_point("Cusp1", lam=lam, kappa=k).ell
     out = []
     for ell in ell_values:
         ell = float(ell)
-
-        def gap(mu):
-            eqs = equilibria(CasimirValues(abs(mu), ell), rp)
-            hs = sorted(e.h for e in eqs)
-            # single critical point: no second sheet here (finite sentinel
-            # keeps the scalar minimiser happy)
-            return hs[1] - hs[0] if len(hs) > 1 else 1e30
-
-        grid = np.linspace(0.0, mu_max, 81)
-        vals = [gap(m) for m in grid]
-        i = int(np.argmin(vals))
-        if vals[i] >= 1e29:
-            continue
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        res = minimize_scalar(gap, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if res.fun < 1e-8:
-            mu_star = float(res.x)
-            h_star = min(e.h for e in equilibria(CasimirValues(mu_star, ell), rp))
-            out.append((mu_star, ell, h_star))
+        if ell_lo < ell < ell_hi:
+            mu = ell - ell_lo
+            out.append((mu, ell, _crease_energy(mu, ell, k)))
     return out
-
-
-def _c12_detach(lam: float, tol: float = 1e-10) -> float:
-    """ell* where the normal 3-mode curve detaches from the minimal-energy
-    surface: the boundary of {h_c > h_min} on mu = 0, ell < 0.
-
-    For lam <= 1/2 the curve detaches only at the origin (ell* = 0); for
-    lam >= 1 it detaches exactly at the Hopf point ell = -lam^2; in between
-    ell* lies strictly inside (-lam^2, 0) and is found by bisection.
-    """
-    rp = ReducedParams(lam=lam, kappa=1.0)
-
-    def above(ell):
-        # h_c = 0 on this curve
-        return -h_min(CasimirValues(mu=0.0, ell=ell), rp) > tol
-
-    eps = 1e-7
-    if above(-eps):
-        return 0.0
-    lo = -lam * lam - eps if lam != 0.0 else -1.0
-    if not above(lo):
-        # attached all the way down to the Hopf point
-        return -lam * lam
-    hi = -eps
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from res112 import (AmbiguousClassificationError, BifurcationKind,
                     CasimirValues, ReducedParams, ValidationError, a0_root,
                     catalog_point, catalog_point_kappa0,
                     classify_multiple_root, f_quartic, family_domain,
-                    instability_interval, kappa_scaling, newton_triple_root,
+                    hopf_cusp_slice, instability_interval, kappa_scaling, newton_triple_root,
                     solve_bifurcations_numeric)
 from res112.bifurcations import (_family_prediction, a_quadruple,
                                  a_sub_boundary, a_sup_boundary,
@@ -507,3 +507,39 @@ def test_instability_interval_unstable_inside():
         q = f_quartic(h_c, ReducedParams(lam=lam, kappa=1.0), cas)
         assert (q.d2(0.0) < 0.0) == inside
         assert (iv.lam_lo < lam < iv.lam_hi) == inside
+
+
+# ---------------------------------------------------------------------------
+# one-parameter families on a plane ell = const
+# ---------------------------------------------------------------------------
+
+def _cusp_x_by_brentq(c):
+    """The cusp curve 1 - x - sqrt(2x - 1) = c solved for x = kappa lam by
+    brentq on (1/2, 1): the numeric route the closed form replaced."""
+    f = lambda x: 1.0 - x - math.sqrt(max(2.0 * x - 1.0, 0.0)) - c  # noqa: E731
+    return brentq(f, 0.5 + 1e-12, 1.0 - 1e-12, xtol=1e-14)
+
+
+@pytest.mark.parametrize("kappa", [0.7, 1.0, 2.0])
+def test_hopf_cusp_slice_cusp_inverse_matches_brentq(kappa):
+    for ell in np.linspace(-0.99, 0.49, 23) / kappa ** 2:
+        rows = {r[0]: r for r in hopf_cusp_slice(float(ell), kappa, -5.0, 5.0)}
+        x = _cusp_x_by_brentq(ell * kappa ** 2)
+        for fam in ("Cusp1", "Cusp2"):
+            assert abs(kappa * rows[fam][1] - x) <= 1e-14, (kappa, ell, fam)
+            assert rows[fam][3] == pytest.approx(ell, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.7, 1.0, 2.0])
+def test_hopf_cusp_slice_finds_every_hopf_point(kappa):
+    # each Hopf point of the catalog reappears on the plane through it
+    for lam in (-1.2, -0.4, 0.1, 0.3) + (0.45 / kappa, 1.3 / kappa):
+        for fam in ("HHsub1", "HHsub2", "HHsup1", "HHsup2", "HHsub3", "HHsup3"):
+            try:
+                pt = catalog_point(fam, lam=lam, kappa=kappa)
+            except ValidationError:
+                continue
+            rows = [r for r in hopf_cusp_slice(pt.ell, kappa, -5.0, 5.0)
+                    if r[0] == fam and abs(r[1] - lam) <= 1e-9]
+            assert len(rows) == 1, (kappa, lam, fam)
+            assert rows[0][2] == pytest.approx(pt.mu, abs=1e-9)

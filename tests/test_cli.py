@@ -189,6 +189,16 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
+def test_cli_imports_no_scipy():
+    # the CLI leaves the numerics, scipy included, to the library
+    tree = ast.parse(Path(res112.cli.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
 def test_critvals_outputs(tmp_path, runner):
     out = tmp_path / "cv"
     res = runner.invoke(cli, ["critvals", "--delta", "-1", "--grid", "9",
@@ -308,7 +318,62 @@ def test_critvals_builds_threads_once(tmp_path, runner, monkeypatch):
     assert len(calls) == 1
     loci = (tmp_path / "cv_loci.csv").read_text().splitlines()
     assert loci[1].split(",")[:2] == ["ell_star", "0"]
-    assert loci[1].split(",")[2] == "%.17g" % cv._c12_detach(0.6)
+    assert loci[1].split(",")[2] == "%.17g" % (1 - 2 * 0.6)
+
+
+def test_critvals_loci_complete_at_delta_09(tmp_path, runner):
+    # the crease L+ lies at mu < 0.12 here; every interior grid ell gets a
+    # row, and each row is a crossing of the two lowest equilibrium energies
+    out = tmp_path / "cv"
+    runner.invoke(cli, ["critvals", "--delta", "0.9", "--grid", "7",
+                        "--out", str(out)], catch_exceptions=False)
+    rows = [l.split(",") for l in
+            (tmp_path / "cv_loci.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows].count("L+") == 7
+    assert [r[0] for r in rows].count("L-") == 7
+    rp = res112.ReducedParams(lam=0.9, kappa=1.0)
+    for name, mu, ell, h in rows[1:]:
+        mu, ell, h = float(mu), float(ell), float(h)
+        hs = sorted(e.h for e in res112.equilibria(res112.CasimirValues(mu, ell), rp))
+        assert abs(hs[0] - h) <= 1e-12 and abs(hs[1] - h) <= 1e-12, (name, mu, ell)
+
+
+def test_critvals_threads_in_kappa_frame(tmp_path, runner):
+    # threads.csv is written for kappa != 1 too, and its unstable column
+    # agrees with the per-node thread tags of faces.csv
+    out = tmp_path / "cv"
+    res = runner.invoke(cli, ["critvals", "--kappa", "2", "--delta", "0.2",
+                              "--grid", "21", "--mu-window=-0.5,0.5",
+                              "--ell-window=-0.5,0.5", "--out", str(out)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0
+    faces = [l.split(",") for l in
+             (tmp_path / "cv_faces.csv").read_text().splitlines()[1:]]
+    threads = [l.split(",") for l in
+               (tmp_path / "cv_threads.csv").read_text().splitlines()[1:]]
+    assert len(threads) == 30
+    assert {t[4] for t in threads} == {"0", "1"}
+    for curve, mu, ell, _, unstable, _ in threads:
+        mu, ell = float(mu), float(ell)
+        tags = [f[3] for f in faces
+                if abs(float(f[0]) - mu) <= 1e-9 and abs(float(f[1]) - ell) <= 1e-9]
+        assert tags, (curve, mu, ell)
+        assert ("thread" in tags) == (unstable == "1"), (curve, mu, ell, tags)
+
+
+def test_critvals_detuned_says_why_no_threads(tmp_path, runner):
+    out = tmp_path / "cv"
+    res = runner.invoke(cli, ["critvals", "--delta", "0.3", "--lambda2", "0.1",
+                              "--grid", "3", "--out", str(out)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0
+    assert res.stdout == ("wrote 9 surface rows, %d face rows, 0 thread rows "
+                          "to %s_*.csv\n" % (len((tmp_path / "cv_faces.csv")
+                                                .read_text().splitlines()) - 1, out))
+    assert len(res.stderr.splitlines()) == 1
+    assert "lambda" in res.stderr and "threads" in res.stderr
+    assert not (tmp_path / "cv_threads.csv").exists()
+    assert not (tmp_path / "cv_loci.csv").exists()
 
 
 def test_bifdiag_workers_deterministic(tmp_path, runner):

@@ -1,0 +1,53 @@
+"""Symbolic certificates for the closed forms.
+
+Each certificate calls the library's own formula on sympy symbols, turns its
+float literals into exact rationals, and shows that the defining identity
+holds exactly, with no tolerance.  sympy is part of the ``test`` extra; a
+missing sympy fails the run.
+"""
+
+from types import SimpleNamespace
+
+import sympy as sp
+
+from res112 import bifurcations, f_quartic
+from res112.bifurcations import a_sub_boundary, a_sup_boundary
+from res112.critical_values import _crease_energy, _crease_offset
+
+R, mu, lam = sp.symbols("R mu lam", real=True)
+k = sp.symbols("kappa", positive=True)
+
+
+def exact(expr):
+    """The expression with its float literals made exact rationals."""
+    return sp.nsimplify(expr, rational=True)
+
+
+def quartic_in_R(h, ell):
+    """F(R) from the library's coefficient expansion, as a sympy expression."""
+    q = f_quartic(h, SimpleNamespace(lam=lam, kappa=k), SimpleNamespace(mu=mu, ell=ell))
+    return sum(exact(c) * R ** i for i, c in enumerate(q.coeffs))
+
+
+def test_crease_is_a_perfect_square():
+    # on L+ (ell = mu + ell*, h from the crease energy) F = (kappa^2/4) G^2,
+    # so both roots of G are double roots of F at one energy
+    ell = mu + exact(_crease_offset(lam, k))
+    h = exact(_crease_energy(mu, ell, k))
+    G = R ** 2 + 2 * (k * lam - 1) / k ** 2 * R - mu * (k * mu - 2 * lam) / k
+    assert sp.simplify(quartic_in_R(h, ell) - k ** 2 / 4 * G ** 2) == 0
+    # its mu = 0 end is (0, ell*, 0) with ell* = (1 - 2 kappa lam)/kappa^2
+    assert sp.simplify(ell.subs(mu, 0) - (1 - 2 * k * lam) / k ** 2) == 0
+    assert h.subs(mu, 0) == 0
+
+
+def test_hopf_boundaries_are_the_instability_roots(monkeypatch):
+    # the C23/C13 tip at r is unstable iff (lam + kappa r)^2 < 2 r; the
+    # unstable span ends at the two roots of that quadratic
+    monkeypatch.setattr(bifurcations, "math", SimpleNamespace(sqrt=sp.sqrt))
+    r_sub = exact(a_sub_boundary(lam, k))
+    r_sup = exact(a_sup_boundary(lam, k))
+    for r in (r_sub, r_sup):
+        assert sp.expand((lam + k * r) ** 2 - 2 * r) == 0
+    # and they are distinct exactly when 1 - 2 kappa lam > 0
+    assert sp.simplify(r_sup - r_sub - 2 * sp.sqrt(1 - 2 * k * lam) / k ** 2) == 0

@@ -9,11 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from res112 import (CasimirValues, FiberKind, ReducedParams, Stability,
-                    UnsupportedRegimeError, classify_fiber, critical_slice,
-                    equilibria, h_min, thread_segments)
-from res112.critical_values import _c12_detach
+                    UnsupportedRegimeError, catalog_point, classify_fiber,
+                    critical_slice, equilibria, h_min, instability_interval,
+                    thread_segments)
+from res112.critical_values import minimum_crossing_loci
 
 RNG = np.random.default_rng(6180339)
 
@@ -120,6 +122,14 @@ def test_fiber_symmetry_mu_flip():
         assert a == b
 
 
+def test_normal_mode_spans_need_positive_kappa():
+    for kappa in (0.0, -1.0):
+        with pytest.raises(UnsupportedRegimeError):
+            thread_segments(ReducedParams(lam=0.6, kappa=kappa))
+        with pytest.raises(UnsupportedRegimeError):
+            minimum_crossing_loci(ReducedParams(lam=0.6, kappa=kappa), [0.0])
+
+
 def test_classify_fiber_needs_positive_kappa():
     with pytest.raises(UnsupportedRegimeError):
         classify_fiber(CasimirValues(0, 0), ReducedParams(lam=0.0, kappa=0.0), 0.0)
@@ -176,23 +186,169 @@ def test_thread_segments_hhsup3_onset():
     assert segs["C12"].ell_unstable[1] == pytest.approx(-1.5 ** 2)
 
 
+@pytest.mark.parametrize("kappa", [0.7, 2.0])
+def test_thread_segments_match_per_tip_instability(kappa):
+    # the closed-form spans agree with the per-tip instability interval
+    # (the oracle) in any kappa frame, tip by tip
+    for x in (-0.6, 0.0, 0.3, 0.45, 0.8, 1.3):
+        lam = x / kappa
+        for seg in thread_segments(ReducedParams(lam=lam, kappa=kappa),
+                                   ell_floor=-20.0):
+            lo, hi = seg.ell_unstable or (math.nan, math.nan)
+            sign = -1.0 if seg.name == "C12" else 1.0
+            for ell in sign * np.linspace(1e-3, 10.0, 401):
+                ell = float(ell)
+                iv = instability_interval(CasimirValues(seg.mu_of_ell * ell, ell),
+                                          kappa=kappa)
+                expect = iv.lam_lo < lam < iv.lam_hi
+                assert (lo < ell < hi) == expect, (kappa, x, seg.name, ell)
+
+
+def ell_star(lam, kappa=1.0):
+    """ell* as the library reports it: the upper end of the C12 above-min span."""
+    segs = {s.name: s for s in thread_segments(ReducedParams(lam=lam, kappa=kappa))}
+    return segs["C12"].ell_positive[1]
+
+
 def test_detachment_point_intermediate_detuning():
     # 1/2 < lam < 1: the normal 3-mode detaches from the minimal-energy
-    # surface strictly inside (-lam^2, 0); located by bisection
+    # surface strictly inside (-lam^2, 0), at ell* = 1 - 2 lam
     lam = 0.52
-    ell_star = _c12_detach(lam)
-    assert -lam * lam < ell_star < 0.0
+    ell_s = ell_star(lam)
+    assert -lam * lam < ell_s < 0.0
     rp = ReducedParams(lam=lam, kappa=1.0)
-    assert h_min(CasimirValues(0.0, ell_star - 1e-6), rp) < -1e-9
-    assert h_min(CasimirValues(0.0, ell_star + 1e-6), rp) > -1e-12
+    assert h_min(CasimirValues(0.0, ell_s - 1e-6), rp) < -1e-9
+    assert h_min(CasimirValues(0.0, ell_s + 1e-6), rp) > -1e-12
 
 
 def test_detachment_point_small_detuning():
     # for lam <= 1/2 the curve stays above the minimum all the way to 0
-    assert _c12_detach(0.0) == 0.0
-    assert _c12_detach(-1.0) == 0.0
+    assert ell_star(0.0) == 0.0
+    assert ell_star(-1.0) == 0.0
     # for lam > 1 it detaches exactly at the Hopf point
-    assert _c12_detach(1.5) == pytest.approx(-2.25, abs=1e-8)
+    assert ell_star(1.5) == pytest.approx(-2.25, abs=1e-8)
+
+
+# Numeric oracles for the closed forms.  These are the searches the library
+# used before the closed forms replaced them: a bisection over h_min for
+# ell* and, for the L+ crease, a grid plus a bounded scalar minimiser of the
+# gap between the two lowest equilibrium energies.
+
+def _c12_detach_oracle(lam, kappa=1.0, tol=1e-12):
+    """ell* by bisection on {h_c > h_min} along mu = 0, ell < 0 (h_c = 0).
+
+    The boundary test asks for an energy gap above ``tol``, so the result
+    sits below the true ell* by about tol over the gap's slope there; the
+    library's old tol = 1e-10 put it 2e-8 low at kappa = 2, kappa lam = 0.99.
+    """
+    rp = ReducedParams(lam=lam, kappa=kappa)
+
+    def above(ell):
+        return -h_min(CasimirValues(mu=0.0, ell=ell), rp) > tol
+
+    eps = 1e-7
+    if above(-eps):
+        return 0.0
+    lo = -lam * lam - eps if lam != 0.0 else -1.0
+    if not above(lo):
+        # attached all the way down to the Hopf point
+        return -lam * lam
+    hi = -eps
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _crossing_oracle(rp, ell_values, mu_max=2.0):
+    """L+ points (mu, ell, h) by minimising the gap between the two lowest
+    equilibrium energies over mu >= 0: an 81-point grid, then a bounded
+    minimiser on the bracketing cells.  The minimiser works on the offset
+    from the bracket's lower end, because its x-tolerance grows with |x|.
+    Only near-exact crossings (gap below 1e-8) are reported.
+    """
+    out = []
+    for ell in ell_values:
+        ell = float(ell)
+
+        def gap(mu):
+            hs = sorted(e.h for e in equilibria(CasimirValues(abs(mu), ell), rp))
+            return hs[1] - hs[0] if len(hs) > 1 else 1e30
+
+        grid = np.linspace(0.0, mu_max, 81)
+        vals = [gap(m) for m in grid]
+        i = int(np.argmin(vals))
+        if vals[i] >= 1e29:
+            continue
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, len(grid) - 1)]
+        res = minimize_scalar(lambda t: gap(lo + t), bounds=(0.0, hi - lo),
+                              method="bounded", options={"xatol": 1e-12})
+        if res.fun < 1e-8:
+            mu_star = float(lo + res.x)
+            h_star = min(e.h for e in equilibria(CasimirValues(mu_star, ell), rp))
+            out.append((mu_star, ell, h_star))
+    return out
+
+
+@pytest.mark.parametrize("kappa", [0.7, 1.0, 2.0])
+def test_ell_star_closed_form_matches_bisection(kappa):
+    for x in (-1.0, 0.3, 0.51, 0.6, 0.75, 0.9, 0.99, 1.2):
+        lam = x / kappa
+        closed = ell_star(lam, kappa)
+        oracle = _c12_detach_oracle(lam, kappa)
+        assert abs(closed - oracle) <= 1e-8, (kappa, x, closed, oracle)
+        # the oracle's boundary test is one-sided: it never overshoots
+        assert oracle <= closed
+
+
+@pytest.mark.parametrize("kappa", [0.7, 1.0, 2.0])
+def test_crossing_loci_closed_form_matches_minimiser(kappa):
+    for x in (0.52, 0.6):
+        lam = x / kappa
+        rp = ReducedParams(lam=lam, kappa=kappa)
+        ell_cusp = catalog_point("Cusp1", lam=lam, kappa=kappa).ell
+        ells = np.linspace(ell_star(lam, kappa), ell_cusp, 9)[1:-1]
+        closed = {ell: (mu, h) for mu, ell, h in minimum_crossing_loci(rp, ells)}
+        assert len(closed) == len(ells)
+        found = _crossing_oracle(rp, ells)
+        assert len(found) >= 4, (kappa, x, found)
+        for mu, ell, h in found:
+            assert abs(mu - closed[ell][0]) <= 1e-9, (kappa, x, ell)
+            assert abs(h - closed[ell][1]) <= 1e-9, (kappa, x, ell)
+
+
+def test_crossing_loci_closed_form_is_a_double_crossing():
+    # every closed-form point carries two equilibria at the minimal energy,
+    # including kappa lam >= 0.9, where the minimiser's grid finds none
+    for kappa in (0.7, 1.0, 2.0):
+        for x in (0.55, 0.9, 0.95):
+            lam = x / kappa
+            rp = ReducedParams(lam=lam, kappa=kappa)
+            ell_cusp = catalog_point("Cusp1", lam=lam, kappa=kappa).ell
+            ells = np.linspace(ell_star(lam, kappa), ell_cusp, 9)[1:-1]
+            pts = minimum_crossing_loci(rp, ells)
+            assert [p[1] for p in pts] == [float(e) for e in ells]
+            for mu, ell, h in pts:
+                hs = sorted(e.h for e in equilibria(CasimirValues(mu, ell), rp))
+                assert abs(hs[0] - h) <= 1e-12 and abs(hs[1] - h) <= 1e-12, \
+                    (kappa, x, mu, ell, hs[:2], h)
+
+
+def test_crossing_loci_span_is_open():
+    # the crease runs from (0, ell*, 0) to Cusp2; both ends are excluded
+    lam = 0.7
+    rp = ReducedParams(lam=lam, kappa=1.0)
+    ell_lo = ell_star(lam)
+    cusp = catalog_point("Cusp2", lam=lam, kappa=1.0)
+    assert minimum_crossing_loci(rp, [ell_lo, cusp.ell, ell_lo - 0.1,
+                                      cusp.ell + 0.1]) == []
+    ((mu, ell, h),) = minimum_crossing_loci(rp, [cusp.ell - 1e-9])
+    assert mu == pytest.approx(cusp.mu, abs=1e-8)
+    assert h == pytest.approx(cusp.h, abs=1e-8)
 
 
 def test_threads_transversally_isolated_at_lambda_zero():
@@ -278,7 +434,6 @@ def test_island_shrinks_as_lambda_to_zero():
 def test_minimum_crossing_loci_at_intermediate_detuning():
     # for 1/2 < lam < 1 the second minimal-energy sheet crosses the first
     # along a crease starting at (0, ell*, 0); the gap vanishes there
-    from res112.critical_values import minimum_crossing_loci
     rp = ReducedParams(lam=0.52, kappa=1.0)
     pts = minimum_crossing_loci(rp, [0.0, 0.1, 0.2])
     assert len(pts) == 3
