@@ -241,6 +241,20 @@ def _ell_from_mu2(a: float, mu2: float, lam: float, kappa: float) -> float:
             - 2.0 * L ** 3 + k * mu2) / (2.0 * L)
 
 
+def _ell_slope(a: float, lam: float, kappa: float, branch: int) -> float:
+    """d ell/d a along the mu^2-branch m_minus (branch -1) or m_plus (+1) of
+    _mu2_branches, i.e. the derivative of _ell_from_mu2(a, m(a), lam, kappa)."""
+    k, L = kappa, lam
+    d = max(_discriminant_core(a, L, k), 0.0)
+    d_core = (6.0 * k ** 3 * a ** 2 * L - 6.0 * k ** 2 * a ** 2
+              + 12.0 * k ** 2 * a * L ** 2 - 12.0 * k * a * L + 6.0 * a
+              + 6.0 * k * L ** 3 - 6.0 * L ** 2)
+    d_rad = 6.0 * abs(L) * math.sqrt(d) * (k * (k * a + L) - 1.0)
+    d_mu2 = (d_core + branch * d_rad) / (2.0 * k * L - 1.0)
+    return (-6.0 * k ** 3 * a ** 2 - 12.0 * k ** 2 * a * L + 6.0 * k * a
+            - 6.0 * k * L ** 2 + 6.0 * L + k * d_mu2) / (2.0 * L)
+
+
 def _h_from_mu2(a: float, mu2: float, lam: float, kappa: float) -> float:
     return (mu2 + 3.0 * a ** 2 - 2.0 * kappa ** 2 * a ** 3
             - 3.0 * kappa * a ** 2 * lam) / (2.0 * lam)
@@ -269,6 +283,27 @@ def g_cubic_coeffs(lam: float, kappa: float) -> np.ndarray:
         12.0 * k ** 3 * L - 12.0 * k ** 2,
         12.0 * k ** 2 * L ** 2 - 18.0 * k * L + 9.0,
         4.0 * k * L ** 3 - 4.0 * L ** 2,
+    ])
+
+
+def _slice_quartic_coeffs(lam: float, ell: float, kappa: float) -> np.ndarray:
+    """Descending coefficients of the slice quartic Q(a).
+
+    With m = mu^2 taken from _ell_from_mu2 at ell, the eliminated quadratic
+    A m^2 + B m + C of _q_quadratic_coeffs satisfies
+    kappa^2 (A m^2 + B m + C) = 4 lam^2 Q(a), so the triple roots a of the
+    centre-saddle points on the plane ell = const are real roots of Q.
+    """
+    k, L, l = kappa, lam, ell
+    return np.array([
+        3.0 * k ** 4,
+        10.0 * L * k ** 3 - 2.0 * l * k ** 4 - 10.0 * k ** 2,
+        (12.0 * L ** 2 * k ** 2 - 6.0 * L * l * k ** 3 - 18.0 * L * k
+         + 6.0 * l * k ** 2 + 9.0),
+        (6.0 * L ** 3 * k - 6.0 * L ** 2 * l * k ** 2 - 6.0 * L ** 2
+         + 12.0 * L * l * k - 6.0 * l),
+        (L ** 4 - 2.0 * L ** 3 * l * k + 2.0 * L ** 2 * l
+         - 2.0 * L * l ** 2 * k + l ** 2),
     ])
 
 
@@ -319,8 +354,9 @@ def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, f
     (0, lam^2/2) and (4 lam^2/9, lam^2/2); kappa is not used for them.
     Raises ValidationError at lam = 0 and wherever the family has no
     stratum, and UnsupportedRegimeError for CS1..CS4 with kappa <= 0.
-    Within 1e-14/kappa of lam = 1/(2 kappa), catalog_point uses the boundary
-    formula and its own range (0, 1/(2 kappa^2)) instead.
+    Within 1e-14/kappa of lam = 1/(2 kappa), where the catalog uses the
+    boundary formula, CS1 and CS2 span (0, 1/(2 kappa^2)) and CS3 and CS4
+    have no points.
     ``a0_root`` runs at most once per call, so callers that probe many a at
     one lam compute the interval once and pass it on.
     """
@@ -338,6 +374,10 @@ def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, f
             "no centre-saddle strata at lam = 0: only the resonant equilibrium "
             "and the two supercritical Hopf points exist there")
     k = kappa
+    if _at_lambda_half(lam, k):
+        if family in ("CS1", "CS2"):
+            return 0.0, 0.5 / k ** 2
+        raise ValidationError(f"{family} has no points at lam = 1/(2 kappa)")
     if family in ("CS1", "CS2"):
         if lam < 0.5 / k:
             return 0.0, a_sub_boundary(lam, k)
@@ -465,9 +505,7 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
     # centre-saddle families
     if a is None:
         raise ValidationError(f"family {family} needs the triple root a")
-    if _at_lambda_half(lam, k):
-        return _cs_point_lambda_half(family, a, k)
-    return _cs_point(family, lam, a, sign, k, *family_domain(family, lam, k))
+    return _cs_probe(family, lam, a, sign, k, *family_domain(family, lam, k))
 
 
 def _at_lambda_half(lam: float, k: float) -> bool:
@@ -501,13 +539,14 @@ def _cs_point(family: str, lam: float, a: float, sign: int, k: float,
                         b=_b_of_a(a, lam, k), h=h, kappa=k)
 
 
-def _cs_point_lambda_half(family: str, a: float, k: float) -> CatalogPoint:
-    # lam = 1/(2 kappa): the eliminated quartic factorises; the CS1/CS2
-    # sheets continue onto mu^2 = 2 kappa^2 a^3, flagged as boundary points.
-    if family not in ("CS1", "CS2"):
-        raise ValidationError(f"{family} has no points at lam = 1/(2 kappa)")
-    if not 0.0 < a < 0.5 / k ** 2:
-        raise ValidationError("boundary CS points need 0 < a < 1/(2 kappa^2)")
+def _cs_point_lambda_half(family: str, a: float, k: float,
+                          lo: float, hi: float) -> CatalogPoint:
+    """CS1/CS2 boundary point at lam = 1/(2 kappa), given the family's
+    a-range (lo, hi) from family_domain; raises outside it.  There the
+    eliminated quartic factorises and the sheets continue onto
+    mu^2 = 2 kappa^2 a^3, flagged as boundary points."""
+    if not lo < a < hi:
+        raise ValidationError(f"boundary {family} points need {lo} < a < {hi}")
     lam = 0.5 / k
     mu2 = 2.0 * k ** 2 * a ** 3
     mu_val = math.sqrt(mu2)
@@ -610,7 +649,7 @@ def _cs_probe(family: str, lam: float, a: float, sign: int, kappa: float,
     if kappa == 0.0:
         return _cs_point_kappa0(family, lam, a, sign, lo, hi)
     if _at_lambda_half(lam, kappa):
-        return _cs_point_lambda_half(family, a, kappa)
+        return _cs_point_lambda_half(family, a, kappa, lo, hi)
     return _cs_point(family, lam, a, sign, kappa, lo, hi)
 
 
@@ -619,39 +658,53 @@ def catalog_slice(lam: float, ell_target: float,
     """Centre-saddle points of the closed-form catalog on the plane
     ell = ell_target at one lam.
 
-    Each family with points at lam (the _k0 families for kappa = 0) is
-    scanned on 65 points of its family_domain interval, padded by 1e-9 of
-    its width, once per mu-branch sign; every sign change of
-    ell(a) - ell_target is polished by brentq to xtol 1e-13.  The interval
-    is computed once per family, so a0_root runs at most once per call.
-    lam = 0 and lam = 1/(2 kappa) give no rows.  Returns
-    (family, lam, mu, ell, a, h) tuples in family, sign and a order.
+    Their triple roots a are real roots of the slice quartic
+    (_slice_quartic_coeffs); for kappa = 0 it degenerates to
+    (3a - ell - lam^2)^2, and within 1e-14/kappa of lam = 1/(2 kappa) the
+    boundary formula gives a = (4 kappa^2 ell + 1)/(6 kappa^2).  For
+    kappa > 0 the real part of each quartic root is polished by two Newton
+    steps on each family's own ell(a) (_ell_slope): next to a subcritical
+    Hopf point the quartic's roots on the two mu^2-branches nearly coincide
+    and lose their accuracy, while each branch's own root stays well
+    conditioned.  A root counts once per family and mu-branch sign when it
+    lies in the family's family_domain interval less 1e-9 of its width at
+    each end, its last Newton step is below 1e-6 of that width, and its ell
+    lies within 1e-9 max(1, |ell_target|) of the plane.  lam = 0 and
+    lam = 1/(2 kappa) give no rows.  Returns (family, lam, mu, ell, a, h)
+    tuples in family, sign and a order.
     """
+    steps = 0
+    if kappa == 0.0:
+        starts = [(ell_target + lam * lam) / 3.0]
+    elif _at_lambda_half(lam, kappa):
+        starts = [(4.0 * kappa ** 2 * ell_target + 1.0) / (6.0 * kappa ** 2)]
+    else:
+        starts = sorted({float(z.real) for z in
+                         np.roots(_slice_quartic_coeffs(lam, ell_target, kappa))})
+        steps = 2
+    tol = 1e-9 * max(1.0, abs(ell_target))
     rows = []
     for family, lo, hi in _cs_domains(lam, kappa):
-        if not (hi > lo):
-            continue
-        signs = (1, -1) if family in _TWO_SIGN_FAMILIES else (1,)
-        pad = 1e-9 * (hi - lo)
-        grid = np.linspace(lo + pad, hi - pad, 65)
-        for sign in signs:
-            vals = []
-            for a in grid:
+        pad, near = 1e-9 * (hi - lo), 1e-6 * (hi - lo)
+        branch = 1 if family == "CS3" else -1  # CS3 is the m_plus sheet
+        for sign in ((1, -1) if family in _TWO_SIGN_FAMILIES else (1,)):
+            found = []
+            for a in starts:
+                step = 0.0
                 try:
-                    ell = _cs_probe(family, lam, float(a), sign, kappa, lo, hi).ell
-                except Res112Error:
-                    ell = math.nan
-                vals.append(ell - ell_target)
-            for i in range(len(grid) - 1):
-                v0, v1 = vals[i], vals[i + 1]
-                if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
+                    pt = _cs_probe(family, lam, a, sign, kappa, lo, hi)
+                    for _ in range(steps):
+                        step = (pt.ell - ell_target) / _ell_slope(a, lam, kappa, branch)
+                        a -= step
+                        pt = _cs_probe(family, lam, a, sign, kappa, lo, hi)
+                except (Res112Error, ZeroDivisionError):
                     continue
-                a_star = brentq(
-                    lambda a: _cs_probe(family, lam, a, sign, kappa, lo, hi).ell
-                    - ell_target,
-                    grid[i], grid[i + 1], xtol=1e-13)
-                pt = _cs_probe(family, lam, a_star, sign, kappa, lo, hi)
-                rows.append((family, lam, pt.mu, pt.ell, a_star, pt.h))
+                if lo + pad <= a <= hi - pad and abs(step) <= near \
+                        and abs(pt.ell - ell_target) <= tol \
+                        and all(abs(a - b) > near for b, _ in found):
+                    found.append((a, pt))
+            rows += [(family, lam, pt.mu, pt.ell, a, pt.h) for a, pt in sorted(
+                found, key=lambda f: f[0])]
     return rows
 
 

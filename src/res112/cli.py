@@ -216,7 +216,7 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
                 if seg.name != "C12" and e <= 0.0:
                     continue
                 mu = seg.mu_of_ell * e
-                thread_rows.append((seg.name, mu, e, seg.h_c(e, delta, kappa),
+                thread_rows.append((seg.name, mu, e, seg.h_c(e),
                                     int(lo_u < e < hi_u if seg.ell_unstable else 0),
                                     int(lo_p < e < hi_p if seg.ell_positive else 0)))
         _write_rows(f"{out}_threads.{ext}",

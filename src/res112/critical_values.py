@@ -254,7 +254,8 @@ class ThreadSegments:
     (the thread: transversally isolated critical values); ``ell_positive``
     the interval where the tip energy exceeds the minimal energy.  Both are
     (lo, hi) with -inf allowed; None when empty.  ``h_c`` is the energy of
-    the normal mode as a function of ell.
+    the normal mode as a function of ell, at the segment's own ``lam`` and
+    ``kappa``.
     """
 
     name: str                       # "C23", "C13", "C12"
@@ -263,10 +264,12 @@ class ThreadSegments:
     ell_unstable: tuple[float, float] | None
     endpoint_kinds: tuple | None
     ell_positive: tuple[float, float] | None
+    lam: float
+    kappa: float
 
-    def h_c(self, ell, lam: float, kappa: float = 1.0):
+    def h_c(self, ell):
         rmin = np.abs(ell) if self.name != "C12" else np.zeros_like(np.asarray(ell, dtype=float))
-        out = lam * rmin + 0.5 * kappa * rmin ** 2
+        out = self.lam * rmin + 0.5 * self.kappa * rmin ** 2
         return out if np.ndim(ell) else float(out)
 
 
@@ -306,7 +309,7 @@ def thread_segments(rp: ReducedParams, ell_floor: float = -50.0) -> list[ThreadS
                 if math.isfinite(e))
         out.append(ThreadSegments(name=name, mu_of_ell=sgn, ell_range=ell_range,
                                   ell_unstable=unstable, endpoint_kinds=kinds,
-                                  ell_positive=positive))
+                                  ell_positive=positive, lam=lam, kappa=k))
     return out
 
 

@@ -8,12 +8,16 @@ import pytest
 from scipy.optimize import brentq
 
 from res112 import (AmbiguousClassificationError, BifurcationKind,
-                    CasimirValues, ReducedParams, ValidationError, a0_root,
-                    catalog_point, catalog_point_kappa0,
+                    CasimirValues, ReducedParams, Res112Error,
+                    ValidationError, a0_root, catalog_point,
+                    catalog_point_kappa0, catalog_slice,
                     classify_multiple_root, f_quartic, family_domain,
                     hopf_cusp_slice, instability_interval, kappa_scaling, newton_triple_root,
                     solve_bifurcations_numeric)
-from res112.bifurcations import (_family_prediction, a_quadruple,
+from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_domains, _cs_probe,
+                                 _discriminant_core, _ell_from_mu2,
+                                 _ell_slope, _family_prediction,
+                                 _mu2_branches, a_quadruple,
                                  a_sub_boundary, a_sup_boundary,
                                  g_cubic_coeffs, residual_scale)
 
@@ -262,6 +266,28 @@ def test_catalog_boundary_lambda_half():
     cas = CasimirValues(pt.mu, pt.ell)
     q = f_quartic(pt.h, ReducedParams(lam=0.5, kappa=1.0), cas)
     assert max(abs(q.value(pt.a)), abs(q.d1(pt.a)), abs(q.d2(pt.a))) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+@pytest.mark.parametrize("direction", [-1.0, 1.0])
+def test_family_domain_agrees_with_catalog_next_to_lambda_half(kappa, direction):
+    # one ulp off lam = 1/(2 kappa) the catalog uses the boundary formula;
+    # family_domain states the range that formula enforces there
+    lam = float(np.nextafter(0.5 / kappa, direction))
+    for family in ("CS3", "CS4"):
+        with pytest.raises(ValidationError):
+            family_domain(family, lam, kappa)
+        with pytest.raises(ValidationError):
+            catalog_point(family, lam=lam, a=0.4 / kappa ** 2, kappa=kappa)
+    for family in ("CS1", "CS2"):
+        lo, hi = family_domain(family, lam, kappa)
+        assert (lo, hi) == (0.0, 0.5 / kappa ** 2)
+        for a in (lo - 1e-12, hi + 1e-12):
+            with pytest.raises(ValidationError):
+                catalog_point(family, lam=lam, a=a, kappa=kappa)
+        for a in (lo + 1e-12, hi - 1e-12):
+            pt = catalog_point(family, lam=lam, a=a, kappa=kappa)
+            assert pt.boundary and pt.a == a
 
 
 # ---------------------------------------------------------------------------
@@ -543,3 +569,171 @@ def test_hopf_cusp_slice_finds_every_hopf_point(kappa):
                     if r[0] == fam and abs(r[1] - lam) <= 1e-9]
             assert len(rows) == 1, (kappa, lam, fam)
             assert rows[0][2] == pytest.approx(pt.mu, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# centre-saddle points on a plane ell = const
+# ---------------------------------------------------------------------------
+
+def _catalog_slice_scan_oracle(lam, ell_target, kappa):
+    """catalog_slice by the numeric route the slice quartic replaced: each
+    family's family_domain interval, padded by 1e-9 of its width, is scanned
+    on 65 points once per mu-branch sign, and every sign change of
+    ell(a) - ell_target is polished by brentq to xtol 1e-13."""
+    rows = []
+    for family, lo, hi in _cs_domains(lam, kappa):
+        if not hi > lo:
+            continue
+        pad = 1e-9 * (hi - lo)
+        grid = np.linspace(lo + pad, hi - pad, 65)
+        for sign in ((1, -1) if family in _TWO_SIGN_FAMILIES else (1,)):
+            def dell(a):
+                return _cs_probe(family, lam, a, sign, kappa, lo, hi).ell - ell_target
+            vals = []
+            for a in grid:
+                try:
+                    vals.append(dell(float(a)))
+                except Res112Error:
+                    vals.append(math.nan)
+            for i in range(len(grid) - 1):
+                v0, v1 = vals[i], vals[i + 1]
+                if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
+                    continue
+                a_star = brentq(dell, grid[i], grid[i + 1], xtol=1e-13)
+                pt = _cs_probe(family, lam, a_star, sign, kappa, lo, hi)
+                rows.append((family, lam, pt.mu, pt.ell, a_star, pt.h))
+    return rows
+
+
+@pytest.mark.parametrize("kappa", [0.7, 1.0, 2.0])
+def test_ell_slope_is_the_derivative_along_each_branch(kappa):
+    rng = np.random.default_rng(577)
+    checked = 0
+    while checked < 200:
+        lam = float(rng.uniform(-1.5, 1.0)) / kappa
+        a = float(rng.uniform(0.0, 1.2)) / kappa ** 2
+        if min(_discriminant_core(a, lam, kappa), abs(2.0 * kappa * lam - 1.0),
+               abs(lam)) < 1e-2:
+            continue
+        checked += 1
+        for branch, which in ((-1, 0), (1, 1)):
+            def ell(x):
+                return _ell_from_mu2(x, _mu2_branches(x, lam, kappa)[which], lam, kappa)
+            h = 1e-5
+            slope = (ell(a + h) - ell(a - h)) / (2.0 * h)
+            assert _ell_slope(a, lam, kappa, branch) == pytest.approx(
+                slope, rel=1e-6, abs=1e-6), (lam, a, branch)
+
+
+def _random_slices(kappa, n, seed):
+    """n seeded (lam, ell) planes: every other one drawn uniformly, the rest
+    through a random point of a random centre-saddle family, so that every
+    family and both mu-signs are hit."""
+    rng = np.random.default_rng(seed)
+    scale = kappa if kappa else 1.0
+    out = []
+    while len(out) < n:
+        lam = float(rng.uniform(-1.5, 1.1)) / scale
+        if len(out) % 2 == 0:
+            out.append((lam, float(rng.uniform(-2.5, 1.2)) / scale ** 2))
+            continue
+        domains = _cs_domains(lam, kappa)
+        if not domains:
+            continue
+        family, lo, hi = domains[rng.integers(len(domains))]
+        sign = int(rng.choice((1, -1)))
+        try:
+            pt = _cs_probe(family, lam, float(rng.uniform(lo, hi)), sign, kappa, lo, hi)
+        except Res112Error:
+            continue
+        out.append((lam, pt.ell))
+    return out
+
+
+def _by_family_sign_a(rows):
+    return sorted(rows, key=lambda r: (r[0], math.copysign(1.0, r[2]), r[4]))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.7, 1.0, 2.0])
+def test_catalog_slice_matches_scan_oracle(kappa):
+    for lam, ell in _random_slices(kappa, 300, seed=2718 + int(10 * kappa)):
+        got = _by_family_sign_a(catalog_slice(lam, ell, kappa))
+        want = _by_family_sign_a(_catalog_slice_scan_oracle(lam, ell, kappa))
+        assert [(r[0], math.copysign(1.0, r[2])) for r in got] == \
+            [(r[0], math.copysign(1.0, r[2])) for r in want], (kappa, lam, ell)
+        for g, w in zip(got, want):
+            assert abs(g[4] - w[4]) <= 1e-10, (kappa, lam, ell, g, w)
+
+
+@pytest.mark.parametrize("kappa,lam,ell,families", [
+    # 1e-7 below the HHsub1 point: the quartic's CS1/CS2 and CS3 roots are
+    # 3e-9 apart and come back from np.roots as a complex pair
+    (1.0, -0.6665082728772357, 0.1390824358431094, ["CS1", "CS2", "CS3", "CS3"]),
+    # near lam = 0 the two mu^2-branches' ells differ by 1e-10 < 1e-9
+    (0.7, -0.0007031032635329559, -1.597883803119261e-08, ["CS1", "CS2"]),
+    (2.0, 0.0005646719049298143, -1.1758196806316974e-07, ["CS1", "CS2"]),
+    # kappa lam -> 1: domains 1e-4 wide, ell(a) flat to 2e-16 over 1e-12 in a
+    (1.0, 0.9996995197013803, -0.9993990066788995, ["CS1", "CS2", "CS4", "CS4"]),
+])
+def test_catalog_slice_matches_scan_oracle_at_hard_planes(kappa, lam, ell, families):
+    got = _by_family_sign_a(catalog_slice(lam, ell, kappa))
+    want = _by_family_sign_a(_catalog_slice_scan_oracle(lam, ell, kappa))
+    assert [r[0] for r in got] == [r[0] for r in want] == families
+    for g, w in zip(got, want):
+        assert math.copysign(1.0, g[2]) == math.copysign(1.0, w[2])
+        assert abs(g[4] - w[4]) <= 1e-10
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.7, 1.0, 2.0])
+def test_catalog_slice_rows_are_triple_roots_on_their_plane(kappa):
+    n_rows = 0
+    for lam, ell in _random_slices(kappa, 600, seed=1618 + int(10 * kappa)):
+        for fam, lam_r, mu, ell_r, a, h in catalog_slice(lam, ell, kappa):
+            n_rows += 1
+            assert lam_r == lam and abs(ell_r - ell) <= 1e-9
+            cas = CasimirValues(mu, ell_r)
+            q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
+            assert max(abs(q.value(a)), abs(q.d1(a)), abs(q.d2(a))) \
+                <= 1e-9 * residual_scale(a, h, cas, kappa), (fam, lam, ell)
+    assert n_rows > 900
+
+
+def test_catalog_slice_through_the_cusp():
+    # the plane ell = -1/8 passes through Cusp1/2 at lam = 5/8, where the
+    # CS1/CS2 domain ends and the quartic's root there is a double one; the
+    # scan reports a CS1/CS2 pair at the padded end a = hi - pad, the
+    # quartic's split pair is complex, and hopf_cusp_slice owns the point
+    lam, ell = 0.625, -0.125
+    assert catalog_slice(lam, ell, 1.0) == []
+    scan = _catalog_slice_scan_oracle(lam, ell, 1.0)
+    assert [r[0] for r in scan] == ["CS1", "CS2"]
+    assert all(r[4] == pytest.approx(0.375 - 3.75e-10, abs=1e-15) for r in scan)
+    cusps = [r for r in hopf_cusp_slice(ell, 1.0, -1.5, 1.5)
+             if r[0] in ("Cusp1", "Cusp2")]
+    assert [(r[0], r[1], r[4]) for r in cusps] == [("Cusp1", lam, 0.375),
+                                                  ("Cusp2", lam, 0.375)]
+
+
+def test_catalog_slice_root_at_the_cs4_domain_end():
+    # at lam = 9/16 on ell = 0 the quartic has the root a0 = 9/16, one ulp
+    # inside CS4's domain end (7/16, a0_root); the pad excludes it, as it
+    # did for the scan, and only the CS1/CS2 pair remains
+    lam, ell = 0.5625, 0.0
+    lo, hi = family_domain("CS4", lam, 1.0)
+    assert abs(hi - 0.5625) <= 2e-16
+    rows = catalog_slice(lam, ell, 1.0)
+    assert [r[0] for r in rows] == ["CS1", "CS2"]
+    assert [r[0] for r in _catalog_slice_scan_oracle(lam, ell, 1.0)] == ["CS1", "CS2"]
+    assert rows[0][4] == pytest.approx(0.27441317200313, abs=1e-13)
+
+
+def test_catalog_slice_is_empty_where_there_are_no_interior_points():
+    for kappa in (0.0, 1.0, 2.0):
+        assert catalog_slice(0.0, 0.1, kappa) == []
+    # exactly at lam = 1/(2 kappa) only boundary points exist, not sliced
+    assert catalog_slice(0.5, 0.0, 1.0) == []
+    # one ulp below, the boundary formula's root is a = (4 kappa^2 ell + 1)/(6 kappa^2)
+    lam = float(np.nextafter(0.25, 0.0))
+    rows = catalog_slice(lam, 0.0, 2.0)
+    assert [r[0] for r in rows] == ["CS1", "CS2"]
+    assert all(r[4] == pytest.approx(1.0 / 24.0, abs=1e-16) for r in rows)

@@ -11,10 +11,12 @@ from types import SimpleNamespace
 import sympy as sp
 
 from res112 import bifurcations, f_quartic
-from res112.bifurcations import a_sub_boundary, a_sup_boundary
+from res112.bifurcations import (_ell_from_mu2, _q_quadratic_coeffs,
+                                 _slice_quartic_coeffs, a_sub_boundary,
+                                 a_sup_boundary)
 from res112.critical_values import _crease_energy, _crease_offset
 
-R, mu, lam = sp.symbols("R mu lam", real=True)
+R, mu, lam, a, ell = sp.symbols("R mu lam a ell", real=True)
 k = sp.symbols("kappa", positive=True)
 
 
@@ -51,3 +53,16 @@ def test_hopf_boundaries_are_the_instability_roots(monkeypatch):
         assert sp.expand((lam + k * r) ** 2 - 2 * r) == 0
     # and they are distinct exactly when 1 - 2 kappa lam > 0
     assert sp.simplify(r_sup - r_sub - 2 * sp.sqrt(1 - 2 * k * lam) / k ** 2) == 0
+
+
+def test_slice_quartic_is_the_eliminated_quadratic_on_the_plane():
+    # ell is linear in m = mu^2, so the plane ell = const fixes m(a); with it
+    # kappa^2 (A m^2 + B m + C) = 4 lam^2 Q(a), and the centre-saddle points
+    # on the plane are real roots of the quartic Q
+    ell0 = exact(_ell_from_mu2(a, 0, lam, k))
+    m = 2 * lam * (ell - ell0) / k
+    assert sp.expand(exact(_ell_from_mu2(a, m, lam, k)) - ell) == 0
+    A, B, C = (exact(c) for c in _q_quadratic_coeffs(a, lam, k))
+    Q = sum(exact(c) * a ** (4 - i)
+            for i, c in enumerate(_slice_quartic_coeffs(lam, ell, k)))
+    assert sp.expand(k ** 2 * (A * m ** 2 + B * m + C) - 4 * lam ** 2 * Q) == 0

@@ -167,8 +167,8 @@ def test_thread_segments_lambda_zero():
     # C12 extends indefinitely: unstable for all ell < 0
     lo, hi = segs["C12"].ell_unstable
     assert hi == pytest.approx(0.0, abs=1e-12)
-    assert segs["C12"].h_c(-3.0, 0.0) == 0.0
-    assert segs["C23"].h_c(2.0, 0.0) == pytest.approx(2.0)  # lam ell + ell^2/2
+    assert segs["C12"].h_c(-3.0) == 0.0
+    assert segs["C23"].h_c(2.0) == pytest.approx(2.0)  # lam ell + ell^2/2
 
 
 def test_thread_segments_large_detuning():
@@ -184,6 +184,18 @@ def test_thread_segments_large_detuning():
 def test_thread_segments_hhsup3_onset():
     segs = {s.name: s for s in thread_segments(ReducedParams(lam=1.5, kappa=1.0))}
     assert segs["C12"].ell_unstable[1] == pytest.approx(-1.5 ** 2)
+
+
+def test_thread_segments_h_c_in_kappa_frame():
+    # each segment carries its own lam and kappa: at kappa = 2 the C23 tip
+    # energy is lam r + (kappa/2) r^2 = lam r + r^2, with no kappa argument
+    lam = 0.1
+    segs = {s.name: s for s in thread_segments(ReducedParams(lam=lam, kappa=2.0))}
+    assert (segs["C23"].lam, segs["C23"].kappa) == (lam, 2.0)
+    r = np.linspace(0.01, 3.0, 7)
+    assert np.allclose(segs["C23"].h_c(r), lam * r + r * r, rtol=1e-15, atol=0.0)
+    assert segs["C23"].h_c(0.5) == pytest.approx(lam * 0.5 + 0.25, abs=1e-16)
+    assert segs["C12"].h_c(-2.0) == 0.0
 
 
 @pytest.mark.parametrize("kappa", [0.7, 2.0])
