@@ -26,6 +26,7 @@ from .critical_values import (ComponentDescriptor, CriticalSlice, FiberKind,
                               classify_fiber, critical_slice, thread_segments)
 from .monodromy import (MonodromyMatrix, MonodromyResult, MonodromyVector,
                         RotationData, compose, generator_loop, inverse,
-                        monodromy_vector, rotation_numbers, to_matrix)
+                        lift_turning_point, monodromy_vector,
+                        rotation_numbers, to_matrix)
 
 __version__ = "0.1.0"

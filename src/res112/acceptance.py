@@ -24,8 +24,8 @@ from .errors import LoopError, Res112Error, ValidationError
 from .model import (CasimirValues, FullState, InvariantPoint, ModelParams,
                     kappa_scaling, reduce, structure_matrix, syzygy_gradient,
                     syzygy_residual, to_oscillator, from_oscillator)
-from .monodromy import (full_invariants, generator_loop, monodromy_vector,
-                        rotation_numbers)
+from .monodromy import (full_invariants, full_vector_field, generator_loop,
+                        lift_turning_point, monodromy_vector, rotation_numbers)
 from .reduced_dynamics import (ReducedParams, Stability, equilibria,
                                integrate_orbit)
 from .reduced_space import r_min
@@ -335,11 +335,8 @@ def check_conservation() -> AcceptanceResult:
     mu, iota, h = value
     ell = 2 * iota - mu
     lam = params.delta
-    from .monodromy import _lift, _polish_right_root, full_vector_field
-    r2 = rd.r_interval[1]
-    r2 = _polish_right_root(r2, h, ReducedParams(lam=lam, kappa=1.0),
-                            CasimirValues(mu, ell))
-    z0 = _lift(r2, CasimirValues(mu, ell), ReducedParams(lam=lam, kappa=1.0), h)
+    z0 = lift_turning_point(rd.r_interval[1], CasimirValues(mu, ell),
+                            ReducedParams(lam=lam, kappa=1.0), h)
 
     sol = solve_ivp(full_vector_field(lam, 1.0), (0.0, rd.T_red), z0,
                     method="DOP853", rtol=1e-11, atol=1e-12,

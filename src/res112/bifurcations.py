@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (AmbiguousClassificationError, Res112Error,
                      RootFindingError, UnsupportedRegimeError,
@@ -624,13 +623,10 @@ _TWO_SIGN_FAMILIES = ("CS3", "CS4", "CS3_k0")
 
 
 def _cs_domains(lam: float, kappa: float) -> list[tuple[str, float, float]]:
-    """(family, lo, hi) of each centre-saddle family with interior points at
-    lam, in catalog order.  lam = 1/(2 kappa), where only the boundary points
-    of CS1/CS2 exist, gives none."""
+    """(family, lo, hi) of each centre-saddle family with points at lam, in
+    catalog order."""
     if kappa == 0.0:
         families = ("CS1_k0", "CS2_k0", "CS3_k0")
-    elif lam == 0.5 / kappa:
-        return []
     else:
         families = ("CS1", "CS2", "CS3", "CS4")
     out = []
@@ -669,8 +665,8 @@ def catalog_slice(lam: float, ell_target: float,
     conditioned.  A root counts once per family and mu-branch sign when it
     lies in the family's family_domain interval less 1e-9 of its width at
     each end, its last Newton step is below 1e-6 of that width, and its ell
-    lies within 1e-9 max(1, |ell_target|) of the plane.  lam = 0 and
-    lam = 1/(2 kappa) give no rows.  Returns (family, lam, mu, ell, a, h)
+    lies within 1e-9 max(1, |ell_target|) of the plane.  lam = 0 gives no
+    rows.  Returns (family, lam, mu, ell, a, h)
     tuples in family, sign and a order.
     """
     steps = 0
@@ -994,6 +990,8 @@ def _branch_m(a: float, lam: float, kappa: float, which: int) -> float:
 
 def _hopf_by_bisection(branch_data, lam, kappa, seen) -> list[BifurcationEvent]:
     """Locate a = r_min crossings along each m(a) branch by bisection."""
+    from scipy.optimize import brentq
+
     out: list[BifurcationEvent] = []
 
     def psi(a: float, which: int) -> float:
@@ -1049,6 +1047,8 @@ def oracle_slice(lam: float, ell_target: float,
     solve_bifurcations_numeric within 1e-6 of the plane are taken instead.
     Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
     """
+    from scipy.optimize import brentq
+
     rows = []
     if abs(lam) < 1e-12 or (kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12):
         for ev in solve_bifurcations_numeric(lam, kappa, n_grid=201):

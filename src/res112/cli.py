@@ -288,7 +288,8 @@ def fiber(delta, lambda1, lambda2, kappa, mu, ell, iota, h, fmt):
 @click.option("--plane", type=float, default=None,
               help="|mu| of the loop plane (gamma1/2) or |iota| (gamma3)")
 @click.option("--tol", type=float, default=1e-11, show_default=True,
-              help="integration tolerance for the fiber flows")
+              help="relative tolerance of the period-integral quadrature "
+              "on each fiber (absolute: tol/10)")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
 def monodromy_cmd(delta, kappa, loop_name, points, radius, plane, tol, fmt):

@@ -2,9 +2,11 @@
 
 For a regular fiber the reduced orbit closes after one period T_red; the
 full-phase-space flow then misses its start by an element (s, t) of the
-torus action, the rotation numbers.  Continuing (theta_N, theta_J) =
-(s, t) around a closed loop of regular values and counting the integer
-winding yields the monodromy vector of the loop.  The method is an
+torus action, the rotation numbers.  They are computed from the period
+integrals of the mode phase speeds over the reduced orbit; the flow on C^3
+is integrated only to check them.  Continuing (theta_N, theta_J) = (s, t)
+around a closed loop of regular values and counting the integer winding
+yields the monodromy vector of the loop.  The method is an
 independent verification path: the reference results for the generator
 loops come from isotropy-weight arguments, not from any computation
 performed here.
@@ -24,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import LoopError, NumericalError, ValidationError
-from .model import CasimirValues, ModelParams, detuning_lambda
+from .model import CasimirValues, ModelParams
 from .bifurcations import f_quartic
 from .critical_values import FiberKind, classify_fiber
 from .reduced_dynamics import ReducedParams, h_min
@@ -47,8 +48,9 @@ class RotationData:
     """Rotation numbers of a regular fiber component.
 
     theta_N and theta_J are the torus-action phases (mod 1) that close the
-    reduced-period flow; T_red is the reduced period; closure_residual the
-    full-phase-space mismatch after applying the correction.
+    reduced-period flow; T_red is the reduced period; closure_residual how
+    far the phase advance of z1 z2 z3 over one period is from a whole
+    number of turns, in turns.
     """
 
     theta_N: float
@@ -111,89 +113,178 @@ def inverse(a: MonodromyMatrix) -> MonodromyMatrix:
 # Rotation numbers on a single fiber
 # ---------------------------------------------------------------------------
 
+# Quadrature of the period integrals: the first node count, and the count
+# beyond which the doubling gives up.
+QUAD_NODES_START = 32
+QUAD_NODES_MAX = 2 ** 14
+
+
 def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
                      component: int = 0, rtol: float = 1e-11,
-                     atol: float = 1e-12, t_max: float = 2000.0) -> RotationData:
+                     atol: float = 1e-12) -> RotationData:
     """Rotation numbers of the fiber over (mu, iota, h).
 
-    Lifts a point of the selected torus component to full phase space,
-    integrates the flow of the reduced Hamiltonian on R^6 for one reduced
-    period, and solves the torus-action closure
-    arg(z2(T)/z2(0)) = -2 pi s, arg(z3(T)/z3(0)) = -2 pi t, consistency
-    checked on z1 whose phase must advance by 2 pi (s + t).
+    Over one reduced period the phases of z1, z2, z3 advance by the period
+    integrals Delta_k = int_{r1}^{r2} omega_k dR / sqrt(-F) of the phase
+    speeds omega_{1,2} = lam + kappa R + X/(R +- mu), omega_3 = X/(R - ell),
+    with X = h - lam R - (kappa/2) R^2; the torus-action closure is then
+    theta_N = -Delta_2 / 2 pi, theta_J = -Delta_3 / 2 pi (mod 1), checked
+    by (Delta_1 + Delta_2 + Delta_3) / 2 pi being an integer.  See
+    _period_integrals for the quadrature and the meaning of rtol, atol.
     """
-    mu, iota, h = value
-    ell = 2.0 * iota - mu
-    cas = CasimirValues(mu=mu, ell=ell)
-    lam = detuning_lambda(params, cas)
-    kappa = params.kappa
-    rp = ReducedParams(lam=lam, kappa=kappa)
+    tori = _regular_tori(value, params)
+    if component >= len(tori):
+        raise ValidationError(
+            f"component {component} out of range ({len(tori)} torus components)")
+    return _fiber_rotation(value, params, tori[component], rtol, atol)
 
-    rep = classify_fiber(cas, rp, h)
-    tori = [c for c in rep.components if c.kind is FiberKind.TORUS3]
+
+def _regular_tori(value, params: ModelParams) -> list[tuple[float, float]]:
+    """Sorted torus-component intervals of the fiber over ``value``; raises
+    ValidationError unless the value is regular."""
+    mu, iota, h = value
+    cas = CasimirValues(mu=mu, ell=2.0 * iota - mu)
+    rep = classify_fiber(cas, ReducedParams.from_model(params, cas), h)
+    tori = [c.r_interval for c in rep.components if c.kind is FiberKind.TORUS3]
     if rep.is_critical or not tori:
         raise ValidationError(
             f"value (mu={mu}, iota={iota}, h={h}) is not regular: "
             f"{rep.multiset() or 'empty fiber'}")
-    if component >= len(tori):
-        raise ValidationError(
-            f"component {component} out of range ({len(tori)} torus components)")
-    comp = tori[component]
-    r2 = _polish_right_root(comp.r_interval[1], h, rp, cas)
+    return sorted(tori)
 
-    z0 = _lift(r2, cas, rp, h)
-    zT, T_red = _integrate_period(z0, lam, kappa, rtol, atol, t_max)
 
-    # torus-action closure
-    s = (-_darg(zT[1], z0[1]) / (2.0 * math.pi)) % 1.0
-    t = (-_darg(zT[2], z0[2]) / (2.0 * math.pi)) % 1.0
-    cons = _wrap_unit(_darg(zT[0], z0[0]) / (2.0 * math.pi) - (s + t))
-    if abs(cons) > 1e-6:
+def _fiber_rotation(value, params: ModelParams, r_interval: tuple[float, float],
+                    rtol: float, atol: float) -> RotationData:
+    """Rotation numbers of the torus over ``value`` whose reduced orbit
+    spans ``r_interval``."""
+    mu, iota, h = value
+    cas = CasimirValues(mu=mu, ell=2.0 * iota - mu)
+    rp = ReducedParams.from_model(params, cas)
+    f = f_quartic(h, rp, cas)
+    r1 = _polish_root(f, r_interval[0])
+    r2 = _polish_root(f, r_interval[1])
+    _mode_actions(r1, cas)  # every mode stays excited along the orbit
+    T_red, d1, d2, d3 = _period_integrals(f, r1, r2, h, rp, cas, rtol, atol)
+
+    turns = (d1 + d2 + d3) / (2.0 * math.pi)
+    cons = abs(turns - round(turns))
+    if cons > 1e-6:
         raise NumericalError(
             f"phase consistency on z1 failed: {cons:.3e} cycles off")
-
-    # full-phase-space closure after undoing the action
-    ph = np.exp(-2j * math.pi * np.array([s + t, -s, -t]))
-    resid = float(np.max(np.abs(ph * zT - z0)))
-    scale = 1.0 + float(np.max(np.abs(z0)))
-    if resid > 1e-8 * scale * 10.0:
-        raise NumericalError(
-            f"fiber closure residual {resid:.3e} too large; tighten tolerances")
-
-    return RotationData(theta_N=s, theta_J=t, T_red=T_red,
-                        closure_residual=resid, r_interval=comp.r_interval)
+    return RotationData(theta_N=(-d2 / (2.0 * math.pi)) % 1.0,
+                        theta_J=(-d3 / (2.0 * math.pi)) % 1.0, T_red=T_red,
+                        closure_residual=cons, r_interval=r_interval)
 
 
-def _darg(zT: complex, z0: complex) -> float:
-    if zT == 0 or z0 == 0:
-        raise NumericalError("mode amplitude vanished at an endpoint")
-    return math.atan2((zT / z0).imag, (zT / z0).real)
+def _period_integrals(f, r1: float, r2: float, h: float, rp: ReducedParams,
+                      cas: CasimirValues, rtol: float,
+                      atol: float) -> tuple[float, float, float, float]:
+    """(T_red, Delta_1, Delta_2, Delta_3) over the orbit between the turning
+    points r1 < r2.
+
+    With -F = (R - r1)(r2 - R) q(R), q quadratic since kappa > 0, and
+    R = c - d cos(theta), each integral is int_0^pi g(R) / sqrt(q(R)) dtheta,
+    summed by the midpoint rule on theta (Gauss-Chebyshev in R), which
+    converges exponentially.  The poles
+    p in {-mu, mu, ell} of the phase speeds are roots of S, so that
+    q(p) (r1 - p)(r2 - p) = X(p)^2 and their singular part is exactly
+    sign(X(p)) pi:
+
+        int X/(R - p) dR/sqrt(-F) = int D_p / sqrt(q) dtheta + sign(X(p)) pi
+            - sign(X(p)) sqrt((r1 - p)(r2 - p))
+              int s_p / (sqrt(q) (sqrt(q) + sqrt(q(p)))) dtheta
+
+    with the polynomials D_p = -lam - (kappa/2)(R + p) and
+    s_p = (q(R) - q(p))/(R - p), so the rule converges even when a pole
+    lies just below r1.  The node count starts at QUAD_NODES_START and
+    doubles until no integral moves by more than rtol max(1, |value|) +
+    atol; beyond QUAD_NODES_MAX it raises NumericalError.
+    """
+    lam, kappa = rp.lam, rp.kappa
+    # F = (R - r1)(R - r2) q(R) by synthetic division; the remainder is
+    # roundoff because r1, r2 are polished roots
+    c2, c3, c4 = f.coeffs[2:]
+    r_sum, r_prod = r1 + r2, r1 * r2
+    q2 = c4
+    q1 = c3 + r_sum * q2
+    q0 = c2 + r_sum * q1 - r_prod * q2
+    c, d = 0.5 * (r1 + r2), 0.5 * (r2 - r1)
+    poles = np.array([-cas.mu, cas.mu, cas.ell])
+    sqrt_qp, w_p, const = [], [], [0.0]
+    for pole in poles:
+        x_p = h - lam * pole - 0.5 * kappa * pole * pole
+        sign = float(np.sign(x_p))
+        span = (r1 - pole) * (r2 - pole)
+        q_p = (q2 * pole + q1) * pole + q0
+        # q(p) span = X(p)^2: derive whichever factor has the larger
+        # relative rounding error from the other.  q(p) loses its digits
+        # where X(p) ~ 0 (a root of F next to the pole), span where p ~ r1.
+        if (abs(r1) + abs(pole)) * q_p <= (
+                q2 * pole * pole + abs(q1 * pole) + abs(q0)) * (r1 - pole):
+            sqrt_qp.append(abs(x_p) / math.sqrt(span))
+            w_p.append(sign * math.sqrt(span))
+        else:
+            sqrt_qp.append(math.sqrt(q_p))
+            w_p.append(x_p / sqrt_qp[-1])
+        const.append(sign * math.pi)
+    const = np.array(const)
+    poles, sqrt_qp, w_p = poles[:, None], np.array(sqrt_qp)[:, None], np.array(w_p)[:, None]
+
+    def integrals(n):
+        R = c - d * np.cos((np.arange(n) + 0.5) * (math.pi / n))
+        sq = np.sqrt((q2 * R + q1) * R + q0)
+        pole_part = ((-lam - 0.5 * kappa * (R + poles))
+                     - w_p * (q2 * (R + poles) + q1) / (sq + sqrt_qp)) / sq
+        gp = (lam + kappa * R) / sq
+        rows = np.stack([1.0 / sq, gp + pole_part[0], gp + pole_part[1],
+                         pole_part[2]])
+        return rows.sum(axis=1) * (math.pi / n) + const
+
+    n = QUAD_NODES_START
+    prev = integrals(n)
+    while True:
+        n *= 2
+        if n > QUAD_NODES_MAX:
+            raise NumericalError(
+                f"period integrals unconverged at {QUAD_NODES_MAX} nodes")
+        cur = integrals(n)
+        if np.all(np.abs(cur - prev) <= rtol * np.maximum(1.0, np.abs(cur)) + atol):
+            return tuple(float(x) for x in cur)
+        prev = cur
 
 
 def _wrap_unit(x: float) -> float:
     return (x + 0.5) % 1.0 - 0.5
 
 
-def _polish_right_root(r2: float, h: float, rp: ReducedParams,
-                       cas: CasimirValues) -> float:
-    q = f_quartic(h, rp, cas)
-    x = r2
+def _polish_root(f, x: float) -> float:
+    """Four Newton steps on F from x."""
+    df = np.polynomial.polynomial.polyder(f.coeffs)
     for _ in range(4):
-        d = q.d1(x)
+        d = np.polynomial.polynomial.polyval(x, df)
         if d == 0.0:
             break
-        x -= q.value(x) / d
+        x -= f.value(x) / d
     return x
 
 
-def _lift(r: float, cas: CasimirValues, rp: ReducedParams, h: float) -> np.ndarray:
-    """Lift the turning point (r, X1(r), 0) of the reduced orbit to C^3."""
+def _mode_actions(r: float, cas: CasimirValues) -> tuple[float, float, float]:
+    """Mode actions (I1, I2, I3) at R = r; raises unless all are positive."""
     i1 = 0.5 * (r + cas.mu)
     i2 = 0.5 * (r - cas.mu)
     i3 = 0.5 * (r - cas.ell)
     if min(i1, i2, i3) <= 0.0:
         raise ValidationError(
             "orbit touches a vanished mode; fiber is not strictly regular")
+    return i1, i2, i3
+
+
+def lift_turning_point(r: float, cas: CasimirValues, rp: ReducedParams,
+                       h: float) -> np.ndarray:
+    """Point of C^3 over the turning point (R, X, Y) = (r, X(r), 0) of the
+    reduced orbit at energy h, with r first polished as a root of F."""
+    r = _polish_root(f_quartic(h, rp, cas), r)
+    i1, i2, i3 = _mode_actions(r, cas)
     x0 = h - rp.lam * r - 0.5 * rp.kappa * r * r
     z = np.array([math.sqrt(2.0 * i1), math.sqrt(2.0 * i2),
                   math.sqrt(2.0 * i3)], dtype=complex)
@@ -216,44 +307,6 @@ def full_vector_field(lam: float, kappa: float):
         ])
 
     return rhs
-
-
-def _integrate_period(z0: np.ndarray, lam: float, kappa: float, rtol: float,
-                      atol: float, t_max: float) -> tuple[np.ndarray, float]:
-    """Flow of H = Re(z1 z2 z3) + lam R + (kappa/2) R^2 for one reduced period.
-
-    Starting at a turning point (Y = 0), the orbit first crosses Y = 0 in
-    the opposite direction at the half period and returns to the start at
-    the full period.  Each leg terminates on the crossing direction the
-    start of that leg cannot trigger, which keeps the t = 0 section hit
-    from firing spuriously.
-    """
-    rhs = full_vector_field(lam, kappa)
-
-    def y_invariant(t, z):
-        return (z[0] * z[1] * z[2]).imag
-
-    f0 = rhs(0.0, z0)
-    ydot0 = (f0[0] * z0[1] * z0[2] + z0[0] * f0[1] * z0[2]
-             + z0[0] * z0[1] * f0[2]).imag
-    if ydot0 == 0.0:
-        raise NumericalError("degenerate start: reduced orbit stationary in Y")
-    sigma = float(np.sign(ydot0))
-
-    def run_leg(z_from, t_from, direction):
-        ev = lambda t, z: y_invariant(t, z)  # noqa: E731 - scipy event attrs
-        ev.terminal = True
-        ev.direction = direction
-        sol = solve_ivp(rhs, (t_from, t_from + t_max), z_from, method="DOP853",
-                        rtol=rtol, atol=atol, events=[ev])
-        if sol.status != 1 or len(sol.t_events[0]) == 0:
-            raise NumericalError(
-                f"no Y = 0 crossing (direction {direction:+.0f}) before t_max")
-        return np.asarray(sol.y_events[0][0], dtype=complex), float(sol.t_events[0][0])
-
-    z_half, t_half = run_leg(z0, 0.0, -sigma)
-    zT, T = run_leg(z_half, t_half, sigma)
-    return zT, T
 
 
 def full_invariants(z: np.ndarray, lam: float, kappa: float) -> tuple[float, float, float]:
@@ -299,19 +352,23 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
     if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-13):
         raise ValidationError("loop must be closed (first point == last)")
 
-    def eval_point(p, comp_hint):
+    def tori_at(p):
         try:
-            rd = rotation_numbers(p, params, component=comp_hint, rtol=rtol,
-                                  atol=atol)
+            return _regular_tori(p, params)
+        except ValidationError as exc:
+            raise LoopError(f"loop point {p} unusable: {exc}") from exc
+
+    def eval_point(p, interval):
+        try:
+            return _fiber_rotation(p, params, interval, rtol, atol)
         except (ValidationError, NumericalError) as exc:
             raise LoopError(f"loop point {p} unusable: {exc}") from exc
-        return rd
 
-    tori0 = _fiber_tori(pts[0], params)
+    tori0 = tori_at(pts[0])
     if component >= len(tori0):
         raise ValidationError(
             f"component {component} out of range ({len(tori0)} torus components)")
-    data0 = eval_point(pts[0], component)
+    data0 = eval_point(pts[0], tori0[component])
     lift = np.array([data0.theta_N, data0.theta_J])
     prev = data0
     prev_tori, prev_idx = tori0, component
@@ -322,7 +379,7 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
     stack = [(a, b, 0) for a, b in reversed(list(zip(pts[:-1], pts[1:])))]
     while stack:
         a, b, depth = stack.pop()
-        tori_b = _fiber_tori(b, params)
+        tori_b = tori_at(b)
         try:
             idx_b = _advance_component(prev_tori, prev_idx, tori_b)
         except _NeedRefinement as exc:
@@ -333,7 +390,7 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
             stack.append((mid, b, depth + 1))
             stack.append((a, mid, depth + 1))
             continue
-        rd = eval_point(b, idx_b)
+        rd = eval_point(b, tori_b[idx_b])
         n_eval += 1
         if n_eval > MAX_LOOP_POINTS:
             raise LoopError(f"loop refinement exceeded {MAX_LOOP_POINTS} points")
@@ -360,18 +417,6 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
 
 class _NeedRefinement(Exception):
     """Component bookkeeping between two samples is ambiguous; bisect."""
-
-
-def _fiber_tori(value, params: ModelParams) -> list[tuple[float, float]]:
-    """Sorted torus-component intervals of the fiber over ``value``."""
-    mu, iota, h = value
-    ell = 2.0 * iota - mu
-    cas = CasimirValues(mu=mu, ell=ell)
-    rep = classify_fiber(cas, ReducedParams.from_model(params, cas), h)
-    tori = [c.r_interval for c in rep.components if c.kind is FiberKind.TORUS3]
-    if rep.is_critical or not tori:
-        raise LoopError(f"loop value {value} is not regular: {rep.multiset()}")
-    return sorted(tori)
 
 
 def _advance_component(prev_tori, prev_idx, new_tori) -> int:

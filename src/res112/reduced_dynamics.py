@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (NumericalError, RootFindingError,
                      SingularityProximityError, UnsupportedRegimeError,
@@ -243,6 +242,8 @@ def integrate_orbit(start: InvariantPoint, cas: CasimirValues, rp: ReducedParams
     ``detect_period=True`` the first return to the start point (full
     (R, X, Y) match on a transversal section, not an R-return) is reported.
     """
+    from scipy.integrate import solve_ivp
+
     res0 = _syzygy_value(start, cas)
     scale = max(1.0, abs(start.R), abs(start.X), abs(start.Y))
     if abs(res0) > 1e-8 * max(1.0, start.R ** 3):

@@ -730,8 +730,9 @@ def test_catalog_slice_root_at_the_cs4_domain_end():
 def test_catalog_slice_is_empty_where_there_are_no_interior_points():
     for kappa in (0.0, 1.0, 2.0):
         assert catalog_slice(0.0, 0.1, kappa) == []
-    # exactly at lam = 1/(2 kappa) only boundary points exist, not sliced
-    assert catalog_slice(0.5, 0.0, 1.0) == []
+    # exactly at lam = 1/(2 kappa) the rows are those one ulp below
+    below = [r[:1] + r[2:] for r in catalog_slice(np.nextafter(0.5, 0.0), 0.0, 1.0)]
+    assert [r[:1] + r[2:] for r in catalog_slice(0.5, 0.0, 1.0)] == below != []
     # one ulp below, the boundary formula's root is a = (4 kappa^2 ell + 1)/(6 kappa^2)
     lam = float(np.nextafter(0.25, 0.0))
     rows = catalog_slice(lam, 0.0, 2.0)

@@ -199,6 +199,16 @@ def test_cli_imports_no_scipy():
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported only inside the numeric oracles and integrate_orbit
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, res112.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_critvals_outputs(tmp_path, runner):
     out = tmp_path / "cv"
     res = runner.invoke(cli, ["critvals", "--delta", "-1", "--grid", "9",

@@ -3,17 +3,20 @@ matrix group law.  The generator results (1,-1), (0,1), (-1,0) are the
 pinned reference values; the orientation constant is calibrated once
 against the (0,1) loop, so the other two are predictions."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from res112 import (CasimirValues, LoopError, ModelParams, MonodromyVector,
                     ReducedParams, ValidationError, compose, generator_loop,
-                    inverse, monodromy_vector, reduce, rotation_numbers,
-                    to_matrix, vector_field)
+                    inverse, lift_turning_point, monodromy_vector, reduce,
+                    rotation_numbers, to_matrix, vector_field)
 from res112.model import FullState
-from res112.monodromy import MONODROMY_SIGN, full_invariants, _lift
+from res112.monodromy import (MONODROMY_SIGN, full_invariants,
+                              full_vector_field)
 
 PARAMS0 = ModelParams(delta=0.0, kappa=1.0)
 
@@ -27,7 +30,7 @@ def test_rotation_numbers_basic():
 
 
 def test_rotation_numbers_tolerance_independence():
-    # fiber invariants: tightening the integrator must not move them
+    # fiber invariants: tightening the quadrature must not move them
     a = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0)
     b = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0, rtol=1e-12, atol=1e-13)
     assert abs(a.theta_N - b.theta_N) <= 1e-7
@@ -65,8 +68,6 @@ def test_full_flow_projects_to_reduced_field():
     eps = 1e-7
 
     def flow_step(z, dt):
-        from scipy.integrate import solve_ivp
-
         def rhs(t, zz):
             gp = lam + 0.5 * kappa * (abs(zz[0]) ** 2 + abs(zz[1]) ** 2)
             w = np.conj(zz)
@@ -88,8 +89,8 @@ def test_full_invariants_conserved_per_period():
     rd = rotation_numbers(value, params)
     mu, iota, h = value
     ell = 2 * iota - mu
-    z0 = _lift(rd.r_interval[1], CasimirValues(mu, ell),
-               ReducedParams(lam=0.0, kappa=1.0), h)
+    z0 = lift_turning_point(rd.r_interval[1], CasimirValues(mu, ell),
+                            ReducedParams(lam=0.0, kappa=1.0), h)
     n0, j0, h0 = full_invariants(z0, 0.0, 1.0)
     assert n0 == pytest.approx(mu, abs=1e-12)
     assert j0 == pytest.approx(iota, abs=1e-12)
@@ -239,30 +240,139 @@ def test_monodromy_sign_is_single_global_constant():
 def test_rotation_numbers_start_point_independence():
     # the closure element is a fiber invariant: lifting at the left turning
     # point instead of the right one gives the same (theta_N, theta_J)
-    import numpy as np
-    from scipy.integrate import solve_ivp
-    from res112.monodromy import _polish_right_root, _darg, _wrap_unit
-
     params = PARAMS0
     mu, iota, h = -0.5, 0.0, 0.3
     ell = 2 * iota - mu
     rd = rotation_numbers((mu, iota, h), params)
-    cas = CasimirValues(mu, ell)
-    rp = ReducedParams(lam=0.0, kappa=1.0)
-    r1 = _polish_right_root(rd.r_interval[0], h, rp, cas)
-    z0 = _lift(r1, cas, rp, h)
-
-    def rhs(t, z):
-        gp = 0.0 + 0.5 * (abs(z[0]) ** 2 + abs(z[1]) ** 2)
-        w = np.conj(z)
-        return np.array([1j * (w[1] * w[2] + gp * z[0]),
-                         1j * (w[0] * w[2] + gp * z[1]),
-                         1j * (w[0] * w[1])])
-
-    sol = solve_ivp(rhs, (0.0, rd.T_red), z0, method="DOP853", rtol=1e-12,
-                    atol=1e-13)
+    z0 = lift_turning_point(rd.r_interval[0], CasimirValues(mu, ell),
+                            ReducedParams(lam=0.0, kappa=1.0), h)
+    sol = solve_ivp(full_vector_field(0.0, 1.0), (0.0, rd.T_red), z0,
+                    method="DOP853", rtol=1e-12, atol=1e-13)
     zT = sol.y[:, -1]
-    s = (-_darg(zT[1], z0[1]) / (2 * math.pi)) % 1.0
-    t = (-_darg(zT[2], z0[2]) / (2 * math.pi)) % 1.0
-    assert abs(_wrap_unit(s - rd.theta_N)) <= 1e-7
-    assert abs(_wrap_unit(t - rd.theta_J)) <= 1e-7
+    assert abs(_wrap(-_turns(zT[1], z0[1]) - rd.theta_N)) <= 1e-7
+    assert abs(_wrap(-_turns(zT[2], z0[2]) - rd.theta_J)) <= 1e-7
+
+
+def test_loop_classifies_each_point_once(monkeypatch):
+    import res112.monodromy as mono
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return classify(*args)
+
+    classify = mono.classify_fiber
+    monkeypatch.setattr(mono, "classify_fiber", counting)
+    loop = generator_loop("gamma2", PARAMS0, n_points=16)
+    calls.clear()
+    res = monodromy_vector(loop, PARAMS0)
+    assert len(calls) == res.n_points
+
+
+# ---------------------------------------------------------------------------
+# ODE oracle for the period integrals
+# ---------------------------------------------------------------------------
+
+def _turns(zT, z0):
+    """arg(zT / z0) in cycles, in (-1/2, 1/2]."""
+    assert zT != 0 and z0 != 0, "mode amplitude vanished at an endpoint"
+    return cmath.phase(zT / z0) / (2 * math.pi)
+
+
+def _wrap(x):
+    return (x + 0.5) % 1.0 - 0.5
+
+
+def _integrate_period(z0, lam, kappa, rtol, atol, t_max=2000.0):
+    """Flow of H = Re(z1 z2 z3) + lam R + (kappa/2) R^2 for one reduced period.
+
+    Starting at a turning point (Y = 0), the orbit first crosses Y = 0 in
+    the opposite direction at the half period and returns to the start at
+    the full period.  Each leg terminates on the crossing direction the
+    start of that leg cannot trigger, which keeps the t = 0 section hit
+    from firing spuriously.
+    """
+    rhs = full_vector_field(lam, kappa)
+    f0 = rhs(0.0, z0)
+    ydot0 = (f0[0] * z0[1] * z0[2] + z0[0] * f0[1] * z0[2]
+             + z0[0] * z0[1] * f0[2]).imag
+    assert ydot0 != 0.0, "degenerate start: reduced orbit stationary in Y"
+    sigma = float(np.sign(ydot0))
+
+    def run_leg(z_from, t_from, direction):
+        def y_invariant(t, z):
+            return (z[0] * z[1] * z[2]).imag
+        y_invariant.terminal = True
+        y_invariant.direction = direction
+        sol = solve_ivp(rhs, (t_from, t_from + t_max), z_from, method="DOP853",
+                        rtol=rtol, atol=atol, events=[y_invariant])
+        assert sol.status == 1 and len(sol.t_events[0]) == 1, \
+            f"no Y = 0 crossing (direction {direction:+.0f}) before t_max"
+        return np.asarray(sol.y_events[0][0], dtype=complex), float(sol.t_events[0][0])
+
+    z_half, t_half = run_leg(z0, 0.0, -sigma)
+    return run_leg(z_half, t_half, sigma)
+
+
+def _ode_rotation(value, params, r_interval, rtol=1e-13, atol=1e-14):
+    """(theta_N, theta_J, T_red) by integrating the flow on C^3 from the
+    right turning point for one reduced period and solving the torus-action
+    closure arg(z2(T)/z2(0)) = -2 pi theta_N, arg(z3(T)/z3(0)) =
+    -2 pi theta_J; z1 must advance by 2 pi (theta_N + theta_J), and the
+    action must carry z(T) back onto z(0)."""
+    mu, iota, h = value
+    cas = CasimirValues(mu, 2 * iota - mu)
+    rp = ReducedParams.from_model(params, cas)
+    z0 = lift_turning_point(r_interval[1], cas, rp, h)
+    zT, T = _integrate_period(z0, rp.lam, rp.kappa, rtol, atol)
+    s = -_turns(zT[1], z0[1]) % 1.0
+    t = -_turns(zT[2], z0[2]) % 1.0
+    assert abs(_wrap(_turns(zT[0], z0[0]) - (s + t))) <= 1e-6
+    ph = np.exp(-2j * math.pi * np.array([s + t, -s, -t]))
+    assert np.max(np.abs(ph * zT - z0)) <= 1e-9 * (1.0 + np.max(np.abs(z0)))
+    return s, t, T
+
+
+def _loop_fibers(delta, kappa, plane=None):
+    params = ModelParams(delta=delta, kappa=kappa)
+    return [(params, p, 0) for name in sorted(GENERATORS)
+            for p in generator_loop(name, params, n_points=12, plane=plane)[:-1]]
+
+
+def _island_fibers():
+    # between the hyperbolic and elliptic faces of the island at delta = -1
+    from res112 import equilibria
+    params = ModelParams(delta=-1.0, kappa=1.0)
+    eqs = equilibria(CasimirValues(0.1, 0.0), ReducedParams(lam=-1.0, kappa=1.0))
+    _, h_fh, h_fe = sorted(e.h for e in eqs)
+    value = (0.1, 0.05, 0.5 * (h_fh + h_fe))
+    return [(params, value, 0), (params, value, 1)]
+
+
+def _near_pole_fibers():
+    # just above the gamma1 thread energy lam mu + kappa mu^2/2, the left
+    # turning point r1 sits 2e-12 above the pole R = mu of d arg z2/dt
+    return [(PARAMS0, (0.5, 0.25, 0.125 + 1e-6), 0)]
+
+
+ORACLE_CASES = {
+    "loops-delta-1": lambda: _loop_fibers(-1.0, 1.0),
+    "loops-delta0": lambda: _loop_fibers(0.0, 1.0),
+    "loops-delta0.3": lambda: _loop_fibers(0.3, 1.0),
+    "loops-kappa2": lambda: _loop_fibers(0.0, 2.0, plane=0.25),
+    "island": _island_fibers,
+    "near-pole": _near_pole_fibers,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_period_quadrature_matches_ode_oracle(case):
+    for params, value, component in ORACLE_CASES[case]():
+        rd = rotation_numbers(value, params, component=component)
+        if case == "near-pole":
+            assert 0.0 < rd.r_interval[0] - value[0] < 1e-10
+        s, t, T = _ode_rotation(value, params, rd.r_interval)
+        assert abs(_wrap(rd.theta_N - s)) <= 1e-10, (value, component)
+        assert abs(_wrap(rd.theta_J - t)) <= 1e-10, (value, component)
+        assert abs(rd.T_red - T) <= 1e-10 * max(1.0, T), (value, component)
+        assert rd.closure_residual <= 1e-12
