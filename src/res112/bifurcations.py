@@ -874,46 +874,107 @@ def _m_branches_numeric(a: float, lam: float, kappa: float) -> np.ndarray:
     return m
 
 
-def _event_from_am(a: float, m: float, lam: float, kappa: float,
-                   mu_sign: int) -> BifurcationEvent | None:
-    """Assemble and validate one event candidate from (a, mu^2)."""
-    mu = mu_sign * math.sqrt(m)
+def _ell_h_from_am(a: float, m: float, lam: float,
+                   kappa: float) -> tuple[float, float]:
+    """(ell, h) of the triple root a on the mu^2-branch m at lam."""
     if kappa == 0.0:
-        ell = 3.0 * a - lam * lam
-        h = (m + 3.0 * a * a) / (2.0 * lam)
-        b = None
-    else:
-        ell = _ell_from_mu2(a, m, lam, kappa)
-        h = _h_from_mu2(a, m, lam, kappa)
-        b = _b_of_a(a, lam, kappa)
-    rmin = max(abs(mu), ell)
-    if a < rmin - TIP_TOL * (1.0 + abs(rmin)):
-        return None
-    cas = CasimirValues(mu=mu, ell=ell)
-    q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
-    try:
-        kind = classify_multiple_root(a, q, cas)
-    except AmbiguousClassificationError:
-        return None
-    return BifurcationEvent(kind=kind, a=a, b=b, h=h, lam=lam, mu=mu,
-                            ell=ell, kappa=kappa)
+        return 3.0 * a - lam * lam, (m + 3.0 * a ** 2) / (2.0 * lam)
+    return _ell_from_mu2(a, m, lam, kappa), _h_from_mu2(a, m, lam, kappa)
 
 
-def _default_a_max(lam: float, kappa: float) -> float:
-    cands = [0.0]
-    if kappa != 0.0:
-        if 1.0 - 2.0 * kappa * lam >= 0.0:
-            cands.append(a_sup_boundary(lam, kappa))
-        cands.append(max(a_quadruple(lam, kappa), 0.0))
-        cands.append(1.0 / kappa ** 2)
-        if lam != 0.0 and kappa * lam < 1.0:
-            try:
-                cands.append(a0_root(lam, kappa))
-            except (ValidationError, RootFindingError):
-                pass
-    else:
-        cands.append(0.5 * lam * lam)
-    return 1.2 * max(cands) + 0.5
+def _mu_signs(m: float) -> tuple[int, ...]:
+    """Signs of mu = +-sqrt(m): one where m vanishes to roundoff, else two."""
+    return (1,) if m <= 1e-14 else (1, -1)
+
+
+def _events_from_am(a: float, m: float, lam: float,
+                    kappa: float) -> list[BifurcationEvent]:
+    """The validated events at triple root a on the mu^2-branch m >= 0, one
+    per sign of mu; candidates below the tip or with an ambiguous
+    classification are dropped."""
+    ell, h = _ell_h_from_am(a, m, lam, kappa)
+    b = None if kappa == 0.0 else _b_of_a(a, lam, kappa)
+    out = []
+    for sgn in _mu_signs(m):
+        mu = sgn * math.sqrt(m)
+        rmin = max(abs(mu), ell)
+        if a < rmin - TIP_TOL * (1.0 + abs(rmin)):
+            continue
+        cas = CasimirValues(mu=mu, ell=ell)
+        q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
+        try:
+            kind = classify_multiple_root(a, q, cas)
+        except AmbiguousClassificationError:
+            continue
+        out.append(BifurcationEvent(kind=kind, a=a, b=b, h=h, lam=lam, mu=mu,
+                                    ell=ell, kappa=kappa))
+    return out
+
+
+def _unique_events(events) -> list[BifurcationEvent]:
+    """The first event of each kind and (a, mu, ell) rounded to 1e-10."""
+    first = {}
+    for ev in events:
+        first.setdefault((ev.kind, round(ev.a, 10), round(ev.mu, 10),
+                          round(ev.ell, 10)), ev)
+    return list(first.values())
+
+
+def _structural_points(lam: float, kappa: float) -> list[float]:
+    """a-values where the mu^2-branches meet, end or change family: the
+    two Hopf boundaries, the quadruple root and a0_root (lam^2/2 for
+    kappa = 0).  Both numeric grids include those in their range, so that
+    no two crossings of a branch share one grid interval there."""
+    if kappa == 0.0:
+        return [0.5 * lam * lam]
+    pts = [a_quadruple(lam, kappa)]
+    if 1.0 - 2.0 * kappa * lam >= 0.0:
+        pts += [a_sub_boundary(lam, kappa), a_sup_boundary(lam, kappa)]
+    if lam != 0.0 and kappa * lam < 1.0:
+        try:
+            pts.append(a0_root(lam, kappa))
+        except (ValidationError, RootFindingError):
+            pass
+    return pts
+
+
+def _branch_crossings(grid: list[float], g, lam: float,
+                      kappa: float) -> list[tuple[float, float]]:
+    """Roots of g(a, m) along each mu^2-branch m(a) of _m_branches_numeric.
+
+    ``grid`` is an increasing list of a-values.  On the smaller root
+    (branch 0), then on the larger (branch 1), g is evaluated at every grid
+    point where the branch has a real m >= 0.  A value of exactly zero is a
+    root; a strict sign change between neighbours is polished by brentq
+    (xtol 1e-13).  Returns (a, m) pairs, branch by branch in grid order.
+    """
+    from scipy.optimize import brentq
+
+    ms_grid = [_m_branches_numeric(a, lam, kappa) for a in grid]
+    out = []
+    for which in (0, 1):
+        def on_branch(a, ms):
+            if ms.size <= which or ms[which] < 0.0:
+                return math.nan
+            return g(a, float(ms[which]))
+
+        def g_at(a):
+            return on_branch(a, _m_branches_numeric(a, lam, kappa))
+
+        vals = [on_branch(a, ms) for a, ms in zip(grid, ms_grid)]
+        roots = [a for a, v in zip(grid, vals) if v == 0.0]
+        for i in range(len(grid) - 1):
+            v0, v1 = vals[i], vals[i + 1]
+            if v0 < 0.0 < v1 or v1 < 0.0 < v0:
+                try:
+                    roots.append(brentq(g_at, grid[i], grid[i + 1], xtol=1e-13))
+                except ValueError:
+                    continue
+        for a in sorted(roots):
+            ms = _m_branches_numeric(a, lam, kappa)
+            if ms.size > which and ms[which] >= 0.0:
+                out.append((a, float(ms[which])))
+    return out
 
 
 def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
@@ -924,10 +985,10 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
 
     Works from the coefficient-matching system of the triple-root
     factorisation: after eliminating (b, ell, h), the remaining quadratic
-    in mu^2 is solved by companion matrix on an a-grid; Hopf points are
-    located by bisecting a - r_min along each root branch, and the
-    quadruple-root value of a is probed explicitly.  Events are classified
-    by the multiple-root rules and tagged with the nearest catalog stratum
+    in mu^2 is solved on an a-grid that holds the structural points
+    (_structural_points); Hopf points are the roots of a - r_min along each
+    root branch (_branch_crossings).  Events are classified by the
+    multiple-root rules and tagged with the nearest catalog stratum
     (within ``match_radius``); unmatched events keep family None and are
     never dropped.  kappa = 0 is supported through the cubic degeneration
     of F (no b root, no quadruple candidates).
@@ -937,43 +998,20 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     if kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12:
         return _events_lambda_half(kappa, n_grid=n_grid, tag=tag)
 
+    pts = _structural_points(lam, kappa)
     if a_max is None:
-        a_max = _default_a_max(lam, kappa)
-    grid = list(np.linspace(0.0, a_max, n_grid))
-    # structural candidates: branch-junction points, the quadruple root,
-    # and the a = 0 endpoint (already on the grid)
-    if kappa != 0.0:
-        disc = 1.0 - 2.0 * kappa * lam
-        if disc >= 0.0:
-            grid += [a_sub_boundary(lam, kappa), a_sup_boundary(lam, kappa)]
-        aq = a_quadruple(lam, kappa)
-        if 0.0 <= aq <= a_max:
-            grid += [aq]
-    else:
-        grid += [0.5 * lam * lam]
-    grid = sorted(set(g for g in grid if 0.0 <= g <= a_max + 1e-12))
+        a_max = 1.2 * max([0.0, *pts] + ([1.0 / kappa ** 2] if kappa else [])) + 0.5
+    grid = sorted({float(g) for g in [*np.linspace(0.0, a_max, n_grid), *pts]
+                   if 0.0 <= g <= a_max + 1e-12})
 
-    events: list[BifurcationEvent] = []
-    seen: set = set()
-    branch_data = []  # (a, [m values sorted]) for Hopf bisection
-    for a in grid:
-        ms = _m_branches_numeric(a, lam, kappa)
-        branch_data.append((a, ms))
-        for m in ms:
-            if m < 0.0:
-                continue
-            signs = (1,) if m == 0.0 else (1, -1)
-            for sgn in signs:
-                ev = _event_from_am(a, float(m), lam, kappa, sgn)
-                if ev is None:
-                    continue
-                key = (ev.kind, round(ev.a, 10), round(ev.mu, 10), round(ev.ell, 10))
-                if key not in seen:
-                    seen.add(key)
-                    events.append(ev)
+    def tip_gap(a, m):
+        return a - max(math.sqrt(m), _ell_h_from_am(a, m, lam, kappa)[0])
 
-    events.extend(_hopf_by_bisection(branch_data, lam, kappa, seen))
-
+    on_grid = [(a, float(m)) for a in grid
+               for m in _m_branches_numeric(a, lam, kappa) if m >= 0.0]
+    events = _unique_events(
+        ev for a, m in on_grid + _branch_crossings(grid, tip_gap, lam, kappa)
+        for ev in _events_from_am(a, m, lam, kappa))
     if tag:
         events = [replace(ev, family=_nearest_family(ev, match_radius))
                   for ev in events]
@@ -981,74 +1019,17 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     return events
 
 
-def _branch_m(a: float, lam: float, kappa: float, which: int) -> float:
-    ms = _m_branches_numeric(a, lam, kappa)
-    if ms.size <= which:
-        return math.nan
-    return float(ms[which])
-
-
-def _hopf_by_bisection(branch_data, lam, kappa, seen) -> list[BifurcationEvent]:
-    """Locate a = r_min crossings along each m(a) branch by bisection."""
-    from scipy.optimize import brentq
-
-    out: list[BifurcationEvent] = []
-
-    def psi(a: float, which: int) -> float:
-        m = _branch_m(a, lam, kappa, which)
-        if math.isnan(m) or m < 0.0:
-            return math.nan
-        if kappa == 0.0:
-            ell = 3.0 * a - lam * lam
-        else:
-            ell = _ell_from_mu2(a, m, lam, kappa)
-        return a - max(math.sqrt(m), ell)
-
-    for which in (0, 1):
-        prev = None
-        for a, ms in branch_data:
-            val = psi(a, which) if ms.size > which and ms[which] >= 0.0 else math.nan
-            if prev is not None and not math.isnan(val) and not math.isnan(prev[1]):
-                a0, v0 = prev
-                if v0 == 0.0 or val == 0.0:
-                    prev = (a, val)
-                    continue
-                if v0 * val < 0.0:
-                    try:
-                        a_star = brentq(lambda x: psi(x, which), a0, a,
-                                        xtol=1e-13, rtol=1e-13)
-                    except ValueError:
-                        prev = (a, val)
-                        continue
-                    m = _branch_m(a_star, lam, kappa, which)
-                    if not math.isnan(m) and m >= 0.0:
-                        signs = (1,) if m <= 1e-14 else (1, -1)
-                        for sgn in signs:
-                            ev = _event_from_am(a_star, max(m, 0.0), lam, kappa, sgn)
-                            if ev is None:
-                                continue
-                            key = (ev.kind, round(ev.a, 10), round(ev.mu, 10),
-                                   round(ev.ell, 10))
-                            if key not in seen:
-                                seen.add(key)
-                                out.append(ev)
-            prev = (a, val)
-    return out
-
-
 def oracle_slice(lam: float, ell_target: float,
                  kappa: float = 1.0) -> list[tuple]:
     """Numeric-oracle points on the plane ell = ell_target at one lam.
 
     Independent of the catalog: along each root branch of the eliminated
-    quadratic in mu^2, the roots of ell(a) - ell_target are bracketed on a
-    129-point a-grid and polished by brentq to xtol 1e-13; points below the
-    tip are dropped.  At lam = 0 and lam = 1/(2 kappa) the events of
+    quadratic in mu^2, the roots of ell(a) - ell_target are found on a
+    129-point a-grid (_branch_crossings); points below the tip are
+    dropped.  At lam = 0 and lam = 1/(2 kappa) the events of
     solve_bifurcations_numeric within 1e-6 of the plane are taken instead.
     Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
     """
-    from scipy.optimize import brentq
-
     rows = []
     if abs(lam) < 1e-12 or (kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12):
         for ev in solve_bifurcations_numeric(lam, kappa, n_grid=201):
@@ -1063,46 +1044,18 @@ def oracle_slice(lam: float, ell_target: float,
     else:
         a_hi_candidates.append(0.5 * lam * lam)
     a_hi = 1.05 * max(a_hi_candidates)
-    grid = np.linspace(0.0, a_hi, 129)
+    grid = [float(a) for a in np.linspace(0.0, a_hi, 129)]
 
-    def ell_on_branch(a, ms, which):
-        if ms.size <= which or ms[which] < 0.0:
-            return math.nan
-        if kappa == 0.0:
-            return 3.0 * a - lam * lam
-        return _ell_from_mu2(a, float(ms[which]), lam, kappa)
+    def off_plane(a, m):
+        return _ell_h_from_am(a, m, lam, kappa)[0] - ell_target
 
-    # both branches read the roots of one quadratic solve per grid point
-    ms_grid = [_m_branches_numeric(float(a), lam, kappa) for a in grid]
-    for which in (0, 1):
-        vals = [ell_on_branch(float(a), ms, which) - ell_target
-                for a, ms in zip(grid, ms_grid)]
-        for i in range(len(grid) - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
+    for a, m in _branch_crossings(grid, off_plane, lam, kappa):
+        ell, h = _ell_h_from_am(a, m, lam, kappa)
+        for sgn in _mu_signs(m):
+            mu = sgn * math.sqrt(m)
+            if a < max(abs(mu), ell) - 1e-10:
                 continue
-            try:
-                a_star = brentq(
-                    lambda a: ell_on_branch(
-                        a, _m_branches_numeric(a, lam, kappa), which) - ell_target,
-                    grid[i], grid[i + 1], xtol=1e-13)
-            except ValueError:
-                continue
-            ms = _m_branches_numeric(a_star, lam, kappa)
-            if ms.size <= which or ms[which] < 0.0:
-                continue
-            m = float(ms[which])
-            if kappa == 0.0:
-                ell = 3.0 * a_star - lam * lam
-                h = (m + 3.0 * a_star ** 2) / (2.0 * lam)
-            else:
-                ell = _ell_from_mu2(a_star, m, lam, kappa)
-                h = _h_from_mu2(a_star, m, lam, kappa)
-            for sgn in ((1,) if m <= 1e-14 else (1, -1)):
-                mu = sgn * math.sqrt(max(m, 0.0))
-                if a_star < max(abs(mu), ell) - 1e-10:
-                    continue
-                rows.append(("numeric-oracle", lam, mu, ell, a_star, h))
+            rows.append(("numeric-oracle", lam, mu, ell, a, h))
     return rows
 
 
@@ -1138,16 +1091,6 @@ def _events_lambda_half(kappa: float, n_grid: int = 2001,
     (2 kappa^2 a - 1)^3 (mu^2 - 2 kappa^2 a^3)."""
     lam = 0.5 / kappa
     events: list[BifurcationEvent] = []
-    seen: set = set()
-
-    def push(ev):
-        if ev is None:
-            return
-        key = (ev.kind, round(ev.a, 10), round(ev.mu, 10), round(ev.ell, 10))
-        if key not in seen:
-            seen.add(key)
-            events.append(ev)
-
     # cusp line: a fixed at 1/(2 kappa^2), mu free
     a_c = 0.5 / kappa ** 2
     for mu in np.linspace(-a_c, a_c, max(n_grid // 8, 33)):
@@ -1159,15 +1102,15 @@ def _events_lambda_half(kappa: float, n_grid: int = 2001,
             kind = classify_multiple_root(a_c, q, cas)
         except AmbiguousClassificationError:
             continue
-        push(BifurcationEvent(kind=kind, a=a_c, b=a_c, h=h, lam=lam,
-                              mu=float(mu), ell=ell, kappa=kappa))
+        events.append(BifurcationEvent(kind=kind, a=a_c, b=a_c, h=h, lam=lam,
+                                       mu=float(mu), ell=ell, kappa=kappa))
     # centre-saddle branch mu^2 = 2 kappa^2 a^3 (plus its Hopf endpoint a=0)
     for a in np.linspace(0.0, a_c, max(n_grid // 8, 33)):
         m = 2.0 * kappa ** 2 * a ** 3
         ell = (6.0 * kappa ** 2 * a - 1.0) / (4.0 * kappa ** 2)
         h = 1.5 * kappa * a * a
         b = -3.0 * a + 2.0 / kappa ** 2
-        for sgn in ((1,) if m == 0.0 else (1, -1)):
+        for sgn in _mu_signs(m):
             mu = sgn * math.sqrt(m)
             cas = CasimirValues(mu=mu, ell=ell)
             q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
@@ -1175,8 +1118,9 @@ def _events_lambda_half(kappa: float, n_grid: int = 2001,
                 kind = classify_multiple_root(float(a), q, cas)
             except AmbiguousClassificationError:
                 continue
-            push(BifurcationEvent(kind=kind, a=float(a), b=b, h=h, lam=lam,
-                                  mu=mu, ell=ell, kappa=kappa))
+            events.append(BifurcationEvent(kind=kind, a=float(a), b=b, h=h,
+                                           lam=lam, mu=mu, ell=ell, kappa=kappa))
+    events = _unique_events(events)
     if tag:
         events = [replace(ev, family=_nearest_family(ev, MATCH_RADIUS))
                   for ev in events]
