@@ -19,7 +19,7 @@ from .bifurcations import (BifurcationEvent, BifurcationKind, CatalogPoint,
                            catalog_point, catalog_point_kappa0,
                            catalog_slice, catalog_surface,
                            classify_multiple_root, f_quartic, family_domain,
-                           hopf_cusp_slice, instability_interval, newton_triple_root,
+                           hopf_cusp_slice, instability_interval,
                            oracle_slice, solve_bifurcations_numeric)
 from .critical_values import (ComponentDescriptor, CriticalSlice, FiberKind,
                               FiberReport, SliceNode, ThreadSegments,

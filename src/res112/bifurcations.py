@@ -841,8 +841,8 @@ def _q_quadratic_coeffs(a: float, lam: float, kappa: float) -> tuple[float, floa
     return A, B, C
 
 
-def _m_branches_numeric(a: float, lam: float, kappa: float) -> np.ndarray:
-    """Real roots m >= 0 of the eliminated quadratic in m = mu^2.
+def _m_branches_numeric(a: float, lam: float, kappa: float) -> list[float]:
+    """Real roots m of the eliminated quadratic in m = mu^2, in Python floats.
 
     At branch junctions the discriminant crosses zero and roundoff can push
     it slightly negative; discriminants below the noise floor are clamped
@@ -851,35 +851,34 @@ def _m_branches_numeric(a: float, lam: float, kappa: float) -> np.ndarray:
     """
     A, B, C = _q_quadratic_coeffs(a, lam, kappa)
     if A == 0.0:
-        roots = np.array([-C / B]) if B != 0.0 else np.array([])
+        roots = [-C / B] if B != 0.0 else []
     else:
         disc = B * B - 4.0 * A * C
         noise = 1e-10 * (B * B + abs(4.0 * A * C) + 1e-300)
         if abs(disc) <= noise:
             disc = 0.0
         if disc < 0.0:
-            roots = np.array([])
-        else:
-            sq = math.sqrt(disc)
-            # stable quadratic: avoid cancellation in the small root
-            q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else 0.5 * sq
-            r1 = q / A if q != 0.0 else 0.0
-            r2 = C / q if q != 0.0 else 0.0
-            roots = np.array([r1, r2])
-    if roots.size == 0:
-        return np.array([])
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    m = np.sort(roots.real)
-    m[(m < 0.0) & (m > -1e-11 * scale)] = 0.0
-    return m
+            return []
+        sq = math.sqrt(disc)
+        # stable quadratic: avoid cancellation in the small root
+        q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else 0.5 * sq
+        roots = [q / A if q != 0.0 else 0.0, C / q if q != 0.0 else 0.0]
+    scale = 1.0 + max(map(abs, roots), default=0.0)
+    return sorted(0.0 if -1e-11 * scale < m < 0.0 else m for m in roots)
 
 
-def _ell_h_from_am(a: float, m: float, lam: float,
-                   kappa: float) -> tuple[float, float]:
-    """(ell, h) of the triple root a on the mu^2-branch m at lam."""
+def _ell_from_am(a: float, m: float, lam: float, kappa: float) -> float:
+    """ell of the triple root a on the mu^2-branch m at lam."""
     if kappa == 0.0:
-        return 3.0 * a - lam * lam, (m + 3.0 * a ** 2) / (2.0 * lam)
-    return _ell_from_mu2(a, m, lam, kappa), _h_from_mu2(a, m, lam, kappa)
+        return 3.0 * a - lam * lam
+    return _ell_from_mu2(a, m, lam, kappa)
+
+
+def _h_from_am(a: float, m: float, lam: float, kappa: float) -> float:
+    """Energy h of the triple root a on the mu^2-branch m at lam."""
+    if kappa == 0.0:
+        return (m + 3.0 * a ** 2) / (2.0 * lam)
+    return _h_from_mu2(a, m, lam, kappa)
 
 
 def _mu_signs(m: float) -> tuple[int, ...]:
@@ -892,7 +891,7 @@ def _events_from_am(a: float, m: float, lam: float,
     """The validated events at triple root a on the mu^2-branch m >= 0, one
     per sign of mu; candidates below the tip or with an ambiguous
     classification are dropped."""
-    ell, h = _ell_h_from_am(a, m, lam, kappa)
+    ell, h = _ell_from_am(a, m, lam, kappa), _h_from_am(a, m, lam, kappa)
     b = None if kappa == 0.0 else _b_of_a(a, lam, kappa)
     out = []
     for sgn in _mu_signs(m):
@@ -946,7 +945,8 @@ def _branch_crossings(grid: list[float], g, lam: float,
     (branch 0), then on the larger (branch 1), g is evaluated at every grid
     point where the branch has a real m >= 0.  A value of exactly zero is a
     root; a strict sign change between neighbours is polished by brentq
-    (xtol 1e-13).  Returns (a, m) pairs, branch by branch in grid order.
+    (xtol 1e-13).  Returns the distinct (a, m) pairs, branch by branch in
+    grid order; where the branches meet, a root on both counts once.
     """
     from scipy.optimize import brentq
 
@@ -954,9 +954,9 @@ def _branch_crossings(grid: list[float], g, lam: float,
     out = []
     for which in (0, 1):
         def on_branch(a, ms):
-            if ms.size <= which or ms[which] < 0.0:
+            if len(ms) <= which or ms[which] < 0.0:
                 return math.nan
-            return g(a, float(ms[which]))
+            return g(a, ms[which])
 
         def g_at(a):
             return on_branch(a, _m_branches_numeric(a, lam, kappa))
@@ -972,8 +972,8 @@ def _branch_crossings(grid: list[float], g, lam: float,
                     continue
         for a in sorted(roots):
             ms = _m_branches_numeric(a, lam, kappa)
-            if ms.size > which and ms[which] >= 0.0:
-                out.append((a, float(ms[which])))
+            if len(ms) > which and ms[which] >= 0.0 and (a, ms[which]) not in out:
+                out.append((a, ms[which]))
     return out
 
 
@@ -1005,9 +1005,9 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
                    if 0.0 <= g <= a_max + 1e-12})
 
     def tip_gap(a, m):
-        return a - max(math.sqrt(m), _ell_h_from_am(a, m, lam, kappa)[0])
+        return a - max(math.sqrt(m), _ell_from_am(a, m, lam, kappa))
 
-    on_grid = [(a, float(m)) for a in grid
+    on_grid = [(a, m) for a in grid
                for m in _m_branches_numeric(a, lam, kappa) if m >= 0.0]
     events = _unique_events(
         ev for a, m in on_grid + _branch_crossings(grid, tip_gap, lam, kappa)
@@ -1025,8 +1025,8 @@ def oracle_slice(lam: float, ell_target: float,
 
     Independent of the catalog: along each root branch of the eliminated
     quadratic in mu^2, the roots of ell(a) - ell_target are found on a
-    129-point a-grid (_branch_crossings); points below the tip are
-    dropped.  At lam = 0 and lam = 1/(2 kappa) the events of
+    129-point a-grid plus the structural points in its range
+    (_branch_crossings); points below the tip are dropped.  At lam = 0 and lam = 1/(2 kappa) the events of
     solve_bifurcations_numeric within 1e-6 of the plane are taken instead.
     Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
     """
@@ -1044,13 +1044,14 @@ def oracle_slice(lam: float, ell_target: float,
     else:
         a_hi_candidates.append(0.5 * lam * lam)
     a_hi = 1.05 * max(a_hi_candidates)
-    grid = [float(a) for a in np.linspace(0.0, a_hi, 129)]
+    grid = sorted({float(a) for a in np.linspace(0.0, a_hi, 129)}
+                  | {a for a in _structural_points(lam, kappa) if 0.0 <= a <= a_hi})
 
     def off_plane(a, m):
-        return _ell_h_from_am(a, m, lam, kappa)[0] - ell_target
+        return _ell_from_am(a, m, lam, kappa) - ell_target
 
     for a, m in _branch_crossings(grid, off_plane, lam, kappa):
-        ell, h = _ell_h_from_am(a, m, lam, kappa)
+        ell, h = _ell_from_am(a, m, lam, kappa), _h_from_am(a, m, lam, kappa)
         for sgn in _mu_signs(m):
             mu = sgn * math.sqrt(m)
             if a < max(abs(mu), ell) - 1e-10:
@@ -1241,59 +1242,6 @@ def _nearest_cs_family(ev: BifurcationEvent, radius: float) -> str | None:
         if d < best_d:
             best, best_d = fam, d
     return best if best_d <= radius else None
-
-
-# ---------------------------------------------------------------------------
-# Damped-Newton cross-check mode
-# ---------------------------------------------------------------------------
-
-def newton_triple_root(lam: float, kappa: float, mu: float, a0: float,
-                       h0: float, ell0: float, max_iter: int = 60,
-                       tol: float = 1e-12) -> tuple[float, float, float] | None:
-    """Solve F(a) = F'(a) = F''(a) = 0 for (a, h, ell) at fixed (lam, kappa, mu).
-
-    Damped Newton with analytic Jacobian; returns None when it fails to
-    converge.  Used as the independent cross-check on the elimination
-    solver.
-    """
-    v = np.array([a0, h0, ell0], dtype=float)
-    mu2 = mu * mu
-
-    def system(v):
-        a, h, ell = v
-        cas = CasimirValues(mu=mu, ell=ell)
-        q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
-        F = np.array([q.value(a), q.d1(a), q.d2(a)])
-        x1 = h - lam * a - 0.5 * kappa * a * a
-        J = np.array([
-            [q.d1(a), 2.0 * x1, a * a - mu2],
-            [q.d2(a), 2.0 * (-lam - kappa * a), 2.0 * a],
-            [q.d3(a), -2.0 * kappa, 2.0],
-        ])
-        return F, J
-
-    scale = max(1.0, abs(a0), abs(h0), abs(ell0))
-    for _ in range(max_iter):
-        F, J = system(v)
-        nrm = float(np.max(np.abs(F)))
-        if nrm <= tol * max(1.0, scale ** 4):
-            return tuple(v)
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            return None
-        # damping: halve until the residual shrinks
-        lamb = 1.0
-        for _ in range(30):
-            trial = v - lamb * step
-            Ft, _ = system(trial)
-            if float(np.max(np.abs(Ft))) < nrm:
-                v = trial
-                break
-            lamb *= 0.5
-        else:
-            return None
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 import numpy as np
@@ -78,14 +77,6 @@ def _parse_floats(text: str) -> list[float]:
 # bifdiag
 # ---------------------------------------------------------------------------
 
-def _bifdiag_slice(args):
-    lam, ell_target, kappa, oracle = args
-    rows = catalog_slice(lam, ell_target, kappa)
-    if oracle:
-        rows += oracle_slice(lam, ell_target, kappa)
-    return rows
-
-
 @cli.command()
 @click.option("--kappa", type=float, default=1.0, show_default=True)
 @click.option("--ell", required=True, help="comma-separated ell slice values")
@@ -101,8 +92,7 @@ def _bifdiag_slice(args):
               default="csv", show_default=True)
 @click.option("--out", default="bifdiag", show_default=True,
               help="output path prefix")
-@click.option("--workers", type=int, default=1, show_default=True)
-def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out, workers):
+def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out):
     """Per-ell slices of the bifurcation set in the (lambda, mu)-plane."""
     if kappa < 0.0:
         raise ValidationError("bifdiag requires kappa >= 0; see the scale command")
@@ -115,17 +105,13 @@ def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out, workers)
     header = ["provenance", "ell_slice", "lambda", "mu", "ell", "a", "h"]
     rows = []
     for ell_t in ells:
-        tasks = [(float(lam), float(ell_t), kappa, oracle) for lam in lam_grid]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                chunks = list(ex.map(_bifdiag_slice, tasks, chunksize=8))
-        else:
-            chunks = [_bifdiag_slice(t) for t in tasks]
-        for chunk in chunks:
-            for fam, lam, mu, l, a, h in chunk:
-                rows.append((fam, float(ell_t), lam, mu, l, a, h))
-        for fam, lam, mu, l, a, h in hopf_cusp_slice(float(ell_t), kappa, lo, hi):
-            rows.append((fam, float(ell_t), lam, mu, l, a, h))
+        found = []
+        for lam in lam_grid:
+            found += catalog_slice(float(lam), ell_t, kappa)
+            if oracle:
+                found += oracle_slice(float(lam), ell_t, kappa)
+        found += hopf_cusp_slice(ell_t, kappa, lo, hi)
+        rows += [(fam, ell_t, lam, mu, l, a, h) for fam, lam, mu, l, a, h in found]
     rows.sort(key=lambda r: (r[1], r[0], r[2], r[3]))
     ext = "csv" if fmt == "csv" else "jsonl"
     _write_rows(f"{out}_slices.{ext}", header, rows, fmt)
@@ -142,15 +128,6 @@ def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out, workers)
 # critvals
 # ---------------------------------------------------------------------------
 
-def _critvals_node(args):
-    mu, ell, lam_params, kappa, validate = args
-    delta, l1, l2 = lam_params
-    lam = delta + l1 * mu + l2 * ell
-    rp = ReducedParams(lam=lam, kappa=kappa)
-    sl = critical_slice(rp, [mu], [ell], validate=validate)
-    return sl.nodes[0]
-
-
 @cli.command()
 @click.option("--delta", type=float, required=True)
 @click.option("--lambda1", type=float, default=0.0, show_default=True)
@@ -164,9 +141,8 @@ def _critvals_node(args):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--out", default="critvals", show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
-             validate, fmt, out, workers):
+             validate, fmt, out):
     """Critical values of the energy-momentum map over a (mu, ell)-grid."""
     if kappa <= 0.0:
         raise ValidationError("critvals requires kappa > 0")
@@ -174,13 +150,15 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
     ell_lo, ell_hi = _parse_floats(ell_window)
     mus = np.linspace(mu_lo, mu_hi, grid)
     ells = np.linspace(ell_lo, ell_hi, grid)
-    tasks = [(float(m), float(l), (delta, lambda1, lambda2), kappa, validate)
-             for m in mus for l in ells]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            nodes = list(ex.map(_critvals_node, tasks, chunksize=16))
-    else:
-        nodes = [_critvals_node(t) for t in tasks]
+    params = ModelParams(delta=delta, lambda1=lambda1, lambda2=lambda2,
+                         kappa=kappa)
+    nodes = []
+    for m in mus:
+        for l in ells:
+            # lambda differs from node to node when lambda1 or lambda2 is set
+            cas = CasimirValues(mu=float(m), ell=float(l))
+            nodes += critical_slice(ReducedParams.from_model(params, cas),
+                                    [cas.mu], [cas.ell], validate=validate).nodes
     nodes.sort(key=lambda nd: (nd.mu, nd.ell))
 
     ext = "csv" if fmt == "csv" else "jsonl"
@@ -260,12 +238,13 @@ def fiber(delta, lambda1, lambda2, kappa, mu, ell, iota, h, fmt):
         raise ValidationError("give exactly one of --ell / --iota")
     if ell is None:
         ell = 2.0 * iota - mu
-    lam = delta + lambda1 * mu + lambda2 * ell
-    rep = classify_fiber(CasimirValues(mu=mu, ell=ell),
-                         ReducedParams(lam=lam, kappa=kappa), h)
+    cas = CasimirValues(mu=mu, ell=ell)
+    rp = ReducedParams.from_model(
+        ModelParams(delta=delta, lambda1=lambda1, lambda2=lambda2, kappa=kappa), cas)
+    rep = classify_fiber(cas, rp, h)
     if fmt == "json":
         click.echo(json.dumps({
-            "mu": mu, "ell": ell, "h": h, "lambda": lam,
+            "mu": mu, "ell": ell, "h": h, "lambda": rp.lam,
             "components": rep.multiset(), "is_critical": rep.is_critical,
             "flags": list(rep.flags)}, sort_keys=True))
         return

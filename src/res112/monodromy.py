@@ -529,14 +529,9 @@ def generator_loop(name: str, params: ModelParams, n_points: int = 48,
 
 
 def _loop_regular(loop, params: ModelParams) -> bool:
-    for mu, iota, h in loop:
-        ell = 2.0 * iota - mu
-        try:
-            cas = CasimirValues(mu=mu, ell=ell)
-            rep = classify_fiber(cas, ReducedParams.from_model(params, cas), h)
-        except (ValidationError, NumericalError):
-            return False
-        tori = [c for c in rep.components if c.kind is FiberKind.TORUS3]
-        if rep.is_critical or not tori:
-            return False
+    try:
+        for value in loop:
+            _regular_tori(value, params)
+    except (ValidationError, NumericalError):
+        return False
     return True

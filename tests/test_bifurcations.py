@@ -12,8 +12,8 @@ from res112 import (AmbiguousClassificationError, BifurcationKind,
                     ValidationError, a0_root, catalog_point,
                     catalog_point_kappa0, catalog_slice,
                     classify_multiple_root, f_quartic, family_domain,
-                    hopf_cusp_slice, instability_interval, kappa_scaling, newton_triple_root,
-                    solve_bifurcations_numeric)
+                    hopf_cusp_slice, instability_interval, kappa_scaling,
+                    oracle_slice, solve_bifurcations_numeric)
 from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_domains, _cs_probe,
                                  _discriminant_core, _ell_from_mu2,
                                  _ell_slope, _family_prediction,
@@ -421,6 +421,54 @@ def test_numeric_solver_kappa_scaling_covariance():
             assert math.hypot(pt.mu - s.mu, pt.ell - s.ell) <= 1e-8
 
 
+def newton_triple_root(lam: float, kappa: float, mu: float, a0: float,
+                       h0: float, ell0: float, max_iter: int = 60,
+                       tol: float = 1e-12) -> tuple[float, float, float] | None:
+    """Solve F(a) = F'(a) = F''(a) = 0 for (a, h, ell) at fixed (lam, kappa, mu).
+
+    Damped Newton with analytic Jacobian; returns None when it fails to
+    converge.  The independent cross-check on the elimination solver.
+    """
+    v = np.array([a0, h0, ell0], dtype=float)
+    mu2 = mu * mu
+
+    def system(v):
+        a, h, ell = v
+        cas = CasimirValues(mu=mu, ell=ell)
+        q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
+        F = np.array([q.value(a), q.d1(a), q.d2(a)])
+        x1 = h - lam * a - 0.5 * kappa * a * a
+        J = np.array([
+            [q.d1(a), 2.0 * x1, a * a - mu2],
+            [q.d2(a), 2.0 * (-lam - kappa * a), 2.0 * a],
+            [q.d3(a), -2.0 * kappa, 2.0],
+        ])
+        return F, J
+
+    scale = max(1.0, abs(a0), abs(h0), abs(ell0))
+    for _ in range(max_iter):
+        F, J = system(v)
+        nrm = float(np.max(np.abs(F)))
+        if nrm <= tol * max(1.0, scale ** 4):
+            return tuple(v)
+        try:
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return None
+        # damping: halve until the residual shrinks
+        lamb = 1.0
+        for _ in range(30):
+            trial = v - lamb * step
+            Ft, _ = system(trial)
+            if float(np.max(np.abs(Ft))) < nrm:
+                v = trial
+                break
+            lamb *= 0.5
+        else:
+            return None
+    return None
+
+
 def test_newton_cross_check():
     # damped Newton on (F, F', F'') from a perturbed seed lands back on the
     # catalog point
@@ -738,3 +786,30 @@ def test_catalog_slice_is_empty_where_there_are_no_interior_points():
     rows = catalog_slice(lam, 0.0, 2.0)
     assert [r[0] for r in rows] == ["CS1", "CS2"]
     assert all(r[4] == pytest.approx(1.0 / 24.0, abs=1e-16) for r in rows)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_oracle_slice_matches_catalog_slice(kappa):
+    # the two routes agree row for row on the README planes: every catalog
+    # row has an oracle row, including where two crossings of one branch
+    # fall between two points of the oracle's 129-point grid, and every
+    # oracle row is a catalog, Hopf/cusp or lam = 0 origin point
+    def near(r, s):
+        return abs(r[4] - s[4]) <= 1e-10 and abs(r[2] - s[2]) <= 1e-10
+
+    n_rows = 0
+    for ell in (-1.25, -0.125, 0.0, 0.125, 0.3125, 0.75):
+        for lam in np.linspace(-1.5, 1.5, 61):
+            lam = float(lam)
+            if abs(lam - 0.5 / kappa) < 1e-12:
+                continue
+            cat = catalog_slice(lam, ell, kappa)
+            known = cat + hopf_cusp_slice(ell, kappa, lam, lam)
+            rows = oracle_slice(lam, ell, kappa)
+            n_rows += len(cat)
+            for r in cat:
+                assert any(near(r, o) for o in rows), (kappa, lam, ell, r)
+            for o in rows:
+                origin = lam == 0.0 and o[2:5] == (0.0, 0.0, 0.0)
+                assert origin or any(near(o, r) for r in known), (kappa, lam, ell, o)
+    assert n_rows > 150
