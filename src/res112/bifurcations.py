@@ -922,8 +922,8 @@ def _unique_events(events) -> list[BifurcationEvent]:
 def _structural_points(lam: float, kappa: float) -> list[float]:
     """a-values where the mu^2-branches meet, end or change family: the
     two Hopf boundaries, the quadruple root and a0_root (lam^2/2 for
-    kappa = 0).  Both numeric grids include those in their range, so that
-    no two crossings of a branch share one grid interval there."""
+    kappa = 0).  Crossings on either side of one of them then fall into
+    different intervals of a numeric grid."""
     if kappa == 0.0:
         return [0.5 * lam * lam]
     pts = [a_quadruple(lam, kappa)]
@@ -935,6 +935,13 @@ def _structural_points(lam: float, kappa: float) -> list[float]:
         except (ValidationError, RootFindingError):
             pass
     return pts
+
+
+def _a_grid(a_hi: float, n: int, pts) -> list[float]:
+    """n equally spaced a-values on [0, a_hi] and the points of pts in that
+    range, sorted."""
+    return sorted({float(a) for a in np.linspace(0.0, a_hi, n)}
+                  | {a for a in pts if 0.0 <= a <= a_hi})
 
 
 def _branch_crossings(grid: list[float], g, lam: float,
@@ -1000,9 +1007,8 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
 
     pts = _structural_points(lam, kappa)
     if a_max is None:
-        a_max = 1.2 * max([0.0, *pts] + ([1.0 / kappa ** 2] if kappa else [])) + 0.5
-    grid = sorted({float(g) for g in [*np.linspace(0.0, a_max, n_grid), *pts]
-                   if 0.0 <= g <= a_max + 1e-12})
+        a_max = 1.2 * max([0.0, *pts, *([1.0 / kappa ** 2] if kappa else [])]) + 0.5
+    grid = _a_grid(a_max, n_grid, pts)
 
     def tip_gap(a, m):
         return a - max(math.sqrt(m), _ell_from_am(a, m, lam, kappa))
@@ -1026,8 +1032,9 @@ def oracle_slice(lam: float, ell_target: float,
     Independent of the catalog: along each root branch of the eliminated
     quadratic in mu^2, the roots of ell(a) - ell_target are found on a
     129-point a-grid plus the structural points in its range
-    (_branch_crossings); points below the tip are dropped.  At lam = 0 and lam = 1/(2 kappa) the events of
-    solve_bifurcations_numeric within 1e-6 of the plane are taken instead.
+    (_branch_crossings); points below the tip are dropped.  At lam = 0 and
+    lam = 1/(2 kappa) the events of solve_bifurcations_numeric within 1e-6
+    of the plane are taken instead.
     Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
     """
     rows = []
@@ -1044,8 +1051,7 @@ def oracle_slice(lam: float, ell_target: float,
     else:
         a_hi_candidates.append(0.5 * lam * lam)
     a_hi = 1.05 * max(a_hi_candidates)
-    grid = sorted({float(a) for a in np.linspace(0.0, a_hi, 129)}
-                  | {a for a in _structural_points(lam, kappa) if 0.0 <= a <= a_hi})
+    grid = _a_grid(a_hi, 129, _structural_points(lam, kappa))
 
     def off_plane(a, m):
         return _ell_from_am(a, m, lam, kappa) - ell_target
