@@ -1030,12 +1030,12 @@ def oracle_slice(lam: float, ell_target: float,
     """Numeric-oracle points on the plane ell = ell_target at one lam.
 
     Independent of the catalog: along each root branch of the eliminated
-    quadratic in mu^2, the roots of ell(a) - ell_target are found on a
-    129-point a-grid plus the structural points in its range
-    (_branch_crossings); points below the tip are dropped.  At lam = 0 and
-    lam = 1/(2 kappa) the events of solve_bifurcations_numeric within 1e-6
-    of the plane are taken instead.
-    Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
+    quadratic in mu^2, the roots of ell(a) - ell_target are found
+    (_branch_crossings) on 129 equally spaced a-values up to 1.05 times the
+    largest of 1 and the structural points, plus those points; points
+    below the tip are dropped.  At lam = 0 and lam = 1/(2 kappa) the events
+    of solve_bifurcations_numeric within 1e-6 of the plane are taken
+    instead.  Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
     """
     rows = []
     if abs(lam) < 1e-12 or (kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12):
@@ -1043,15 +1043,8 @@ def oracle_slice(lam: float, ell_target: float,
             if abs(ev.ell - ell_target) <= 1e-6:
                 rows.append(("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h))
         return rows
-    a_hi_candidates = [1.0]
-    if kappa != 0.0:
-        if 1.0 - 2.0 * kappa * lam >= 0.0:
-            a_hi_candidates.append(a_sup_boundary(lam, kappa))
-        a_hi_candidates.append(max(a_quadruple(lam, kappa), 0.0))
-    else:
-        a_hi_candidates.append(0.5 * lam * lam)
-    a_hi = 1.05 * max(a_hi_candidates)
-    grid = _a_grid(a_hi, 129, _structural_points(lam, kappa))
+    pts = _structural_points(lam, kappa)
+    grid = _a_grid(1.05 * max([1.0, *pts]), 129, pts)
 
     def off_plane(a, m):
         return _ell_from_am(a, m, lam, kappa) - ell_target

@@ -788,11 +788,12 @@ def test_catalog_slice_is_empty_where_there_are_no_interior_points():
     assert all(r[4] == pytest.approx(1.0 / 24.0, abs=1e-16) for r in rows)
 
 
-@pytest.mark.parametrize("kappa", [1.0, 2.0])
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
 def test_oracle_slice_matches_catalog_slice(kappa):
     # the two routes agree row for row on the README planes: every catalog
     # row has an oracle row, including where two crossings of one branch
-    # fall between two points of the oracle's 129-point grid, and every
+    # fall between two points of the oracle's 129-point grid and, at
+    # kappa = 0.5, CS4 rows beyond max(1, a_quadruple) up to a0_root; every
     # oracle row is a catalog, Hopf/cusp or lam = 0 origin point
     def near(r, s):
         return abs(r[4] - s[4]) <= 1e-10 and abs(r[2] - s[2]) <= 1e-10
