@@ -421,9 +421,9 @@ def test_numeric_solver_kappa_scaling_covariance():
             assert math.hypot(pt.mu - s.mu, pt.ell - s.ell) <= 1e-8
 
 
-def newton_triple_root(lam: float, kappa: float, mu: float, a0: float,
-                       h0: float, ell0: float, max_iter: int = 60,
-                       tol: float = 1e-12) -> tuple[float, float, float] | None:
+def _newton_triple_root(lam: float, kappa: float, mu: float, a0: float,
+                        h0: float, ell0: float, max_iter: int = 60,
+                        tol: float = 1e-12) -> tuple[float, float, float] | None:
     """Solve F(a) = F'(a) = F''(a) = 0 for (a, h, ell) at fixed (lam, kappa, mu).
 
     Damped Newton with analytic Jacobian; returns None when it fails to
@@ -483,9 +483,9 @@ def test_newton_cross_check():
             lo, hi = 1.0 - lam, a0_root(lam, 1.0)
             kw["a"] = 0.5 * (lo + hi)
         pt = catalog_point(fam, **kw)
-        sol = newton_triple_root(pt.lam, 1.0, pt.mu,
-                                 pt.a * 1.001 + 1e-4, pt.h + 1e-3,
-                                 pt.ell - 1e-3)
+        sol = _newton_triple_root(pt.lam, 1.0, pt.mu,
+                                  pt.a * 1.001 + 1e-4, pt.h + 1e-3,
+                                  pt.ell - 1e-3)
         assert sol is not None
         a, h, ell = sol
         assert a == pytest.approx(pt.a, abs=1e-9)
