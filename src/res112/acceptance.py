@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .bifurcations import (BifurcationKind, catalog_point,
                            catalog_point_kappa0, classify_multiple_root,
                            f_quartic, family_domain, instability_interval,
                            residual_scale, solve_bifurcations_numeric,
-                           _family_prediction)
+                           _cs_domains, _event_distance)
 from .critical_values import classify_fiber
 from .errors import LoopError, Res112Error, ValidationError
 from .model import (CasimirValues, FullState, InvariantPoint, ModelParams,
@@ -132,21 +132,10 @@ def _expected_families(lam, kappa=1.0):
 
 def _event_catalog_distance(ev):
     """Distance of a numeric event from its tagged catalog stratum,
-    evaluated at the event's own a."""
+    evaluated at the event by the solver's own tagging rule."""
     if ev.family is None:
         return math.inf
-    if ev.family.startswith("CS"):
-        pred = _family_prediction(ev.family, ev.lam, ev.a, ev.kappa,
-                                  1 if ev.mu >= 0.0 else -1)
-        if pred is None:
-            return math.inf
-        return math.hypot(pred[0] - ev.mu, pred[1] - ev.ell)
-    if ev.family == "Cusp3":
-        return abs(0.25 / ev.kappa ** 2 + ev.kappa ** 2 * ev.mu ** 2 - ev.ell)
-    pt = catalog_point(ev.family,
-                       lam=None if ev.family.startswith("HHdeg") else ev.lam,
-                       kappa=ev.kappa)
-    return math.hypot(pt.mu - ev.mu, pt.ell - ev.ell)
+    return _event_distance(ev, ev.family, _cs_domains(ev.lam, ev.kappa))
 
 
 def check_oracle_equivalence() -> AcceptanceResult:
@@ -180,17 +169,8 @@ def check_oracle_equivalence() -> AcceptanceResult:
             if e.family is None:
                 problems.append(f"kappa=2 lam={lam2}: unmatched event")
                 continue
-            if e.family.startswith("CS"):
-                pred = _family_prediction(e.family, s.lam, s.R, 1.0,
-                                          1 if s.mu >= 0.0 else -1)
-                d = math.hypot(pred[0] - s.mu, pred[1] - s.ell)
-            elif e.family == "Cusp3":
-                d = abs(0.25 + s.mu ** 2 - s.ell)
-            else:
-                pt = catalog_point(
-                    e.family, lam=None if e.family.startswith("HHdeg") else s.lam)
-                d = math.hypot(pt.mu - s.mu, pt.ell - s.ell)
-            worst = max(worst, d)
+            worst = max(worst, _event_catalog_distance(replace(
+                e, kappa=1.0, lam=s.lam, mu=s.mu, ell=s.ell, a=s.R, h=s.h)))
         if worst > 1e-8:
             problems.append(f"kappa=2 lam={lam2}: scaled distance {worst:.2e}")
     ok = not problems

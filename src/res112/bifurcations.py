@@ -36,7 +36,7 @@ from .reduced_space import r_min, tip_class
 # Tolerances, pinned once.  Residuals of F and its derivatives are judged
 # against RESIDUAL_TOL * residual_scale (F grows quartically, hence the
 # scale); |a - r_min| against TIP_TOL; family matching of numeric events
-# against MATCH_RADIUS in the (mu, ell)-plane.
+# against MATCH_RADIUS in the (mu, ell)-plane and in lam.
 RESIDUAL_TOL = 1e-9
 TIP_TOL = 1e-10
 MATCH_RADIUS = 1e-4
@@ -148,9 +148,8 @@ class BifurcationEvent:
     family: str | None = None
 
 
-def classify_multiple_root(a: float, q: Quartic, cas: CasimirValues,
-                           residual_tol: float = RESIDUAL_TOL,
-                           tip_tol: float = TIP_TOL) -> BifurcationKind:
+def classify_multiple_root(a: float, q: Quartic,
+                           cas: CasimirValues) -> BifurcationKind:
     """Classify a verified triple root of F per the tangency-order rules.
 
     A root at the tip is a Hamiltonian Hopf event, supercritical for
@@ -164,15 +163,15 @@ def classify_multiple_root(a: float, q: Quartic, cas: CasimirValues,
     h = _h_of_quartic(q, cas)
     scale = residual_scale(a, h, cas, q.kappa)
     res = (abs(q.value(a)), abs(q.d1(a)), abs(q.d2(a)))
-    if max(res) > residual_tol * scale:
+    if max(res) > RESIDUAL_TOL * scale:
         raise ValidationError(
-            f"not a multiple root: residuals {res} exceed {residual_tol:.1e}*{scale:.3e}")
+            f"not a multiple root: residuals {res} exceed {RESIDUAL_TOL:.1e}*{scale:.3e}")
 
     rmin = r_min(cas)
     f3 = q.d3(a)
     f3_scale = 6.0 * max(1.0, q.kappa * q.kappa) * (1.0 + abs(a))
     tol_f3 = _F3_REL_TOL * f3_scale
-    tol_a = tip_tol * (1.0 + abs(rmin))
+    tol_a = TIP_TOL * (1.0 + abs(rmin))
 
     at_tip = abs(a - rmin) <= tol_a
     f3_zero = abs(f3) <= tol_f3
@@ -622,17 +621,17 @@ def _cs_point_kappa0(family: str, lam: float, a: float, sign: int,
 _TWO_SIGN_FAMILIES = ("CS3", "CS4", "CS3_k0")
 
 
-def _cs_domains(lam: float, kappa: float) -> list[tuple[str, float, float]]:
-    """(family, lo, hi) of each centre-saddle family with points at lam, in
+def _cs_domains(lam: float, kappa: float) -> dict[str, tuple[float, float]]:
+    """family: (lo, hi) of each centre-saddle family with points at lam, in
     catalog order."""
     if kappa == 0.0:
         families = ("CS1_k0", "CS2_k0", "CS3_k0")
     else:
         families = ("CS1", "CS2", "CS3", "CS4")
-    out = []
+    out = {}
     for family in families:
         try:
-            out.append((family, *family_domain(family, lam, kappa)))
+            out[family] = family_domain(family, lam, kappa)
         except Res112Error:
             continue
     return out
@@ -647,6 +646,16 @@ def _cs_probe(family: str, lam: float, a: float, sign: int, kappa: float,
     if _at_lambda_half(lam, kappa):
         return _cs_point_lambda_half(family, a, kappa, lo, hi)
     return _cs_point(family, lam, a, sign, kappa, lo, hi)
+
+
+def _family_point(family: str, lam: float | None, mu: float | None,
+                  kappa: float) -> CatalogPoint:
+    """catalog_point (catalog_point_kappa0 for kappa = 0) of a family that
+    is not centre-saddle: Cusp3 at mu, the others at lam (the degenerate
+    Hopf points need neither)."""
+    if kappa == 0.0:
+        return catalog_point_kappa0(family, lam=lam)
+    return catalog_point(family, lam=lam, mu=mu, kappa=kappa)
 
 
 def catalog_slice(lam: float, ell_target: float,
@@ -680,7 +689,7 @@ def catalog_slice(lam: float, ell_target: float,
         steps = 2
     tol = 1e-9 * max(1.0, abs(ell_target))
     rows = []
-    for family, lo, hi in _cs_domains(lam, kappa):
+    for family, (lo, hi) in _cs_domains(lam, kappa).items():
         pad, near = 1e-9 * (hi - lo), 1e-6 * (hi - lo)
         branch = 1 if family == "CS3" else -1  # CS3 is the m_plus sheet
         for sign in ((1, -1) if family in _TWO_SIGN_FAMILIES else (1,)):
@@ -721,14 +730,7 @@ def hopf_cusp_slice(ell_target: float, kappa: float, lam_lo: float,
 
     def add(family, lam, mu=None):
         try:
-            if kappa == 0.0:
-                pt = catalog_point_kappa0(family, lam=lam)
-            elif family == "Cusp3":
-                pt = catalog_point(family, mu=mu, kappa=kappa)
-            elif family.startswith("HHdeg"):
-                pt = catalog_point(family, kappa=kappa)
-            else:
-                pt = catalog_point(family, lam=lam, kappa=kappa)
+            pt = _family_point(family, lam, mu, kappa)
         except Res112Error:
             return
         if abs(pt.ell - ell_target) <= 1e-9 * max(1.0, abs(ell_target)) and \
@@ -788,7 +790,7 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
     lam_grid = np.linspace(lam_lo, lam_hi, n)
     for lam in lam_grid:
         lam = float(lam)
-        for family, lo, hi in _cs_domains(lam, kappa):
+        for family, (lo, hi) in _cs_domains(lam, kappa).items():
             if not hi > lo:
                 continue
             signs = (1, -1) if family in _TWO_SIGN_FAMILIES else (1,)
@@ -889,8 +891,10 @@ def _mu_signs(m: float) -> tuple[int, ...]:
 def _events_from_am(a: float, m: float, lam: float,
                     kappa: float) -> list[BifurcationEvent]:
     """The validated events at triple root a on the mu^2-branch m >= 0, one
-    per sign of mu; candidates below the tip or with an ambiguous
-    classification are dropped."""
+    per sign of mu; candidates below the tip, with an ambiguous
+    classification or failing its residual check are dropped (the latter
+    occur just below a_sup_boundary, where the noise clamp of
+    _m_branches_numeric admits a negative discriminant)."""
     ell, h = _ell_from_am(a, m, lam, kappa), _h_from_am(a, m, lam, kappa)
     b = None if kappa == 0.0 else _b_of_a(a, lam, kappa)
     out = []
@@ -903,7 +907,7 @@ def _events_from_am(a: float, m: float, lam: float,
         q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
         try:
             kind = classify_multiple_root(a, q, cas)
-        except AmbiguousClassificationError:
+        except (AmbiguousClassificationError, ValidationError):
             continue
         out.append(BifurcationEvent(kind=kind, a=a, b=b, h=h, lam=lam, mu=mu,
                                     ell=ell, kappa=kappa))
@@ -984,10 +988,19 @@ def _branch_crossings(grid: list[float], g, lam: float,
     return out
 
 
+def _special_lambda(lam: float, kappa: float) -> float | None:
+    """The special value 0 or 1/(2 kappa) that lam lies within 1e-12 of,
+    else None.  There the eliminated quartic degenerates, and the numeric
+    solver takes its special cases instead of the grid."""
+    if abs(lam) < 1e-12:
+        return 0.0
+    if kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12:
+        return 0.5 / kappa
+    return None
+
+
 def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
-                               n_grid: int = 2001, a_max: float | None = None,
-                               match_radius: float = MATCH_RADIUS,
-                               tag: bool = True) -> list[BifurcationEvent]:
+                               n_grid: int = 2001) -> list[BifurcationEvent]:
     """Numerically enumerate the bifurcation set at fixed lam.
 
     Works from the coefficient-matching system of the triple-root
@@ -995,19 +1008,19 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     in mu^2 is solved on an a-grid that holds the structural points
     (_structural_points); Hopf points are the roots of a - r_min along each
     root branch (_branch_crossings).  Events are classified by the
-    multiple-root rules and tagged with the nearest catalog stratum
-    (within ``match_radius``); unmatched events keep family None and are
-    never dropped.  kappa = 0 is supported through the cubic degeneration
-    of F (no b root, no quadruple candidates).
+    multiple-root rules and tagged with the nearest catalog family
+    (_tag_events); unmatched events keep family None and are never dropped.
+    kappa = 0 is supported through the cubic degeneration of F (no b root,
+    no quadruple candidates).
     """
-    if abs(lam) < 1e-12:
-        return _events_lambda_zero(kappa, tag=tag)
-    if kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12:
-        return _events_lambda_half(kappa, n_grid=n_grid, tag=tag)
+    special = _special_lambda(lam, kappa)
+    if special == 0.0:
+        return _tag_events(_events_lambda_zero(kappa), special, kappa)
+    if special is not None:
+        return _tag_events(_events_lambda_half(kappa, n_grid), special, kappa)
 
     pts = _structural_points(lam, kappa)
-    if a_max is None:
-        a_max = 1.2 * max([0.0, *pts, *([1.0 / kappa ** 2] if kappa else [])]) + 0.5
+    a_max = 1.2 * max([0.0, *pts, *([1.0 / kappa ** 2] if kappa else [])]) + 0.5
     grid = _a_grid(a_max, n_grid, pts)
 
     def tip_gap(a, m):
@@ -1018,11 +1031,8 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     events = _unique_events(
         ev for a, m in on_grid + _branch_crossings(grid, tip_gap, lam, kappa)
         for ev in _events_from_am(a, m, lam, kappa))
-    if tag:
-        events = [replace(ev, family=_nearest_family(ev, match_radius))
-                  for ev in events]
     events.sort(key=lambda e: (e.a, e.mu, e.kind.value))
-    return events
+    return _tag_events(events, lam, kappa)
 
 
 def oracle_slice(lam: float, ell_target: float,
@@ -1033,12 +1043,13 @@ def oracle_slice(lam: float, ell_target: float,
     quadratic in mu^2, the roots of ell(a) - ell_target are found
     (_branch_crossings) on 129 equally spaced a-values up to 1.05 times the
     largest of 1 and the structural points, plus those points; points
-    below the tip are dropped.  At lam = 0 and lam = 1/(2 kappa) the events
-    of solve_bifurcations_numeric within 1e-6 of the plane are taken
-    instead.  Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
+    below the tip are dropped.  At lam = 0 and lam = 1/(2 kappa)
+    (_special_lambda) the events of solve_bifurcations_numeric within 1e-6
+    of the plane are taken instead.  Returns ("numeric-oracle", lam, mu,
+    ell, a, h) tuples.
     """
     rows = []
-    if abs(lam) < 1e-12 or (kappa != 0.0 and abs(lam - 0.5 / kappa) < 1e-12):
+    if _special_lambda(lam, kappa) is not None:
         for ev in solve_bifurcations_numeric(lam, kappa, n_grid=201):
             if abs(ev.ell - ell_target) <= 1e-6:
                 rows.append(("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h))
@@ -1059,7 +1070,7 @@ def oracle_slice(lam: float, ell_target: float,
     return rows
 
 
-def _events_lambda_zero(kappa: float, tag: bool = True) -> list[BifurcationEvent]:
+def _events_lambda_zero(kappa: float) -> list[BifurcationEvent]:
     """Special case lam = 0: only the resonant equilibrium and, for
     kappa != 0, the two supercritical Hopf points at +-mu = ell = 2/kappa^2."""
     events = []
@@ -1079,14 +1090,10 @@ def _events_lambda_zero(kappa: float, tag: bool = True) -> list[BifurcationEvent
             events.append(BifurcationEvent(kind=kind, a=a, b=_b_of_a(a, 0.0, kappa),
                                            h=h, lam=0.0, mu=sgn * a, ell=a,
                                            kappa=kappa))
-    if tag:
-        events = [replace(ev, family=_nearest_family(ev, MATCH_RADIUS))
-                  for ev in events]
     return events
 
 
-def _events_lambda_half(kappa: float, n_grid: int = 2001,
-                        tag: bool = True) -> list[BifurcationEvent]:
+def _events_lambda_half(kappa: float, n_grid: int) -> list[BifurcationEvent]:
     """Special case lam = 1/(2 kappa): the eliminated quartic factorises as
     (2 kappa^2 a - 1)^3 (mu^2 - 2 kappa^2 a^3)."""
     lam = 0.5 / kappa
@@ -1104,143 +1111,70 @@ def _events_lambda_half(kappa: float, n_grid: int = 2001,
             continue
         events.append(BifurcationEvent(kind=kind, a=a_c, b=a_c, h=h, lam=lam,
                                        mu=float(mu), ell=ell, kappa=kappa))
-    # centre-saddle branch mu^2 = 2 kappa^2 a^3 (plus its Hopf endpoint a=0)
+    # centre-saddle sheet mu^2 = 2 kappa^2 a^3 from the catalog's boundary
+    # formula, on the closed range [0, a_c] (so with its Hopf endpoint a = 0)
     for a in np.linspace(0.0, a_c, max(n_grid // 8, 33)):
-        m = 2.0 * kappa ** 2 * a ** 3
-        ell = (6.0 * kappa ** 2 * a - 1.0) / (4.0 * kappa ** 2)
-        h = 1.5 * kappa * a * a
-        b = -3.0 * a + 2.0 / kappa ** 2
-        for sgn in _mu_signs(m):
-            mu = sgn * math.sqrt(m)
-            cas = CasimirValues(mu=mu, ell=ell)
-            q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
+        pt = _cs_point_lambda_half("CS2", float(a), kappa, -math.inf, math.inf)
+        for sgn in _mu_signs(pt.mu * pt.mu):
+            mu = sgn * pt.mu
+            cas = CasimirValues(mu=mu, ell=pt.ell)
+            q = f_quartic(pt.h, ReducedParams(lam=lam, kappa=kappa), cas)
             try:
-                kind = classify_multiple_root(float(a), q, cas)
+                kind = classify_multiple_root(pt.a, q, cas)
             except AmbiguousClassificationError:
                 continue
-            events.append(BifurcationEvent(kind=kind, a=float(a), b=b, h=h,
-                                           lam=lam, mu=mu, ell=ell, kappa=kappa))
+            events.append(BifurcationEvent(kind=kind, a=pt.a, b=pt.b, h=pt.h,
+                                           lam=lam, mu=mu, ell=pt.ell,
+                                           kappa=kappa))
     events = _unique_events(events)
-    if tag:
-        events = [replace(ev, family=_nearest_family(ev, MATCH_RADIUS))
-                  for ev in events]
     events.sort(key=lambda e: (e.a, e.mu, e.kind.value))
     return events
 
 
-def _family_prediction(family: str, lam: float, a: float, kappa: float,
-                       mu_sign: int) -> tuple[float, float] | None:
-    """(mu, ell) of a family at the same lam (and a, for CS families);
-    None when the family does not exist there.  Ranges are NOT enforced:
-    matching is against closures."""
+def _event_distance(ev: BifurcationEvent, family: str,
+                    domains: dict[str, tuple[float, float]]) -> float:
+    """Distance in (mu, ell) from an event to the catalog point of a family,
+    evaluated at the event; inf where the family has no point there.
+
+    A centre-saddle family is evaluated at the event's a and mu-sign when a
+    lies in the closed range that ``domains`` (_cs_domains at the event's
+    lam) gives it; any other family through _family_point, and its point
+    must lie within MATCH_RADIUS of the event's lam.
+    """
     try:
-        if family in ("CS1", "CS2", "CS3", "CS4"):
-            if kappa != 0.0 and abs(lam - 0.5 / kappa) <= 1e-12:
-                m2 = 2.0 * kappa ** 2 * a ** 3
-                ell = (6.0 * kappa ** 2 * a - 1.0) / (4.0 * kappa ** 2)
-                mu = math.sqrt(max(m2, 0.0))
-                mu = {"CS1": -mu, "CS2": mu}.get(family, mu_sign * mu)
-                return mu, ell
-            m_minus, m_plus = _mu2_branches(a, lam, kappa)
-            m2 = m_plus if family == "CS3" else m_minus
-            if m2 < -1e-12 * (1.0 + a * a) ** 2:
-                return None
-            m2 = max(m2, 0.0)
-            mu = math.sqrt(m2)
-            mu = {"CS1": -mu, "CS2": mu}.get(family, mu_sign * mu)
-            return mu, _ell_from_mu2(a, m2, lam, kappa)
-        pt = catalog_point(family, lam=lam, kappa=kappa)
-        return pt.mu, pt.ell
-    except (ValidationError, UnsupportedRegimeError):
-        return None
-
-
-_KIND_FAMILIES = {
-    BifurcationKind.CENTRE_SADDLE: ("CS1", "CS2", "CS3", "CS4"),
-    BifurcationKind.CUSP: ("Cusp1", "Cusp2", "Cusp3"),
-    BifurcationKind.HOPF_SUB: ("HHsub1", "HHsub2", "HHsub3"),
-    BifurcationKind.HOPF_SUPER: ("HHsup1", "HHsup2", "HHsup3"),
-    BifurcationKind.HOPF_DEGENERATE: ("HHdeg1", "HHdeg2", "HHdeg3"),
-}
-
-_KIND_FAMILIES_K0 = {
-    BifurcationKind.CENTRE_SADDLE: ("CS1_k0", "CS2_k0", "CS3_k0"),
-    BifurcationKind.HOPF_SUB: ("HHsub1_k0", "HHsub2_k0", "HHsub3_k0"),
-}
-
-
-def _nearest_family(ev: BifurcationEvent, radius: float) -> str | None:
-    if ev.kappa == 0.0:
-        families = _KIND_FAMILIES_K0.get(ev.kind, ())
-        best, best_d = None, math.inf
-        for fam in families:
-            try:
-                if fam.startswith("CS"):
-                    pt = catalog_point_kappa0(fam, lam=ev.lam, a=min(
-                        max(ev.a, 1e-12), 0.5 * ev.lam ** 2 * (1 - 1e-12)),
-                        sign=1 if ev.mu >= 0 else -1)
-                else:
-                    pt = catalog_point_kappa0(fam, lam=ev.lam)
-            except (ValidationError, UnsupportedRegimeError):
-                continue
-            d = math.hypot(pt.mu - ev.mu, pt.ell - ev.ell)
-            if d < best_d:
-                best, best_d = fam, d
-        return best if best_d <= radius else None
-
-    if ev.kind is BifurcationKind.CENTRE_SADDLE:
-        return _nearest_cs_family(ev, radius)
-
-    families = _KIND_FAMILIES.get(ev.kind, ())
-    best, best_d = None, math.inf
-    for fam in families:
-        if fam == "Cusp3":
-            if abs(ev.lam - 0.5 / ev.kappa) > radius:
-                continue
-            ell_pred = 0.25 / ev.kappa ** 2 + ev.kappa ** 2 * ev.mu ** 2
-            d = abs(ell_pred - ev.ell)
+        if family_kind(family) is BifurcationKind.CENTRE_SADDLE:
+            lo, hi = domains.get(family, (math.nan, math.nan))
+            if not lo <= ev.a <= hi:  # also where it has no points at lam
+                return math.inf
+            # the closed range is checked here, so the probe gets no bounds
+            pt = _cs_probe(family, ev.lam, ev.a, 1 if ev.mu >= 0.0 else -1,
+                           ev.kappa, -math.inf, math.inf)
         else:
-            pred = _family_prediction(fam, ev.lam, ev.a, ev.kappa,
-                                      1 if ev.mu >= 0.0 else -1)
-            if pred is None:
-                continue
-            d = math.hypot(pred[0] - ev.mu, pred[1] - ev.ell)
-        if d < best_d:
-            best, best_d = fam, d
-    return best if best_d <= radius else None
+            pt = _family_point(family, ev.lam, ev.mu, ev.kappa)
+    except Res112Error:
+        return math.inf
+    if abs(pt.lam - ev.lam) > MATCH_RADIUS:
+        return math.inf
+    return math.hypot(pt.mu - ev.mu, pt.ell - ev.ell)
 
 
-def _nearest_cs_family(ev: BifurcationEvent, radius: float) -> str | None:
-    """Centre-saddle family of an event: the mu-branch decides CS3 versus
-    the minus-branch families, the a-range splits the latter into CS1/CS2
-    (below the quadruple root) and CS4 (above, both signs)."""
-    k, lam, a = ev.kappa, ev.lam, ev.a
-    sgn = 1 if ev.mu >= 0.0 else -1
-    if abs(lam - 0.5 / k) <= 1e-12:
-        pred = _family_prediction("CS1", lam, a, k, sgn)
-        if pred is None:
-            return None
-        d = math.hypot(abs(pred[0]) - abs(ev.mu), pred[1] - ev.ell)
-        return ("CS1" if ev.mu < 0.0 else "CS2") if d <= radius else None
-    candidates: list[str] = []
-    if lam < 0.5 / k:
-        candidates = ["CS3", "CS1", "CS2"]
-    elif lam < 1.0 / k:
-        candidates = (["CS4"] if a >= a_quadruple(lam, k) - 1e-9
-                      else ["CS1", "CS2"])
-    best, best_d = None, math.inf
-    for fam in candidates:
-        if fam == "CS1" and ev.mu > 0.0:
-            continue
-        if fam == "CS2" and ev.mu < 0.0:
-            continue
-        pred = _family_prediction(fam, lam, a, k, sgn)
-        if pred is None:
-            continue
-        d = math.hypot(pred[0] - ev.mu, pred[1] - ev.ell)
-        if d < best_d:
-            best, best_d = fam, d
-    return best if best_d <= radius else None
+def _tag_events(events, lam: float, kappa: float) -> list[BifurcationEvent]:
+    """The events at lam, each tagged with the family of its kind
+    (family_kind) whose catalog point lies nearest in (mu, ell) and within
+    MATCH_RADIUS (_event_distance); family None where none does."""
+    domains = _cs_domains(lam, kappa)
+    by_kind: dict[BifurcationKind, list[str]] = {}
+    for family in (KAPPA0_FAMILIES if kappa == 0.0 else CATALOG_FAMILIES):
+        by_kind.setdefault(family_kind(family), []).append(family)
+    tagged = []
+    for ev in events:
+        best, best_d = None, math.inf
+        for family in by_kind.get(ev.kind, ()):
+            d = _event_distance(ev, family, domains)
+            if d < best_d:
+                best, best_d = family, d
+        tagged.append(replace(ev, family=best if best_d <= MATCH_RADIUS else None))
+    return tagged
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 routes, the numeric solver, and the instability intervals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from res112 import (AmbiguousClassificationError, BifurcationKind,
                     oracle_slice, solve_bifurcations_numeric)
 from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_domains, _cs_probe,
                                  _discriminant_core, _ell_from_mu2,
-                                 _ell_slope, _family_prediction,
+                                 _ell_slope, _event_distance,
                                  _mu2_branches, a_quadruple,
                                  a_sub_boundary, a_sup_boundary,
                                  g_cubic_coeffs, residual_scale)
@@ -361,20 +362,37 @@ EXPECTED_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("lam", sorted(EXPECTED_FAMILIES))
-def test_numeric_solver_recovers_catalog(lam):
-    evs = solve_bifurcations_numeric(lam, 1.0, n_grid=401)
-    assert {e.family for e in evs if e.family} == EXPECTED_FAMILIES[lam]
+def _assert_events_verify(evs, kappa):
+    """Every event is a genuine multiple root of F with its own kind."""
+    for e in evs:
+        cas = CasimirValues(e.mu, e.ell)
+        q = f_quartic(e.h, ReducedParams(lam=e.lam, kappa=kappa), cas)
+        assert classify_multiple_root(e.a, q, cas) is e.kind, e
+
+
+# the kappa = 1 table at lam = lam1/kappa: the strata scale with 1/kappa
+@pytest.mark.parametrize("kappa,lam1", [
+    pytest.param(kappa, lam1, id=str(lam1) if kappa == 1.0 else f"{lam1}-kappa{kappa}")
+    for kappa in (0.5, 1.0, 2.0) for lam1 in sorted(EXPECTED_FAMILIES)])
+def test_numeric_solver_recovers_catalog(kappa, lam1):
+    evs = solve_bifurcations_numeric(lam1 / kappa, kappa, n_grid=401)
+    assert {e.family for e in evs if e.family} == EXPECTED_FAMILIES[lam1]
     assert all(e.family is not None for e in evs)
     for e in evs:
         if e.family.startswith("CS"):
-            pred = _family_prediction(e.family, e.lam, e.a, 1.0,
-                                      1 if e.mu >= 0 else -1)
-            assert math.hypot(pred[0] - e.mu, pred[1] - e.ell) <= 1e-6
-        # every event is a genuine multiple root with consistent kind
-        cas = CasimirValues(e.mu, e.ell)
-        q = f_quartic(e.h, ReducedParams(lam=e.lam, kappa=1.0), cas)
-        assert classify_multiple_root(e.a, q, cas) is e.kind
+            assert _event_distance(e, e.family, _cs_domains(e.lam, kappa)) <= 1e-6
+    _assert_events_verify(evs, kappa)
+
+
+@pytest.mark.parametrize("lam,kappa,n_grid", [
+    (0.025, 1.0, 2001), (-0.375, 0.5, 801), (-0.025, 2.0, 801)])
+def test_numeric_solver_drops_candidates_off_the_quartic(lam, kappa, n_grid):
+    # candidates just below a_sup_boundary, admitted by the noise clamp of
+    # the mu^2 discriminant, fail the residual check and are dropped; every
+    # lam here lies in the stratum lam < 1/(2 kappa), lam != 0
+    evs = solve_bifurcations_numeric(lam, kappa, n_grid=n_grid)
+    assert {e.family for e in evs if e.family} == EXPECTED_FAMILIES[0.3]
+    _assert_events_verify(evs, kappa)
 
 
 def test_numeric_solver_lambda_zero_special_case():
@@ -412,13 +430,9 @@ def test_numeric_solver_kappa_scaling_covariance():
         s = kappa_scaling(2.0, lam=e.lam, mu=e.mu, ell=e.ell, R=e.a, h=e.h,
                           inverse=True)
         assert s.lam == pytest.approx(0.3)
-        if e.family.startswith("CS"):
-            pred = _family_prediction(e.family, s.lam, s.R, 1.0,
-                                      1 if s.mu >= 0 else -1)
-            assert math.hypot(pred[0] - s.mu, pred[1] - s.ell) <= 1e-8
-        else:
-            pt = catalog_point(e.family, lam=s.lam)
-            assert math.hypot(pt.mu - s.mu, pt.ell - s.ell) <= 1e-8
+        scaled = replace(e, kappa=1.0, lam=s.lam, mu=s.mu, ell=s.ell, a=s.R, h=s.h)
+        assert _event_distance(scaled, e.family,
+                               _cs_domains(s.lam, 1.0)) <= 1e-8
 
 
 def _newton_triple_root(lam: float, kappa: float, mu: float, a0: float,
@@ -629,7 +643,7 @@ def _catalog_slice_scan_oracle(lam, ell_target, kappa):
     on 65 points once per mu-branch sign, and every sign change of
     ell(a) - ell_target is polished by brentq to xtol 1e-13."""
     rows = []
-    for family, lo, hi in _cs_domains(lam, kappa):
+    for family, (lo, hi) in _cs_domains(lam, kappa).items():
         if not hi > lo:
             continue
         pad = 1e-9 * (hi - lo)
@@ -685,10 +699,10 @@ def _random_slices(kappa, n, seed):
         if len(out) % 2 == 0:
             out.append((lam, float(rng.uniform(-2.5, 1.2)) / scale ** 2))
             continue
-        domains = _cs_domains(lam, kappa)
+        domains = list(_cs_domains(lam, kappa).items())
         if not domains:
             continue
-        family, lo, hi = domains[rng.integers(len(domains))]
+        family, (lo, hi) = domains[rng.integers(len(domains))]
         sign = int(rng.choice((1, -1)))
         try:
             pt = _cs_probe(family, lam, float(rng.uniform(lo, hi)), sign, kappa, lo, hi)
