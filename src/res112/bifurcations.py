@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import polyroots
 from .errors import (AmbiguousClassificationError, Res112Error,
                      RootFindingError, UnsupportedRegimeError,
                      ValidationError)
@@ -104,10 +105,8 @@ class Quartic:
         return 6.0 * self.kappa * self.kappa
 
     def roots(self) -> np.ndarray:
-        desc = np.trim_zeros(np.asarray(self.coeffs[::-1], dtype=float), "f")
-        if desc.size <= 1:
-            return np.array([])
-        return np.roots(desc)
+        """All complex roots of F, as np.roots gives them."""
+        return polyroots.roots(self.coeffs[::-1])
 
 
 def f_quartic(h: float, rp: ReducedParams, cas: CasimirValues) -> Quartic:
@@ -321,18 +320,15 @@ def a0_root(lam: float, kappa: float = 1.0) -> float:
         raise ValidationError(
             "no positive root: g(a) > 0 for all a > 0 when lam >= 1/kappa")
     coeffs = g_cubic_coeffs(lam, kappa)
-    roots = np.roots(coeffs)
+    roots = polyroots.roots(coeffs)
     real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
     pos = np.sort(real[real > 0.0])
     if pos.size == 0:
         raise RootFindingError(f"g(a) has no positive root at lam={lam}")
-    a0 = float(pos[0])
-    # one Newton polish
-    d = np.polyval(np.polyder(coeffs), a0)
-    if d != 0.0:
-        a0 -= np.polyval(coeffs, a0) / d
-    gscale = max(1.0, float(np.max(np.abs(coeffs))) * max(1.0, a0) ** 3)
-    if abs(np.polyval(coeffs, a0)) > 1e-10 * gscale:
+    coeffs = coeffs.tolist()
+    a0 = polyroots.newton(coeffs, pos[0], 1)
+    gscale = max(1.0, max(abs(c) for c in coeffs) * max(1.0, a0) ** 3)
+    if abs(polyroots.polyval(coeffs, a0)) > 1e-10 * gscale:
         raise RootFindingError(f"a0 polish failed at lam={lam}")
     return a0
 
@@ -685,7 +681,7 @@ def catalog_slice(lam: float, ell_target: float,
         starts = [(4.0 * kappa ** 2 * ell_target + 1.0) / (6.0 * kappa ** 2)]
     else:
         starts = sorted({float(z.real) for z in
-                         np.roots(_slice_quartic_coeffs(lam, ell_target, kappa))})
+                         polyroots.roots(_slice_quartic_coeffs(lam, ell_target, kappa))})
         steps = 2
     tol = 1e-9 * max(1.0, abs(ell_target))
     rows = []

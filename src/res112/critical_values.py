@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, UnsupportedRegimeError, ValidationError
 from .model import CasimirValues
+from .polyroots import real_roots
 from .bifurcations import (a_sub_boundary, a_sup_boundary, catalog_point,
                            f_quartic, instability_interval)
 from .reduced_dynamics import (Equilibrium, ReducedParams, Stability,
@@ -97,9 +98,7 @@ def classify_fiber(cas: CasimirValues, rp: ReducedParams, h: float) -> FiberRepo
     h_tip = rp.lam * rmin + 0.5 * rp.kappa * rmin * rmin
     through_tip = abs(h - h_tip) <= TIP_HIT_RTOL * max(1.0, abs(h), abs(h_tip))
 
-    roots = q.roots()
-    r_scale = 1.0 + (float(np.max(np.abs(roots))) if roots.size else 0.0)
-    real = np.sort(roots[np.abs(roots.imag) <= 1e-7 * r_scale].real)
+    real, r_scale = real_roots(q.coeffs[::-1], imag_rtol=1e-7)
 
     flags: list[str] = []
     clusters: list[list[float]] = []  # [center, multiplicity]

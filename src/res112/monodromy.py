@@ -31,6 +31,7 @@ from .errors import LoopError, NumericalError, ValidationError
 from .model import CasimirValues, ModelParams
 from .bifurcations import f_quartic
 from .critical_values import FiberKind, classify_fiber
+from .polyroots import newton
 from .reduced_dynamics import ReducedParams, h_min
 
 # Global orientation convention: multiplies the raw winding of both
@@ -161,8 +162,8 @@ def _fiber_rotation(value, params: ModelParams, r_interval: tuple[float, float],
     cas = CasimirValues(mu=mu, ell=2.0 * iota - mu)
     rp = ReducedParams.from_model(params, cas)
     f = f_quartic(h, rp, cas)
-    r1 = _polish_root(f, r_interval[0])
-    r2 = _polish_root(f, r_interval[1])
+    desc = f.coeffs[::-1]
+    r1, r2 = (newton(desc, r, 4) for r in r_interval)
     _mode_actions(r1, cas)  # every mode stays excited along the orbit
     T_red, d1, d2, d3 = _period_integrals(f, r1, r2, h, rp, cas, rtol, atol)
 
@@ -257,17 +258,6 @@ def _wrap_unit(x: float) -> float:
     return (x + 0.5) % 1.0 - 0.5
 
 
-def _polish_root(f, x: float) -> float:
-    """Four Newton steps on F from x."""
-    df = np.polynomial.polynomial.polyder(f.coeffs)
-    for _ in range(4):
-        d = np.polynomial.polynomial.polyval(x, df)
-        if d == 0.0:
-            break
-        x -= f.value(x) / d
-    return x
-
-
 def _mode_actions(r: float, cas: CasimirValues) -> tuple[float, float, float]:
     """Mode actions (I1, I2, I3) at R = r; raises unless all are positive."""
     i1 = 0.5 * (r + cas.mu)
@@ -283,7 +273,7 @@ def lift_turning_point(r: float, cas: CasimirValues, rp: ReducedParams,
                        h: float) -> np.ndarray:
     """Point of C^3 over the turning point (R, X, Y) = (r, X(r), 0) of the
     reduced orbit at energy h, with r first polished as a root of F."""
-    r = _polish_root(f_quartic(h, rp, cas), r)
+    r = newton(f_quartic(h, rp, cas).coeffs[::-1], r, 4)
     i1, i2, i3 = _mode_actions(r, cas)
     x0 = h - rp.lam * r - 0.5 * rp.kappa * r * r
     z = np.array([math.sqrt(2.0 * i1), math.sqrt(2.0 * i2),

@@ -20,6 +20,7 @@ from .errors import (NumericalError, RootFindingError,
                      SingularityProximityError, UnsupportedRegimeError,
                      ValidationError)
 from .model import CasimirValues, InvariantPoint, ModelParams, detuning_lambda
+from .polyroots import newton, polyder, polymul, polysub, polyval, real_roots
 from .reduced_space import r_min, section_sq, section_sq_deriv, tip_class
 
 # Roots of the tangency quintic closer than this (times scale) are merged.
@@ -90,45 +91,17 @@ def vector_field(point: InvariantPoint, cas: CasimirValues, rp: ReducedParams) -
 def tangency_quintic_coeffs(cas: CasimirValues, rp: ReducedParams) -> np.ndarray:
     """Descending coefficients of S(R) = 4(kR+lam)^2 (R-ell)(R^2-mu^2) - (3R^2-2*ell*R-mu^2)^2.
 
-    Degree five for kappa != 0; degenerates gracefully to degree four at
-    kappa = 0 (the returned array always has length 6, leading entries may
-    be zero).
+    Length six and degree five for kappa != 0; at kappa = 0 the product
+    loses its leading zeros and the array has length five.
     """
     k, lam = rp.kappa, rp.lam
     mu2 = cas.mu * cas.mu
-    lin = np.array([k, lam])                      # kR + lam
-    cubic = np.array([1.0, -cas.ell, -mu2, mu2 * cas.ell])  # (R^2-mu^2)(R-ell)
-    slope = np.array([3.0, -2.0 * cas.ell, -mu2])           # section derivative
-    left = 4.0 * np.polymul(np.polymul(lin, lin), cubic)
-    right = np.polymul(slope, slope)
-    return np.polysub(left, right)
-
-
-def _real_roots(coeffs: np.ndarray, imag_tol: float) -> np.ndarray:
-    """Real roots of a polynomial given by descending coefficients."""
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
-    if coeffs.size <= 1:
-        return np.array([])
-    try:
-        roots = np.roots(coeffs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic failure
-        raise RootFindingError(f"companion-matrix eigenvalue solve failed: {exc}")
-    scale = 1.0 + np.max(np.abs(roots)) if roots.size else 1.0
-    real = roots[np.abs(roots.imag) <= imag_tol * scale].real
-    return np.sort(real)
-
-
-def _polish_root(coeffs: np.ndarray, x: float, steps: int = 3) -> float:
-    dcoeffs = np.polyder(coeffs)
-    for _ in range(steps):
-        d = np.polyval(dcoeffs, x)
-        if d == 0.0:
-            break
-        step = np.polyval(coeffs, x) / d
-        if not math.isfinite(step):
-            break
-        x -= step
-    return x
+    lin = [k, lam]                                 # kR + lam
+    cubic = [1.0, -cas.ell, -mu2, mu2 * cas.ell]   # (R^2-mu^2)(R-ell)
+    slope = [3.0, -2.0 * cas.ell, -mu2]            # section derivative
+    left = 4.0 * polymul(polymul(lin, lin), cubic)
+    right = polymul(slope, slope)
+    return polysub(left, right)
 
 
 def equilibria(cas: CasimirValues, rp: ReducedParams,
@@ -141,26 +114,29 @@ def equilibria(cas: CasimirValues, rp: ReducedParams,
     reduced space has one.  Raises RootFindingError if the companion-matrix
     solve fails; an empty regular list is *not* an error.
     """
-    coeffs = tangency_quintic_coeffs(cas, rp)
-    rmin = r_min(cas)
+    coeffs = tangency_quintic_coeffs(cas, rp).tolist()
+    dcoeffs = polyder(coeffs)
+    rmin = float(r_min(cas))
     tip = tip_class(cas)
     scale = 1.0 + abs(rmin)
 
-    roots = _real_roots(coeffs, imag_tol=1e-8)
-    roots = np.array([_polish_root(coeffs, r) for r in roots])
-    roots = roots[roots >= rmin - merge_tol * scale]
-    roots.sort()
+    try:
+        real, _ = real_roots(coeffs, imag_rtol=1e-8)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic failure
+        raise RootFindingError(f"companion-matrix eigenvalue solve failed: {exc}")
+    polished = [newton(coeffs, r, 3, dcoeffs) for r in real]
+    polished = sorted(r for r in polished if r >= rmin - merge_tol * scale)
 
     # Merge near-coincident roots; delegate genuine multiple-root analysis
     # to the bifurcation module, which works with exact conditions.
     merged: list[float] = []
-    for r in roots:
+    for r in polished:
         if merged and abs(r - merged[-1]) <= merge_tol * scale:
             merged[-1] = 0.5 * (merged[-1] + r)
         else:
-            merged.append(float(r))
+            merged.append(r)
 
-    dcoeffs = np.polyder(coeffs)
+    d2coeffs = polyder(dcoeffs)
     out: list[Equilibrium] = []
     # at singular tips the quintic has a multiple root exactly at r_min whose
     # companion-matrix images scatter by ~sqrt(eps); exclude a band around
@@ -169,20 +145,19 @@ def equilibria(cas: CasimirValues, rp: ReducedParams,
     for r in merged:
         if tip.is_singular and abs(r - rmin) <= tip_band:
             continue  # the tip root of the quintic is reported separately
-        r = max(r, rmin)
-        out.append(_regular_equilibrium(r, cas, rp, dcoeffs))
+        out.append(_regular_equilibrium(max(r, rmin), cas, rp, dcoeffs, d2coeffs))
 
     if tip.is_singular:
         h_tip = rp.lam * rmin + 0.5 * rp.kappa * rmin * rmin
-        out.append(Equilibrium(R=rmin, X=0.0, h=h_tip,
+        out.append(Equilibrium(R=rmin, X=0.0, h=float(h_tip),
                                stability=Stability.SINGULAR_TIP,
-                               quintic_deriv=float(np.polyval(dcoeffs, rmin))))
+                               quintic_deriv=polyval(dcoeffs, rmin)))
     out.sort(key=lambda e: e.R)
     return out
 
 
 def _regular_equilibrium(r: float, cas: CasimirValues, rp: ReducedParams,
-                         dcoeffs: np.ndarray) -> Equilibrium:
+                         dcoeffs: list[float], d2coeffs: list[float]) -> Equilibrium:
     sq = max(section_sq(r, cas), 0.0)
     x_abs = math.sqrt(sq)
     slope = -(rp.lam + rp.kappa * r)
@@ -193,15 +168,15 @@ def _regular_equilibrium(r: float, cas: CasimirValues, rp: ReducedParams,
     mis_minus = abs(c + 2.0 * x_abs * slope)
     x = x_abs if mis_plus <= mis_minus else -x_abs
     h = x + rp.lam * r + 0.5 * rp.kappa * r * r
-    sp = float(np.polyval(dcoeffs, r))
-    deriv_scale = 1.0 + abs(np.polyval(np.polyder(dcoeffs), r)) * (1.0 + abs(r))
+    sp = polyval(dcoeffs, r)
+    deriv_scale = 1.0 + abs(polyval(d2coeffs, r)) * (1.0 + abs(r))
     if abs(sp) <= 1e-9 * deriv_scale:
         stab = Stability.DEGENERATE
     elif sp > 0.0:
         stab = Stability.ELLIPTIC
     else:
         stab = Stability.HYPERBOLIC
-    return Equilibrium(R=r, X=x, h=h, stability=stab, quintic_deriv=sp)
+    return Equilibrium(R=r, X=x, h=float(h), stability=stab, quintic_deriv=sp)
 
 
 def h_min(cas: CasimirValues, rp: ReducedParams) -> float:

@@ -66,15 +66,23 @@ def section_sq(R, cas: CasimirValues):
     """Squared section profile (R^2 - mu^2)(R - ell).
 
     Total on purpose: root finders may probe outside [r_min, inf), where
-    negative values simply flag points off the surface.
+    negative values simply flag points off the surface.  Returns a float
+    for a scalar R and an array otherwise.
     """
-    R = np.asarray(R, dtype=float)
-    out = (R * R - cas.mu * cas.mu) * (R - cas.ell)
-    return out if out.shape else float(out)
+    R = _float_or_array(R)
+    return _scalar_or_array((R * R - cas.mu * cas.mu) * (R - cas.ell))
 
 
 def section_sq_deriv(R, cas: CasimirValues):
     """d/dR of the section profile: 3R^2 - 2*ell*R - mu^2."""
-    R = np.asarray(R, dtype=float)
-    out = 3.0 * R * R - 2.0 * cas.ell * R - cas.mu * cas.mu
-    return out if out.shape else float(out)
+    R = _float_or_array(R)
+    return _scalar_or_array(3.0 * R * R - 2.0 * cas.ell * R - cas.mu * cas.mu)
+
+
+def _float_or_array(R):
+    # a float is used as it is: the same IEEE operations as on a 0-d array
+    return R if isinstance(R, float) else np.asarray(R, dtype=float)
+
+
+def _scalar_or_array(out):
+    return out if isinstance(out, np.ndarray) and out.shape else float(out)

@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from res112 import (CasimirValues, InvariantPoint, ModelParams, ReducedParams,
                     Stability, UnsupportedRegimeError, equilibria, h_min,
                     integrate_orbit, internal_frequencies, reduced_h,
-                    r_min, vector_field)
+                    r_min, section_sq, tip_class, vector_field)
 from res112.bifurcations import f_quartic
+from res112.errors import RootFindingError
+from res112.reduced_dynamics import ROOT_MERGE_TOL
+from res112.reduced_space import section_sq_deriv
 
 RNG = np.random.default_rng(1618033)
 
@@ -104,6 +109,141 @@ def test_equilibrium_points_satisfy_tangency():
             assert abs(slope_lhs - slope_rhs) <= 1e-6 * max(1.0, abs(slope_lhs))
             assert e.h == pytest.approx(reduced_h(e.point, rp), abs=1e-12)
             assert e.point.Y == 0.0
+
+
+def _equilibria_numpy_oracle(cas, rp, merge_tol=ROOT_MERGE_TOL):
+    """The numpy-polynomial route to the equilibria: np.polymul/np.polysub
+    for the tangency quintic, np.trim_zeros/np.roots for its roots and
+    np.polyder/np.polyval for the polish and the stability tag.  Returns
+    (R, X, h, stability, quintic_deriv) tuples sorted by R."""
+    k, lam = rp.kappa, rp.lam
+    mu2 = cas.mu * cas.mu
+    lin = np.array([k, lam])
+    cubic = np.array([1.0, -cas.ell, -mu2, mu2 * cas.ell])
+    slope = np.array([3.0, -2.0 * cas.ell, -mu2])
+    coeffs = np.polysub(4.0 * np.polymul(np.polymul(lin, lin), cubic),
+                        np.polymul(slope, slope))
+    rmin = r_min(cas)
+    tip = tip_class(cas)
+    scale = 1.0 + abs(rmin)
+
+    trimmed = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
+    if trimmed.size <= 1:
+        roots = np.array([])
+    else:
+        try:
+            found = np.roots(trimmed)
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingError(str(exc))
+        tol = 1e-8 * (1.0 + np.max(np.abs(found))) if found.size else 1e-8
+        roots = np.sort(found[np.abs(found.imag) <= tol].real)
+    dcoeffs = np.polyder(coeffs)
+    polished = []
+    for x in roots:
+        for _ in range(3):
+            d = np.polyval(dcoeffs, x)
+            if d == 0.0:
+                break
+            step = np.polyval(coeffs, x) / d
+            if not math.isfinite(step):
+                break
+            x -= step
+        polished.append(x)
+    polished = np.array(polished)
+    polished = np.sort(polished[polished >= rmin - merge_tol * scale])
+
+    merged = []
+    for r in polished:
+        if merged and abs(r - merged[-1]) <= merge_tol * scale:
+            merged[-1] = 0.5 * (merged[-1] + r)
+        else:
+            merged.append(float(r))
+
+    out = []
+    for r in merged:
+        if tip.is_singular and abs(r - rmin) <= 1e-7 * scale:
+            continue
+        r = max(r, rmin)
+        x_abs = math.sqrt(max(section_sq(r, cas), 0.0))
+        slope_r = -(rp.lam + rp.kappa * r)
+        c = section_sq_deriv(r, cas)
+        x = (x_abs if abs(c - 2.0 * x_abs * slope_r) <= abs(c + 2.0 * x_abs * slope_r)
+             else -x_abs)
+        sp = float(np.polyval(dcoeffs, r))
+        deriv_scale = 1.0 + abs(np.polyval(np.polyder(dcoeffs), r)) * (1.0 + abs(r))
+        if abs(sp) <= 1e-9 * deriv_scale:
+            stab = Stability.DEGENERATE
+        elif sp > 0.0:
+            stab = Stability.ELLIPTIC
+        else:
+            stab = Stability.HYPERBOLIC
+        out.append((r, x, x + rp.lam * r + 0.5 * rp.kappa * r * r, stab, sp))
+    if tip.is_singular:
+        out.append((rmin, 0.0, rp.lam * rmin + 0.5 * rp.kappa * rmin * rmin,
+                    Stability.SINGULAR_TIP, float(np.polyval(dcoeffs, rmin))))
+    return sorted(out, key=lambda e: e[0])
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def _nudged(x, ulps):
+    """x moved by ``ulps`` (-1, 0 or 1) units in the last place."""
+    return float(np.nextafter(x, math.copysign(math.inf, ulps))) if ulps else x
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+_kappa = st.floats(0.0, 3.0, allow_nan=False)
+_ulps = st.sampled_from((-1, 0, 1))
+_negative = st.floats(-3.0, -1e-3, allow_nan=False)
+_draws = st.one_of(
+    # generic points, and the same at kappa = 0
+    st.tuples(_coord, _coord, _coord, _kappa),
+    st.tuples(_coord, _coord, _coord, st.just(0.0)),
+    # mu = 0 exactly: the quintic has a trailing zero root
+    st.tuples(st.just(0.0), _coord, _coord, _kappa),
+    # the four strata of the reduced spaces, with +-1 ulp of noise
+    st.builds(lambda m, u, lam, k: (m, _nudged(abs(m), u), lam, k),
+              _coord, _ulps, _coord, _kappa),                 # |mu| = ell
+    st.builds(lambda u, ell, lam, k: (_nudged(0.0, u), ell, lam, k),
+              _ulps, _negative, _coord, _kappa),              # mu = 0, ell < 0
+    st.builds(lambda u, v, lam, k: (_nudged(0.0, u), _nudged(0.0, v), lam, k),
+              _ulps, _ulps, _coord, _kappa),                  # the origin
+    st.builds(lambda m, u, lam, k: (m, _nudged(-abs(m), u), lam, k),
+              _negative, _ulps, _coord, _kappa),              # ell = -|mu| < 0
+)
+
+
+@given(_draws)
+@settings(max_examples=400, deadline=None)
+def test_equilibria_match_numpy_oracle_bit_for_bit(draw):
+    mu, ell, lam, kappa = draw
+    cas, rp = CasimirValues(mu, ell), ReducedParams(lam=lam, kappa=kappa)
+    try:
+        with np.errstate(all="ignore"):  # huge roots overflow silently in the kernel
+            expected = _equilibria_numpy_oracle(cas, rp)
+    except RootFindingError:
+        with pytest.raises(RootFindingError):
+            equilibria(cas, rp)
+        return
+    got = equilibria(cas, rp)
+    assert [(_bits(e.R), _bits(e.X), _bits(e.h), e.stability, _bits(e.quintic_deriv))
+            for e in got] == [(_bits(r), _bits(x), _bits(h), stab, _bits(sp))
+                              for r, x, h, stab, sp in expected]
+
+
+@pytest.mark.parametrize("mu, ell, lam, kappa", [
+    (1.4937895283064293, 1.4937895283064293, 0.0, 2.325513759512814),  # merge
+    (0, 0, -0.5, 1),                                                    # cusp tip
+    (0.3, -0.2, -0.4, 1.0),                                             # generic
+])
+def test_equilibrium_fields_are_python_floats(mu, ell, lam, kappa):
+    eqs = equilibria(CasimirValues(mu, ell), ReducedParams(lam=lam, kappa=kappa))
+    assert eqs
+    for e in eqs:
+        for value in (e.R, e.X, e.h, e.quintic_deriv):
+            assert type(value) is float, (e, value)
 
 
 def test_vector_field_bracket_convention():
