@@ -15,8 +15,8 @@ from .reduced_dynamics import (Equilibrium, ReducedParams, Stability,
                                integrate_orbit, internal_frequencies,
                                reduced_h, vector_field)
 from .bifurcations import (BifurcationEvent, BifurcationKind, CatalogPoint,
-                           InstabilityInterval, Quartic, a0_root,
-                           catalog_point, catalog_point_kappa0,
+                           InstabilityInterval, LambdaStratum, Quartic,
+                           a0_root, catalog_point, catalog_point_kappa0,
                            catalog_slice, catalog_surface,
                            classify_multiple_root, f_quartic, family_domain,
                            hopf_cusp_slice, instability_interval,

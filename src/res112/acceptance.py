@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bifurcations import (BifurcationKind, catalog_point,
+from .bifurcations import (BifurcationKind, LambdaStratum, catalog_point,
                            catalog_point_kappa0, classify_multiple_root,
                            f_quartic, family_domain, instability_interval,
                            residual_scale, solve_bifurcations_numeric,
-                           _cs_domains, _event_distance)
+                           _event_distance)
 from .critical_values import classify_fiber
 from .errors import LoopError, Res112Error, ValidationError
 from .model import (CasimirValues, FullState, InvariantPoint, ModelParams,
@@ -135,7 +135,7 @@ def _event_catalog_distance(ev):
     evaluated at the event by the solver's own tagging rule."""
     if ev.family is None:
         return math.inf
-    return _event_distance(ev, ev.family, _cs_domains(ev.lam, ev.kappa))
+    return _event_distance(ev, ev.family, LambdaStratum(ev.lam, ev.kappa).domains)
 
 
 def check_oracle_equivalence() -> AcceptanceResult:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -84,20 +85,18 @@ class Quartic:
     coeffs: tuple  # (c0, c1, c2, c3, c4)
     kappa: float
 
-    def value(self, R):
-        return np.polynomial.polynomial.polyval(R, self.coeffs)
+    def _derivative(self, order: int, R: float) -> float:
+        """The order-th derivative at a scalar R, with the bits of
+        np.polynomial.polynomial.polyval and polyder."""
+        c = self.coeffs[::-1]
+        for _ in range(order):
+            c = polyroots.polyder(c)
+        return polyroots.polyval(c, R)
 
-    def d1(self, R):
-        c = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(R, c)
-
-    def d2(self, R):
-        c = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return np.polynomial.polynomial.polyval(R, c)
-
-    def d3(self, R):
-        c = np.polynomial.polynomial.polyder(self.coeffs, 3)
-        return np.polynomial.polynomial.polyval(R, c)
+    value = partialmethod(_derivative, 0)
+    d1 = partialmethod(_derivative, 1)
+    d2 = partialmethod(_derivative, 2)
+    d3 = partialmethod(_derivative, 3)
 
     @property
     def d4(self) -> float:
@@ -402,11 +401,6 @@ class CatalogPoint:
     kappa: float
     boundary: bool = False  # lam = 1/(2 kappa) points of CS1/CS2, kept by continuity
 
-    def as_event(self) -> BifurcationEvent:
-        return BifurcationEvent(kind=self.kind, a=self.a, b=self.b, h=self.h,
-                                lam=self.lam, mu=self.mu, ell=self.ell,
-                                kappa=self.kappa, family=self.family)
-
 
 def _hopf_point(family, lam, mu, ell, kappa, kind) -> CatalogPoint:
     a = max(abs(mu), ell)  # Hopf roots sit at the tip
@@ -489,17 +483,21 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
             raise ValidationError("Cusp3 is parametrised by mu")
         if not abs(mu) < 0.5 / k ** 2:
             raise ValidationError("Cusp3 needs |mu| < 1/(2 kappa^2)")
-        lam = 0.5 / k
-        a = 0.5 / k ** 2
-        ell = 0.25 / k ** 2 + k ** 2 * mu * mu
-        h = 0.125 / k ** 3 + k * mu * mu
-        return CatalogPoint(family=family, kind=BifurcationKind.CUSP, lam=lam,
-                            mu=mu, ell=ell, a=a, b=a, h=h, kappa=k)
+        return _cusp3_point(mu, k)
 
     # centre-saddle families
     if a is None:
         raise ValidationError(f"family {family} needs the triple root a")
     return _cs_probe(family, lam, a, sign, k, *family_domain(family, lam, k))
+
+
+def _cusp3_point(mu: float, k: float) -> CatalogPoint:
+    """Cusp3 point at mu, without the range check: the solver's cusp line
+    also takes the end points |mu| = 1/(2 kappa^2), the HHdeg1/2 points."""
+    a = 0.5 / k ** 2
+    return CatalogPoint(family="Cusp3", kind=BifurcationKind.CUSP, lam=0.5 / k,
+                        mu=mu, ell=0.25 / k ** 2 + k ** 2 * mu * mu, a=a, b=a,
+                        h=0.125 / k ** 3 + k * mu * mu, kappa=k)
 
 
 def _at_lambda_half(lam: float, k: float) -> bool:
@@ -617,20 +615,46 @@ def _cs_point_kappa0(family: str, lam: float, a: float, sign: int,
 _TWO_SIGN_FAMILIES = ("CS3", "CS4", "CS3_k0")
 
 
-def _cs_domains(lam: float, kappa: float) -> dict[str, tuple[float, float]]:
-    """family: (lo, hi) of each centre-saddle family with points at lam, in
-    catalog order."""
-    if kappa == 0.0:
-        families = ("CS1_k0", "CS2_k0", "CS3_k0")
-    else:
-        families = ("CS1", "CS2", "CS3", "CS4")
-    out = {}
-    for family in families:
-        try:
-            out[family] = family_domain(family, lam, kappa)
-        except Res112Error:
-            continue
-    return out
+@dataclass(frozen=True)
+class LambdaStratum:
+    """The part of the bifurcation set at one lam that every plane
+    ell = const shares: ``domains`` for the catalog route, ``oracle`` for
+    the numeric one.  Each is computed on first use and kept, so the planes
+    at one lam cost one a0_root per route; the oracle takes its own
+    structural points, so the routes stay independent."""
+
+    lam: float
+    kappa: float = 1.0
+
+    @cached_property
+    def domains(self) -> dict[str, tuple[float, float]]:
+        """family: (lo, hi) of each centre-saddle family with points at lam
+        (family_domain), in catalog order."""
+        families = (("CS1_k0", "CS2_k0", "CS3_k0") if self.kappa == 0.0
+                    else ("CS1", "CS2", "CS3", "CS4"))
+        out = {}
+        for family in families:
+            try:
+                out[family] = family_domain(family, self.lam, self.kappa)
+            except Res112Error:
+                continue
+        return out
+
+    @cached_property
+    def oracle(self) -> tuple[list[BifurcationEvent], list[float], list[list[float]]]:
+        """(events, grid, table) of the numeric oracle at lam: no events, 129
+        equally spaced a-values up to 1.05 times the largest of 1 and the
+        structural points (_structural_points) plus those points, and the
+        _m_branches_numeric roots at each.  At lam = 0 and 1/(2 kappa)
+        (_special_lambda), where the eliminated quartic degenerates, the
+        events of solve_bifurcations_numeric(lam, kappa, n_grid=201) and an
+        empty grid and table instead."""
+        lam, kappa = self.lam, self.kappa
+        if _special_lambda(lam, kappa) is not None:
+            return solve_bifurcations_numeric(lam, kappa, n_grid=201), [], []
+        pts = _structural_points(lam, kappa)
+        grid = _a_grid(1.05 * max([1.0, *pts]), 129, pts)
+        return [], grid, [_m_branches_numeric(a, lam, kappa) for a in grid]
 
 
 def _cs_probe(family: str, lam: float, a: float, sign: int, kappa: float,
@@ -654,10 +678,9 @@ def _family_point(family: str, lam: float | None, mu: float | None,
     return catalog_point(family, lam=lam, mu=mu, kappa=kappa)
 
 
-def catalog_slice(lam: float, ell_target: float,
-                  kappa: float = 1.0) -> list[tuple]:
+def catalog_slice(st: LambdaStratum, ell_target: float) -> list[tuple]:
     """Centre-saddle points of the closed-form catalog on the plane
-    ell = ell_target at one lam.
+    ell = ell_target at the stratum's lam.
 
     Their triple roots a are real roots of the slice quartic
     (_slice_quartic_coeffs); for kappa = 0 it degenerates to
@@ -668,12 +691,13 @@ def catalog_slice(lam: float, ell_target: float,
     Hopf point the quartic's roots on the two mu^2-branches nearly coincide
     and lose their accuracy, while each branch's own root stays well
     conditioned.  A root counts once per family and mu-branch sign when it
-    lies in the family's family_domain interval less 1e-9 of its width at
-    each end, its last Newton step is below 1e-6 of that width, and its ell
-    lies within 1e-9 max(1, |ell_target|) of the plane.  lam = 0 gives no
-    rows.  Returns (family, lam, mu, ell, a, h)
-    tuples in family, sign and a order.
+    lies in the family's interval of ``st.domains`` less 1e-9 of its width
+    at each end, its last Newton step is below 1e-6 of that width, and its
+    ell lies within 1e-9 max(1, |ell_target|) of the plane.  lam = 0 gives
+    no rows.  Returns (family, lam, mu, ell, a, h) tuples in family, sign
+    and a order.
     """
+    lam, kappa = st.lam, st.kappa
     steps = 0
     if kappa == 0.0:
         starts = [(ell_target + lam * lam) / 3.0]
@@ -685,7 +709,7 @@ def catalog_slice(lam: float, ell_target: float,
         steps = 2
     tol = 1e-9 * max(1.0, abs(ell_target))
     rows = []
-    for family, (lo, hi) in _cs_domains(lam, kappa).items():
+    for family, (lo, hi) in st.domains.items():
         pad, near = 1e-9 * (hi - lo), 1e-6 * (hi - lo)
         branch = 1 if family == "CS3" else -1  # CS3 is the m_plus sheet
         for sign in ((1, -1) if family in _TWO_SIGN_FAMILIES else (1,)):
@@ -786,7 +810,7 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
     lam_grid = np.linspace(lam_lo, lam_hi, n)
     for lam in lam_grid:
         lam = float(lam)
-        for family, (lo, hi) in _cs_domains(lam, kappa).items():
+        for family, (lo, hi) in LambdaStratum(lam, kappa).domains.items():
             if not hi > lo:
                 continue
             signs = (1, -1) if family in _TWO_SIGN_FAMILIES else (1,)
@@ -944,11 +968,12 @@ def _a_grid(a_hi: float, n: int, pts) -> list[float]:
                   | {a for a in pts if 0.0 <= a <= a_hi})
 
 
-def _branch_crossings(grid: list[float], g, lam: float,
-                      kappa: float) -> list[tuple[float, float]]:
+def _branch_crossings(grid: list[float], table: list[list[float]], g,
+                      lam: float, kappa: float) -> list[tuple[float, float]]:
     """Roots of g(a, m) along each mu^2-branch m(a) of _m_branches_numeric.
 
-    ``grid`` is an increasing list of a-values.  On the smaller root
+    ``grid`` is an increasing list of a-values and ``table`` the
+    _m_branches_numeric roots at each of them.  On the smaller root
     (branch 0), then on the larger (branch 1), g is evaluated at every grid
     point where the branch has a real m >= 0.  A value of exactly zero is a
     root; a strict sign change between neighbours is polished by brentq
@@ -957,7 +982,6 @@ def _branch_crossings(grid: list[float], g, lam: float,
     """
     from scipy.optimize import brentq
 
-    ms_grid = [_m_branches_numeric(a, lam, kappa) for a in grid]
     out = []
     for which in (0, 1):
         def on_branch(a, ms):
@@ -968,7 +992,7 @@ def _branch_crossings(grid: list[float], g, lam: float,
         def g_at(a):
             return on_branch(a, _m_branches_numeric(a, lam, kappa))
 
-        vals = [on_branch(a, ms) for a, ms in zip(grid, ms_grid)]
+        vals = [on_branch(a, ms) for a, ms in zip(grid, table)]
         roots = [a for a, v in zip(grid, vals) if v == 0.0]
         for i in range(len(grid) - 1):
             v0, v1 = vals[i], vals[i + 1]
@@ -1018,45 +1042,39 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     pts = _structural_points(lam, kappa)
     a_max = 1.2 * max([0.0, *pts, *([1.0 / kappa ** 2] if kappa else [])]) + 0.5
     grid = _a_grid(a_max, n_grid, pts)
+    table = [_m_branches_numeric(a, lam, kappa) for a in grid]
 
     def tip_gap(a, m):
         return a - max(math.sqrt(m), _ell_from_am(a, m, lam, kappa))
 
-    on_grid = [(a, m) for a in grid
-               for m in _m_branches_numeric(a, lam, kappa) if m >= 0.0]
-    events = _unique_events(
-        ev for a, m in on_grid + _branch_crossings(grid, tip_gap, lam, kappa)
-        for ev in _events_from_am(a, m, lam, kappa))
+    on_grid = [(a, m) for a, ms in zip(grid, table) for m in ms if m >= 0.0]
+    crossings = _branch_crossings(grid, table, tip_gap, lam, kappa)
+    events = _unique_events(ev for a, m in on_grid + crossings
+                            for ev in _events_from_am(a, m, lam, kappa))
     events.sort(key=lambda e: (e.a, e.mu, e.kind.value))
     return _tag_events(events, lam, kappa)
 
 
-def oracle_slice(lam: float, ell_target: float,
-                 kappa: float = 1.0) -> list[tuple]:
-    """Numeric-oracle points on the plane ell = ell_target at one lam.
+def oracle_slice(st: LambdaStratum, ell_target: float) -> list[tuple]:
+    """Numeric-oracle points on the plane ell = ell_target at the stratum's
+    lam.
 
-    Independent of the catalog: along each root branch of the eliminated
-    quadratic in mu^2, the roots of ell(a) - ell_target are found
-    (_branch_crossings) on 129 equally spaced a-values up to 1.05 times the
-    largest of 1 and the structural points, plus those points; points
-    below the tip are dropped.  At lam = 0 and lam = 1/(2 kappa)
-    (_special_lambda) the events of solve_bifurcations_numeric within 1e-6
-    of the plane are taken instead.  Returns ("numeric-oracle", lam, mu,
-    ell, a, h) tuples.
+    Independent of the catalog: the events of ``st.oracle`` within 1e-6 of
+    the plane (there are some only at lam = 0 and lam = 1/(2 kappa)), then,
+    along each root branch of the eliminated quadratic in mu^2, the roots
+    of ell(a) - ell_target on the oracle's grid (_branch_crossings); points
+    below the tip are dropped.  Returns ("numeric-oracle", lam, mu, ell, a,
+    h) tuples.
     """
-    rows = []
-    if _special_lambda(lam, kappa) is not None:
-        for ev in solve_bifurcations_numeric(lam, kappa, n_grid=201):
-            if abs(ev.ell - ell_target) <= 1e-6:
-                rows.append(("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h))
-        return rows
-    pts = _structural_points(lam, kappa)
-    grid = _a_grid(1.05 * max([1.0, *pts]), 129, pts)
+    lam, kappa = st.lam, st.kappa
+    events, grid, table = st.oracle
+    rows = [("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h)
+            for ev in events if abs(ev.ell - ell_target) <= 1e-6]
 
     def off_plane(a, m):
         return _ell_from_am(a, m, lam, kappa) - ell_target
 
-    for a, m in _branch_crossings(grid, off_plane, lam, kappa):
+    for a, m in _branch_crossings(grid, table, off_plane, lam, kappa):
         ell, h = _ell_from_am(a, m, lam, kappa), _h_from_am(a, m, lam, kappa)
         for sgn in _mu_signs(m):
             mu = sgn * math.sqrt(m)
@@ -1092,36 +1110,24 @@ def _events_lambda_zero(kappa: float) -> list[BifurcationEvent]:
 def _events_lambda_half(kappa: float, n_grid: int) -> list[BifurcationEvent]:
     """Special case lam = 1/(2 kappa): the eliminated quartic factorises as
     (2 kappa^2 a - 1)^3 (mu^2 - 2 kappa^2 a^3)."""
-    lam = 0.5 / kappa
-    events: list[BifurcationEvent] = []
-    # cusp line: a fixed at 1/(2 kappa^2), mu free
-    a_c = 0.5 / kappa ** 2
-    for mu in np.linspace(-a_c, a_c, max(n_grid // 8, 33)):
-        ell = 0.25 / kappa ** 2 + kappa ** 2 * mu * mu
-        h = 0.125 / kappa ** 3 + kappa * mu * mu
-        cas = CasimirValues(mu=float(mu), ell=ell)
-        q = f_quartic(h, ReducedParams(lam=lam, kappa=kappa), cas)
+    lam, a_c, n = 0.5 / kappa, 0.5 / kappa ** 2, max(n_grid // 8, 33)
+    # the catalog's closed forms on closed ranges: the Cusp3 line for
+    # |mu| <= a_c (so with its HHdeg1/2 end points), then the centre-saddle
+    # sheet mu^2 = 2 kappa^2 a^3 on [0, a_c] (so with its Hopf end point a = 0)
+    points = [_cusp3_point(float(mu), kappa) for mu in np.linspace(-a_c, a_c, n)]
+    for a in np.linspace(0.0, a_c, n):
+        pt = _cs_point_lambda_half("CS2", float(a), kappa, -math.inf, math.inf)
+        points += [replace(pt, mu=sgn * pt.mu) for sgn in _mu_signs(pt.mu * pt.mu)]
+    events = []
+    for pt in points:
+        cas = CasimirValues(mu=pt.mu, ell=pt.ell)
+        q = f_quartic(pt.h, ReducedParams(lam=lam, kappa=kappa), cas)
         try:
-            kind = classify_multiple_root(a_c, q, cas)
+            kind = classify_multiple_root(pt.a, q, cas)
         except AmbiguousClassificationError:
             continue
-        events.append(BifurcationEvent(kind=kind, a=a_c, b=a_c, h=h, lam=lam,
-                                       mu=float(mu), ell=ell, kappa=kappa))
-    # centre-saddle sheet mu^2 = 2 kappa^2 a^3 from the catalog's boundary
-    # formula, on the closed range [0, a_c] (so with its Hopf endpoint a = 0)
-    for a in np.linspace(0.0, a_c, max(n_grid // 8, 33)):
-        pt = _cs_point_lambda_half("CS2", float(a), kappa, -math.inf, math.inf)
-        for sgn in _mu_signs(pt.mu * pt.mu):
-            mu = sgn * pt.mu
-            cas = CasimirValues(mu=mu, ell=pt.ell)
-            q = f_quartic(pt.h, ReducedParams(lam=lam, kappa=kappa), cas)
-            try:
-                kind = classify_multiple_root(pt.a, q, cas)
-            except AmbiguousClassificationError:
-                continue
-            events.append(BifurcationEvent(kind=kind, a=pt.a, b=pt.b, h=pt.h,
-                                           lam=lam, mu=mu, ell=pt.ell,
-                                           kappa=kappa))
+        events.append(BifurcationEvent(kind=kind, a=pt.a, b=pt.b, h=pt.h, lam=lam,
+                                       mu=pt.mu, ell=pt.ell, kappa=kappa))
     events = _unique_events(events)
     events.sort(key=lambda e: (e.a, e.mu, e.kind.value))
     return events
@@ -1133,9 +1139,9 @@ def _event_distance(ev: BifurcationEvent, family: str,
     evaluated at the event; inf where the family has no point there.
 
     A centre-saddle family is evaluated at the event's a and mu-sign when a
-    lies in the closed range that ``domains`` (_cs_domains at the event's
-    lam) gives it; any other family through _family_point, and its point
-    must lie within MATCH_RADIUS of the event's lam.
+    lies in the closed range that ``domains`` (LambdaStratum.domains at the
+    event's lam) gives it; any other family through _family_point, and its
+    point must lie within MATCH_RADIUS of the event's lam.
     """
     try:
         if family_kind(family) is BifurcationKind.CENTRE_SADDLE:
@@ -1158,7 +1164,7 @@ def _tag_events(events, lam: float, kappa: float) -> list[BifurcationEvent]:
     """The events at lam, each tagged with the family of its kind
     (family_kind) whose catalog point lies nearest in (mu, ell) and within
     MATCH_RADIUS (_event_distance); family None where none does."""
-    domains = _cs_domains(lam, kappa)
+    domains = LambdaStratum(lam, kappa).domains
     by_kind: dict[BifurcationKind, list[str]] = {}
     for family in (KAPPA0_FAMILIES if kappa == 0.0 else CATALOG_FAMILIES):
         by_kind.setdefault(family_kind(family), []).append(family)

@@ -20,8 +20,8 @@ import click
 import numpy as np
 
 from . import acceptance
-from .bifurcations import (catalog_point, catalog_slice, catalog_surface,
-                           hopf_cusp_slice, oracle_slice)
+from .bifurcations import (LambdaStratum, catalog_point, catalog_slice,
+                           catalog_surface, hopf_cusp_slice, oracle_slice)
 from .critical_values import (classify_fiber, critical_slice,
                               minimum_crossing_loci, thread_segments)
 from .errors import NumericalError, Res112Error, ValidationError
@@ -104,14 +104,16 @@ def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out):
 
     header = ["provenance", "ell_slice", "lambda", "mu", "ell", "a", "h"]
     rows = []
-    for ell_t in ells:
-        found = []
-        for lam in lam_grid:
-            found += catalog_slice(float(lam), ell_t, kappa)
+    for lam in lam_grid:
+        st = LambdaStratum(float(lam), kappa)
+        for ell_t in ells:
+            found = catalog_slice(st, ell_t)
             if oracle:
-                found += oracle_slice(float(lam), ell_t, kappa)
-        found += hopf_cusp_slice(ell_t, kappa, lo, hi)
-        rows += [(fam, ell_t, lam, mu, l, a, h) for fam, lam, mu, l, a, h in found]
+                found += oracle_slice(st, ell_t)
+            rows += [(fam, ell_t, *rest) for fam, *rest in found]
+    for ell_t in ells:
+        found = hopf_cusp_slice(ell_t, kappa, lo, hi)
+        rows += [(fam, ell_t, *rest) for fam, *rest in found]
     rows.sort(key=lambda r: (r[1], r[0], r[2], r[3]))
     ext = "csv" if fmt == "csv" else "jsonl"
     _write_rows(f"{out}_slices.{ext}", header, rows, fmt)

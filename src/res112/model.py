@@ -71,11 +71,6 @@ class ModelParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"ModelParams.{name} must be finite")
 
-    @property
-    def kappa_is_zero(self) -> bool:
-        """Flag for the degenerate regime where the R^2 coefficient vanishes."""
-        return self.kappa == 0.0
-
 
 @dataclass(frozen=True)
 class CasimirValues:
@@ -91,10 +86,6 @@ class CasimirValues:
     @property
     def iota(self) -> float:
         return 0.5 * (self.mu + self.ell)
-
-    @classmethod
-    def from_nj(cls, mu: float, iota: float) -> "CasimirValues":
-        return cls(mu=mu, ell=2.0 * iota - mu)
 
 
 @dataclass(frozen=True)

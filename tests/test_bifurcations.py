@@ -9,13 +9,13 @@ import pytest
 from scipy.optimize import brentq
 
 from res112 import (AmbiguousClassificationError, BifurcationKind,
-                    CasimirValues, ReducedParams, Res112Error,
+                    CasimirValues, LambdaStratum, ReducedParams, Res112Error,
                     ValidationError, a0_root, catalog_point,
                     catalog_point_kappa0, catalog_slice,
                     classify_multiple_root, f_quartic, family_domain,
                     hopf_cusp_slice, instability_interval, kappa_scaling,
                     oracle_slice, solve_bifurcations_numeric)
-from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_domains, _cs_probe,
+from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_probe,
                                  _discriminant_core, _ell_from_mu2,
                                  _ell_slope, _event_distance,
                                  _mu2_branches, a_quadruple,
@@ -380,7 +380,7 @@ def test_numeric_solver_recovers_catalog(kappa, lam1):
     assert all(e.family is not None for e in evs)
     for e in evs:
         if e.family.startswith("CS"):
-            assert _event_distance(e, e.family, _cs_domains(e.lam, kappa)) <= 1e-6
+            assert _event_distance(e, e.family, LambdaStratum(e.lam, kappa).domains) <= 1e-6
     _assert_events_verify(evs, kappa)
 
 
@@ -432,7 +432,7 @@ def test_numeric_solver_kappa_scaling_covariance():
         assert s.lam == pytest.approx(0.3)
         scaled = replace(e, kappa=1.0, lam=s.lam, mu=s.mu, ell=s.ell, a=s.R, h=s.h)
         assert _event_distance(scaled, e.family,
-                               _cs_domains(s.lam, 1.0)) <= 1e-8
+                               LambdaStratum(s.lam, 1.0).domains) <= 1e-8
 
 
 def _newton_triple_root(lam: float, kappa: float, mu: float, a0: float,
@@ -643,7 +643,7 @@ def _catalog_slice_scan_oracle(lam, ell_target, kappa):
     on 65 points once per mu-branch sign, and every sign change of
     ell(a) - ell_target is polished by brentq to xtol 1e-13."""
     rows = []
-    for family, (lo, hi) in _cs_domains(lam, kappa).items():
+    for family, (lo, hi) in LambdaStratum(lam, kappa).domains.items():
         if not hi > lo:
             continue
         pad = 1e-9 * (hi - lo)
@@ -699,7 +699,7 @@ def _random_slices(kappa, n, seed):
         if len(out) % 2 == 0:
             out.append((lam, float(rng.uniform(-2.5, 1.2)) / scale ** 2))
             continue
-        domains = list(_cs_domains(lam, kappa).items())
+        domains = list(LambdaStratum(lam, kappa).domains.items())
         if not domains:
             continue
         family, (lo, hi) = domains[rng.integers(len(domains))]
@@ -719,7 +719,7 @@ def _by_family_sign_a(rows):
 @pytest.mark.parametrize("kappa", [0.0, 0.7, 1.0, 2.0])
 def test_catalog_slice_matches_scan_oracle(kappa):
     for lam, ell in _random_slices(kappa, 300, seed=2718 + int(10 * kappa)):
-        got = _by_family_sign_a(catalog_slice(lam, ell, kappa))
+        got = _by_family_sign_a(catalog_slice(LambdaStratum(lam, kappa), ell))
         want = _by_family_sign_a(_catalog_slice_scan_oracle(lam, ell, kappa))
         assert [(r[0], math.copysign(1.0, r[2])) for r in got] == \
             [(r[0], math.copysign(1.0, r[2])) for r in want], (kappa, lam, ell)
@@ -738,7 +738,7 @@ def test_catalog_slice_matches_scan_oracle(kappa):
     (1.0, 0.9996995197013803, -0.9993990066788995, ["CS1", "CS2", "CS4", "CS4"]),
 ])
 def test_catalog_slice_matches_scan_oracle_at_hard_planes(kappa, lam, ell, families):
-    got = _by_family_sign_a(catalog_slice(lam, ell, kappa))
+    got = _by_family_sign_a(catalog_slice(LambdaStratum(lam, kappa), ell))
     want = _by_family_sign_a(_catalog_slice_scan_oracle(lam, ell, kappa))
     assert [r[0] for r in got] == [r[0] for r in want] == families
     for g, w in zip(got, want):
@@ -750,7 +750,8 @@ def test_catalog_slice_matches_scan_oracle_at_hard_planes(kappa, lam, ell, famil
 def test_catalog_slice_rows_are_triple_roots_on_their_plane(kappa):
     n_rows = 0
     for lam, ell in _random_slices(kappa, 600, seed=1618 + int(10 * kappa)):
-        for fam, lam_r, mu, ell_r, a, h in catalog_slice(lam, ell, kappa):
+        st = LambdaStratum(lam, kappa)
+        for fam, lam_r, mu, ell_r, a, h in catalog_slice(st, ell):
             n_rows += 1
             assert lam_r == lam and abs(ell_r - ell) <= 1e-9
             cas = CasimirValues(mu, ell_r)
@@ -766,7 +767,7 @@ def test_catalog_slice_through_the_cusp():
     # scan reports a CS1/CS2 pair at the padded end a = hi - pad, the
     # quartic's split pair is complex, and hopf_cusp_slice owns the point
     lam, ell = 0.625, -0.125
-    assert catalog_slice(lam, ell, 1.0) == []
+    assert catalog_slice(LambdaStratum(lam, 1.0), ell) == []
     scan = _catalog_slice_scan_oracle(lam, ell, 1.0)
     assert [r[0] for r in scan] == ["CS1", "CS2"]
     assert all(r[4] == pytest.approx(0.375 - 3.75e-10, abs=1e-15) for r in scan)
@@ -783,7 +784,7 @@ def test_catalog_slice_root_at_the_cs4_domain_end():
     lam, ell = 0.5625, 0.0
     lo, hi = family_domain("CS4", lam, 1.0)
     assert abs(hi - 0.5625) <= 2e-16
-    rows = catalog_slice(lam, ell, 1.0)
+    rows = catalog_slice(LambdaStratum(lam, 1.0), ell)
     assert [r[0] for r in rows] == ["CS1", "CS2"]
     assert [r[0] for r in _catalog_slice_scan_oracle(lam, ell, 1.0)] == ["CS1", "CS2"]
     assert rows[0][4] == pytest.approx(0.27441317200313, abs=1e-13)
@@ -791,13 +792,14 @@ def test_catalog_slice_root_at_the_cs4_domain_end():
 
 def test_catalog_slice_is_empty_where_there_are_no_interior_points():
     for kappa in (0.0, 1.0, 2.0):
-        assert catalog_slice(0.0, 0.1, kappa) == []
+        assert catalog_slice(LambdaStratum(0.0, kappa), 0.1) == []
     # exactly at lam = 1/(2 kappa) the rows are those one ulp below
-    below = [r[:1] + r[2:] for r in catalog_slice(np.nextafter(0.5, 0.0), 0.0, 1.0)]
-    assert [r[:1] + r[2:] for r in catalog_slice(0.5, 0.0, 1.0)] == below != []
+    below = [r[:1] + r[2:] for r in
+             catalog_slice(LambdaStratum(np.nextafter(0.5, 0.0), 1.0), 0.0)]
+    assert [r[:1] + r[2:] for r in catalog_slice(LambdaStratum(0.5, 1.0), 0.0)] == below != []
     # one ulp below, the boundary formula's root is a = (4 kappa^2 ell + 1)/(6 kappa^2)
     lam = float(np.nextafter(0.25, 0.0))
-    rows = catalog_slice(lam, 0.0, 2.0)
+    rows = catalog_slice(LambdaStratum(lam, 2.0), 0.0)
     assert [r[0] for r in rows] == ["CS1", "CS2"]
     assert all(r[4] == pytest.approx(1.0 / 24.0, abs=1e-16) for r in rows)
 
@@ -818,9 +820,10 @@ def test_oracle_slice_matches_catalog_slice(kappa):
             lam = float(lam)
             if abs(lam - 0.5 / kappa) < 1e-12:
                 continue
-            cat = catalog_slice(lam, ell, kappa)
+            st = LambdaStratum(lam, kappa)
+            cat = catalog_slice(st, ell)
             known = cat + hopf_cusp_slice(ell, kappa, lam, lam)
-            rows = oracle_slice(lam, ell, kappa)
+            rows = oracle_slice(st, ell)
             n_rows += len(cat)
             for r in cat:
                 assert any(near(r, o) for o in rows), (kappa, lam, ell, r)

@@ -144,32 +144,62 @@ def test_bifdiag_fig5_slice_content(tmp_path, runner):
     assert near0 and min(near0) < 2e-3
 
 
-def test_bifdiag_a0_root_once_per_lambda_and_family(tmp_path, runner,
-                                                   monkeypatch):
-    # each ell slice and the surface pass take a family's a-range once per
-    # lam; at kappa = 1 only one family (CS3 or CS4) needs a0_root at a lam,
-    # and the oracle takes it once per slice and lam for its grid
-    original = res112.bifurcations.a0_root
+def _count_calls(monkeypatch, name):
+    """Wrap res112.bifurcations.<name> wherever res112 has bound it; returns
+    the list that collects the first argument of every call."""
+    original = getattr(res112.bifurcations, name)
     calls = []
 
-    def counted(lam, *args, **kwargs):
-        calls.append(lam)
-        return original(lam, *args, **kwargs)
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if (name == "res112" or name.startswith("res112.")) \
-                and getattr(mod, "a0_root", None) is original:
-            monkeypatch.setattr(mod, "a0_root", counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "res112" or mod_name.startswith("res112.")) \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_bifdiag_a0_root_once_per_lambda_and_family(tmp_path, runner,
+                                                   monkeypatch):
+    # the catalog's family ranges and the oracle's grid depend on lam alone,
+    # so each takes a0_root once per lam whatever the number of planes (at
+    # kappa = 1 only one family, CS3 or CS4, needs it at a lam); the surface
+    # pass takes it once more per lam of its own grid
+    calls = _count_calls(monkeypatch, "a0_root")
     out = tmp_path / "bd"
-    res = runner.invoke(cli, ["bifdiag", "--ell", "0.125,-0.5", "--grid", "21",
+    res = runner.invoke(cli, ["bifdiag", "--ell", "0.125,-0.5,0.3", "--grid", "21",
                               "--out", str(out)], catch_exceptions=False)
     assert res.exit_code == 0
     slice_lams = [float(x) for x in np.linspace(-1.5, 1.5, 21)]
     surface_lams = [float(x) for x in np.linspace(-1.5, 1.5, 33)]
     assert calls
     for lam in set(calls):
-        allowed = 2 * (1 + 1) * slice_lams.count(lam) + surface_lams.count(lam)
+        allowed = 2 * slice_lams.count(lam) + surface_lams.count(lam)
         assert calls.count(lam) <= allowed, (lam, calls.count(lam))
+
+
+def test_bifdiag_solves_each_special_lambda_once(tmp_path, runner, monkeypatch):
+    # at lam = 0 and lam = 1/(2 kappa) the oracle takes the solver's events,
+    # which do not depend on the plane: three planes share one solve
+    calls = _count_calls(monkeypatch, "solve_bifurcations_numeric")
+    res = runner.invoke(cli, ["bifdiag", "--ell", "0.125,-0.5,0", "--grid", "13",
+                              "--no-surface", "--out", str(tmp_path / "bd")],
+                        catch_exceptions=False)
+    assert res.exit_code == 0
+    assert sorted(calls) == [0.0, 0.5]
+
+
+def test_bifdiag_no_oracle_runs_no_solver(tmp_path, runner, monkeypatch):
+    solves = _count_calls(monkeypatch, "solve_bifurcations_numeric")
+    branches = _count_calls(monkeypatch, "_m_branches_numeric")
+    res = runner.invoke(cli, ["bifdiag", "--ell", "0.125,-0.5,0", "--grid", "13",
+                              "--no-oracle", "--out", str(tmp_path / "bd")],
+                        catch_exceptions=False)
+    assert res.exit_code == 0
+    assert "numeric-oracle" not in (tmp_path / "bd_slices.csv").read_text()
+    assert solves == branches == []
 
 
 def test_bifdiag_rejects_negative_kappa(tmp_path, runner):

@@ -88,19 +88,32 @@ def test_newton_stays_finite_and_polishes():
     assert polyroots.newton([1.0, 0.0, -1e300], 5e-324, 3) == 5e-324
 
 
+def _dotted(node):
+    """The dotted name of an attribute chain on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *parts[::-1]]) if isinstance(node, ast.Name) else None
+
+
 def _numpy_poly_calls(path):
-    """(line, name) of every np.<name>(...) call or numpy import of a
-    routine in NUMPY_POLY_CALLS in one module."""
+    """(line, name) of every np.<name>(...) call of a routine in
+    NUMPY_POLY_CALLS or of anything in np.polynomial, and of every numpy
+    import of either, in one module."""
+    def flagged(name):
+        return name in NUMPY_POLY_CALLS or name.split(".")[0] == "polynomial"
+
     hits = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("np", "numpy")
-                and node.func.attr in NUMPY_POLY_CALLS):
-            hits.append((node.lineno, node.func.attr))
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            hits += [(node.lineno, a.name) for a in node.names
-                     if a.name in NUMPY_POLY_CALLS]
+        if isinstance(node, ast.Call):
+            root, _, name = (_dotted(node.func) or "").partition(".")
+            if root in ("np", "numpy") and flagged(name):
+                hits.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] == "numpy":
+            names = [f"{node.module}.{a.name}".partition(".")[2] for a in node.names]
+            hits += [(node.lineno, name) for name in names if flagged(name)]
     return hits
 
 
@@ -117,5 +130,9 @@ def test_guard_sees_a_numpy_roots_call(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("import numpy as np\n"
                       "r = np.roots([1.0, 2.0])\n"
-                      "v = np.polynomial.polynomial.polyval(1.0, [1.0])\n")
-    assert _numpy_poly_calls(module) == [(2, "roots")]
+                      "v = np.polynomial.polynomial.polyval(1.0, [1.0])\n"
+                      "from numpy.polynomial import polynomial\n"
+                      "s = np.sqrt(2.0)\n")
+    assert sorted(_numpy_poly_calls(module)) == [
+        (2, "roots"), (3, "polynomial.polynomial.polyval"),
+        (4, "polynomial.polynomial")]
