@@ -18,8 +18,8 @@ from .bifurcations import (BifurcationEvent, BifurcationKind, CatalogPoint,
                            InstabilityInterval, LambdaStratum, Quartic,
                            a0_root, catalog_point, catalog_point_kappa0,
                            catalog_slice, catalog_surface,
-                           classify_multiple_root, f_quartic, family_domain,
-                           hopf_cusp_slice, instability_interval,
+                           classify_multiple_root, f_quartic, families_at,
+                           family_domain, hopf_cusp_slice, instability_interval,
                            oracle_slice, solve_bifurcations_numeric)
 from .critical_values import (ComponentDescriptor, CriticalSlice, FiberKind,
                               FiberReport, SliceNode, ThreadSegments,

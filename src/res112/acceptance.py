@@ -16,9 +16,9 @@ import numpy as np
 
 from .bifurcations import (BifurcationKind, LambdaStratum, catalog_point,
                            catalog_point_kappa0, classify_multiple_root,
-                           f_quartic, family_domain, instability_interval,
-                           residual_scale, solve_bifurcations_numeric,
-                           _event_distance)
+                           f_quartic, families_at, family_domain,
+                           instability_interval, residual_scale,
+                           solve_bifurcations_numeric, _event_distance)
 from .critical_values import classify_fiber
 from .errors import LoopError, Res112Error, ValidationError
 from .model import (CasimirValues, FullState, InvariantPoint, ModelParams,
@@ -117,19 +117,6 @@ def check_catalog_verification(n=200) -> AcceptanceResult:
 
 # -- 2 -----------------------------------------------------------------------
 
-def _expected_families(lam, kappa=1.0):
-    fams = set()
-    if lam != 0.0 and lam < 0.5 / kappa:
-        fams |= {"CS1", "CS2", "CS3", "HHsub1", "HHsub2", "HHsup1", "HHsup2"}
-    if 0.5 / kappa < lam < 1.0 / kappa:
-        fams |= {"CS1", "CS2", "CS4", "Cusp1", "Cusp2"}
-    if lam < 1.0 / kappa:
-        fams.add("HHsub3")
-    if lam > 1.0 / kappa:
-        fams.add("HHsup3")
-    return fams
-
-
 def _event_catalog_distance(ev):
     """Distance of a numeric event from its tagged catalog stratum,
     evaluated at the event by the solver's own tagging rule."""
@@ -147,7 +134,7 @@ def check_oracle_equivalence() -> AcceptanceResult:
     for lam in (-1.0, 0.3, 0.48, 0.52, 0.75, 1.5):
         evs = solve_bifurcations_numeric(lam, 1.0, n_grid=801)
         found = {e.family for e in evs if e.family}
-        exp = _expected_families(lam)
+        exp = set(families_at(lam))
         if found != exp:
             problems.append(f"lam={lam}: families {found} != {exp}")
         n_un = sum(1 for e in evs if e.family is None)

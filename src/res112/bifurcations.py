@@ -332,6 +332,34 @@ def a0_root(lam: float, kappa: float = 1.0) -> float:
     return a0
 
 
+def families_at(lam: float, kappa: float = 1.0) -> tuple[str, ...]:
+    """The families parametrised by lam that have points at lam, in
+    CATALOG_FAMILIES order (KAPPA0_FAMILIES for kappa = 0).
+
+    The set changes only at kappa lam = 0, 1/2 and 1, where the three Hopf
+    parabolas meet the cusp and centre-saddle sheets.  Within 1e-14/kappa
+    of lam = 1/(2 kappa) (_at_lambda_half), where CS1 and CS2 take the
+    boundary formula, CS3 and CS4 have no points.  The kappa = 0 families
+    exist wherever lam != 0.  The families at a fixed lam, the Cusp3 line
+    and HHdeg1..3, are not listed.  Raises UnsupportedRegimeError for
+    kappa < 0.
+    """
+    if kappa < 0.0:
+        raise UnsupportedRegimeError("the catalog covers kappa >= 0; use kappa_scaling")
+    if kappa == 0.0:
+        return KAPPA0_FAMILIES if lam != 0.0 else ()
+    half, one = 0.5 / kappa, 1.0 / kappa
+    band = _at_lambda_half(lam, kappa)
+    cs = lam != 0.0 and lam < one
+    fold = half < lam < one
+    present = {"CS1": cs, "CS2": cs, "CS3": cs and lam < half and not band,
+               "CS4": fold and not band, "Cusp1": fold, "Cusp2": fold,
+               "HHsub1": lam < half, "HHsub2": lam < half,
+               "HHsub3": lam < one, "HHsup1": lam < half,
+               "HHsup2": lam < half, "HHsup3": lam > one}
+    return tuple(f for f in CATALOG_FAMILIES if present.get(f, False))
+
+
 def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, float]:
     """Open interval (lo, hi) of the triple root a over which a centre-saddle
     family has points at lam.
@@ -345,45 +373,33 @@ def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, f
 
     The kappa = 0 families CS1_k0, CS2_k0 and CS3_k0 span (0, lam^2/2),
     (0, lam^2/2) and (4 lam^2/9, lam^2/2); kappa is not used for them.
-    Raises ValidationError at lam = 0 and wherever the family has no
-    stratum, and UnsupportedRegimeError for CS1..CS4 with kappa <= 0.
+    Raises ValidationError wherever the family has no points at lam
+    (families_at), and UnsupportedRegimeError for CS1..CS4 with kappa <= 0.
     Within 1e-14/kappa of lam = 1/(2 kappa), where the catalog uses the
-    boundary formula, CS1 and CS2 span (0, 1/(2 kappa^2)) and CS3 and CS4
-    have no points.
+    boundary formula, CS1 and CS2 span (0, 1/(2 kappa^2)).
     ``a0_root`` runs at most once per call, so callers that probe many a at
     one lam compute the interval once and pass it on.
     """
-    if family in ("CS1_k0", "CS2_k0", "CS3_k0"):
-        if lam == 0.0:
-            raise ValidationError("kappa = 0 families need lam != 0")
+    if family not in ("CS1", "CS2", "CS3", "CS4", "CS1_k0", "CS2_k0", "CS3_k0"):
+        raise ValidationError(f"{family!r} is not a centre-saddle family")
+    k0 = family.endswith("_k0")
+    if not k0 and kappa <= 0.0:
+        raise UnsupportedRegimeError("centre-saddle a-ranges need kappa > 0")
+    if family not in families_at(lam, 0.0 if k0 else kappa):
+        raise ValidationError(f"{family} has no points at lam = {lam}")
+    if k0:
         L2 = lam * lam
         return (4.0 * L2 / 9.0 if family == "CS3_k0" else 0.0), 0.5 * L2
-    if family not in ("CS1", "CS2", "CS3", "CS4"):
-        raise ValidationError(f"{family!r} is not a centre-saddle family")
-    if kappa <= 0.0:
-        raise UnsupportedRegimeError("centre-saddle a-ranges need kappa > 0")
-    if lam == 0.0:
-        raise ValidationError(
-            "no centre-saddle strata at lam = 0: only the resonant equilibrium "
-            "and the two supercritical Hopf points exist there")
     k = kappa
-    if _at_lambda_half(lam, k):
-        if family in ("CS1", "CS2"):
-            return 0.0, 0.5 / k ** 2
-        raise ValidationError(f"{family} has no points at lam = 1/(2 kappa)")
-    if family in ("CS1", "CS2"):
-        if lam < 0.5 / k:
-            return 0.0, a_sub_boundary(lam, k)
-        if lam < 1.0 / k:
-            return 0.0, (1.0 - k * lam) / k ** 2
-        raise ValidationError("CS1/CS2 need lam < 1/kappa")
     if family == "CS3":
-        if not lam < 0.5 / k:
-            raise ValidationError("CS3 needs lam < 1/(2 kappa)")
         return a0_root(lam, k), a_sub_boundary(lam, k)
-    if not 0.5 / k < lam < 1.0 / k:
-        raise ValidationError("CS4 needs 1/(2 kappa) < lam < 1/kappa")
-    return (1.0 - k * lam) / k ** 2, a0_root(lam, k)
+    if family == "CS4":
+        return (1.0 - k * lam) / k ** 2, a0_root(lam, k)
+    if _at_lambda_half(lam, k):
+        return 0.0, 0.5 / k ** 2
+    if lam < 0.5 / k:
+        return 0.0, a_sub_boundary(lam, k)
+    return 0.0, (1.0 - k * lam) / k ** 2
 
 
 @dataclass(frozen=True)
@@ -417,8 +433,9 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
     Centre-saddle families take (lam, a) with the a-range of family_domain
     enforced; CS3/CS4 additionally take ``sign`` selecting the mu-branch.
     Cusp1/2 and the Hopf families take lam alone; Cusp3 takes mu; the three
-    degenerate points take no parameter.  lam = 0 and lam = 1/(2 kappa) are
-    handled by dedicated special-case formulas.
+    degenerate points take no parameter.  A family parametrised by lam
+    raises ValidationError where families_at does not list it.  lam = 0 and
+    lam = 1/(2 kappa) are handled by dedicated special-case formulas.
     """
     if kappa <= 0.0:
         raise UnsupportedRegimeError(
@@ -442,33 +459,26 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
         return CatalogPoint(family=family, kind=BifurcationKind.HOPF_DEGENERATE,
                             lam=lam, mu=mu, ell=ell, a=a, b=a, h=h, kappa=k)
 
-    if lam is None and family != "Cusp3":
+    if family == "Cusp3":
+        if mu is None:
+            raise ValidationError("Cusp3 is parametrised by mu")
+        if not abs(mu) < 0.5 / k ** 2:
+            raise ValidationError("Cusp3 needs |mu| < 1/(2 kappa^2)")
+        return _cusp3_point(mu, k)
+    if lam is None:
         raise ValidationError(f"family {family} needs lam")
+    if family not in families_at(lam, k):
+        raise ValidationError(f"{family} has no points at lam = {lam}")
 
-    if family in ("HHsub1", "HHsub2"):
-        if not lam < 0.5 / k:
-            raise ValidationError(f"{family} needs lam < 1/(2 kappa)")
-        m = a_sub_boundary(lam, k)
-        return _hopf_point(family, lam, m if family == "HHsub1" else -m, m, k,
-                           BifurcationKind.HOPF_SUB)
-    if family in ("HHsup1", "HHsup2"):
-        if not lam < 0.5 / k:
-            raise ValidationError(f"{family} needs lam < 1/(2 kappa)")
-        m = a_sup_boundary(lam, k)
-        return _hopf_point(family, lam, m if family == "HHsup1" else -m, m, k,
-                           BifurcationKind.HOPF_SUPER)
-    if family == "HHsub3":
-        if not lam < 1.0 / k:
-            raise ValidationError("HHsub3 needs lam < 1/kappa")
-        return _hopf_point(family, lam, 0.0, -lam * lam, k, BifurcationKind.HOPF_SUB)
-    if family == "HHsup3":
-        if not lam > 1.0 / k:
-            raise ValidationError("HHsup3 needs lam > 1/kappa")
-        return _hopf_point(family, lam, 0.0, -lam * lam, k, BifurcationKind.HOPF_SUPER)
+    if family.startswith(("HHsub", "HHsup")):
+        sub = family.startswith("HHsub")
+        kind = BifurcationKind.HOPF_SUB if sub else BifurcationKind.HOPF_SUPER
+        if family.endswith("3"):
+            return _hopf_point(family, lam, 0.0, -lam * lam, k, kind)
+        m = (a_sub_boundary if sub else a_sup_boundary)(lam, k)
+        return _hopf_point(family, lam, m if family.endswith("1") else -m, m, k, kind)
 
     if family in ("Cusp1", "Cusp2"):
-        if not 0.5 / k < lam < 1.0 / k:
-            raise ValidationError(f"{family} needs 1/(2 kappa) < lam < 1/kappa")
         root = math.sqrt(2.0 * k * lam - 1.0)
         mu_c = (k * lam - root) / k ** 2
         ell_c = (1.0 - k * lam - root) / k ** 2
@@ -477,13 +487,6 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
         h = _h_from_mu2(a, mu_c * mu_c, lam, k)
         return CatalogPoint(family=family, kind=BifurcationKind.CUSP, lam=lam,
                             mu=mu_val, ell=ell_c, a=a, b=a, h=h, kappa=k)
-
-    if family == "Cusp3":
-        if mu is None:
-            raise ValidationError("Cusp3 is parametrised by mu")
-        if not abs(mu) < 0.5 / k ** 2:
-            raise ValidationError("Cusp3 needs |mu| < 1/(2 kappa^2)")
-        return _cusp3_point(mu, k)
 
     # centre-saddle families
     if a is None:
@@ -558,12 +561,10 @@ def catalog_point_kappa0(family: str, *, lam: float, a: float | None = None,
 
     Families CS1/CS2/CS3 (suffix _k0) take (lam, a) with the ranges
     0 < a < lam^2/2 resp. 4 lam^2/9 < a < lam^2/2; the three subcritical
-    Hopf families take lam alone.  lam must be nonzero.
+    Hopf families take lam alone.  lam must be nonzero (families_at).
     """
-    if family not in KAPPA0_FAMILIES:
-        raise ValidationError(f"unknown kappa=0 family {family!r}")
-    if lam == 0.0:
-        raise ValidationError("kappa = 0 families need lam != 0")
+    if family not in families_at(lam, 0.0):
+        raise ValidationError(f"no kappa = 0 family {family!r} at lam = {lam}")
     L2 = lam * lam
 
     if family == "HHsub1_k0":
@@ -628,16 +629,20 @@ class LambdaStratum:
 
     @cached_property
     def domains(self) -> dict[str, tuple[float, float]]:
-        """family: (lo, hi) of each centre-saddle family with points at lam
-        (family_domain), in catalog order."""
-        families = (("CS1_k0", "CS2_k0", "CS3_k0") if self.kappa == 0.0
-                    else ("CS1", "CS2", "CS3", "CS4"))
+        """family: (lo, hi) of each centre-saddle family of families_at with
+        a nonempty range at lam (family_domain), in catalog order."""
         out = {}
-        for family in families:
-            try:
-                out[family] = family_domain(family, self.lam, self.kappa)
-            except Res112Error:
+        for family in families_at(self.lam, self.kappa):
+            if family_kind(family) is not BifurcationKind.CENTRE_SADDLE:
                 continue
+            try:
+                lo, hi = family_domain(family, self.lam, self.kappa)
+            except RootFindingError:
+                # a0_root finds no positive root of the range cubic for some
+                # |lam| below about 1e-16; CS3 spans (4 lam^2/9, lam^2/2) there
+                continue
+            if hi > lo:
+                out[family] = lo, hi
         return out
 
     @cached_property
@@ -743,55 +748,57 @@ def hopf_cusp_slice(ell_target: float, kappa: float, lam_lo: float,
     lam = +-sqrt(2 ell) - kappa ell, HHsub3/HHsup3 give
     lam = +-sqrt(-ell), and the cusp curves
     ell = (1 - x - sqrt(2x - 1))/kappa^2, x = kappa lam in (1/2, 1), give
-    x = (1 + u^2)/2 with u = -1 + sqrt(2 - 2 kappa^2 ell).  Returns
+    x = (1 + u^2)/2 with u = -1 + sqrt(2 - 2 kappa^2 ell); a solution whose
+    family has no points at its lam (families_at) is skipped.  Returns
     (family, lam, mu, ell, a, h) tuples.
     """
     rows = []
 
-    def add(family, lam, mu=None):
-        try:
-            pt = _family_point(family, lam, mu, kappa)
-        except Res112Error:
-            return
+    def add(pt):
         if abs(pt.ell - ell_target) <= 1e-9 * max(1.0, abs(ell_target)) and \
                 lam_lo - 1e-12 <= pt.lam <= lam_hi + 1e-12:
             rows.append((pt.family, pt.lam, pt.mu, pt.ell, pt.a, pt.h))
+
+    def add_at(lam, *families):
+        present = families_at(lam, kappa)
+        for family in families:
+            if family in present:
+                add(_family_point(family, lam, None, kappa))
 
     if kappa == 0.0:
         if ell_target > 0.0:
             L = math.sqrt(2.0 * ell_target)
             for lam in (L, -L):
-                add("HHsub1_k0", lam)
-                add("HHsub2_k0", lam)
+                add_at(lam, "HHsub1_k0", "HHsub2_k0")
         if ell_target < 0.0:
             L = math.sqrt(-ell_target)
             for lam in (L, -L):
-                add("HHsub3_k0", lam)
+                add_at(lam, "HHsub3_k0")
         return rows
 
     k = kappa
     if ell_target > 0.0:
         for lam in (math.sqrt(2.0 * ell_target) - k * ell_target,
                     -math.sqrt(2.0 * ell_target) - k * ell_target):
-            for fam in ("HHsub1", "HHsub2", "HHsup1", "HHsup2"):
-                add(fam, lam)
+            add_at(lam, "HHsub1", "HHsub2", "HHsup1", "HHsup2")
     if ell_target < 0.0:
         for lam in (math.sqrt(-ell_target), -math.sqrt(-ell_target)):
-            add("HHsub3", lam)
-            add("HHsup3", lam)
+            add_at(lam, "HHsub3", "HHsup3")
     c = ell_target * k ** 2
     if -1.0 < c < 0.5:
         u = -1.0 + math.sqrt(2.0 - 2.0 * c)
-        x = 0.5 * (1.0 + u * u)
-        add("Cusp1", x / k)
-        add("Cusp2", x / k)
+        add_at(0.5 * (1.0 + u * u) / k, "Cusp1", "Cusp2")
     if abs(ell_target - 0.25 / k ** 2) < 0.25 / k ** 2 + 1e-12:
         m2 = (ell_target - 0.25 / k ** 2) / k ** 2
         if m2 >= 0.0:
             for s in (1, -1):
-                add("Cusp3", 0.5 / k, mu=s * math.sqrt(m2))
-    for fam in ("HHdeg1", "HHdeg2", "HHdeg3"):
-        add(fam, None)
+                try:  # the open range |mu| < 1/(2 kappa^2)
+                    pt = catalog_point("Cusp3", mu=s * math.sqrt(m2), kappa=k)
+                except ValidationError:
+                    continue
+                add(pt)
+    for family in ("HHdeg1", "HHdeg2", "HHdeg3"):
+        add(catalog_point(family, kappa=k))
     return rows
 
 
@@ -802,7 +809,7 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
     At each of n equally spaced lam in [lam_lo, lam_hi]: every centre-saddle
     family at 17 values of a spread over the inner 98% of its family_domain
     interval (both signs for CS3, CS4 and CS3_k0), then the Hopf and cusp
-    families that exist there.  For kappa > 0 the Cusp3 line is sampled at n
+    families of families_at.  For kappa > 0 the Cusp3 line is sampled at n
     values of mu in (-0.49, 0.49)/kappa^2, and the three degenerate Hopf
     points are added.  Rows are sorted by (family, lam, a, mu).
     """
@@ -811,8 +818,6 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
     for lam in lam_grid:
         lam = float(lam)
         for family, (lo, hi) in LambdaStratum(lam, kappa).domains.items():
-            if not hi > lo:
-                continue
             signs = (1, -1) if family in _TWO_SIGN_FAMILIES else (1,)
             for a in np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 17):
                 for sign in signs:
@@ -821,17 +826,9 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
                     except Res112Error:
                         continue
                     rows.append((family, lam, float(a), pt.mu, pt.ell, pt.h))
-        if kappa > 0.0:
-            for family in ("HHsub1", "HHsub2", "HHsub3", "HHsup1", "HHsup2",
-                           "HHsup3", "Cusp1", "Cusp2"):
-                try:
-                    pt = catalog_point(family, lam=lam, kappa=kappa)
-                except Res112Error:
-                    continue
-                rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
-        elif lam != 0.0:
-            for family in ("HHsub1_k0", "HHsub2_k0", "HHsub3_k0"):
-                pt = catalog_point_kappa0(family, lam=lam)
+        for family in families_at(lam, kappa):
+            if family_kind(family) is not BifurcationKind.CENTRE_SADDLE:
+                pt = _family_point(family, lam, None, kappa)
                 rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
     if kappa > 0.0:
         for mu in np.linspace(-0.49 / kappa ** 2, 0.49 / kappa ** 2, n):
@@ -1031,7 +1028,8 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     multiple-root rules and tagged with the nearest catalog family
     (_tag_events); unmatched events keep family None and are never dropped.
     kappa = 0 is supported through the cubic degeneration of F (no b root,
-    no quadruple candidates).
+    no quadruple candidates); kappa < 0 raises UnsupportedRegimeError, as
+    the catalog that tags the events does (families_at).
     """
     special = _special_lambda(lam, kappa)
     if special == 0.0:
@@ -1165,8 +1163,10 @@ def _tag_events(events, lam: float, kappa: float) -> list[BifurcationEvent]:
     (family_kind) whose catalog point lies nearest in (mu, ell) and within
     MATCH_RADIUS (_event_distance); family None where none does."""
     domains = LambdaStratum(lam, kappa).domains
+    # the fixed-lam families are tried at every lam: MATCH_RADIUS applies in lam
+    fixed = () if kappa == 0.0 else ("Cusp3", "HHdeg1", "HHdeg2", "HHdeg3")
     by_kind: dict[BifurcationKind, list[str]] = {}
-    for family in (KAPPA0_FAMILIES if kappa == 0.0 else CATALOG_FAMILIES):
+    for family in families_at(lam, kappa) + fixed:
         by_kind.setdefault(family_kind(family), []).append(family)
     tagged = []
     for ev in events:

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import acceptance
 from .bifurcations import (LambdaStratum, catalog_point, catalog_slice,
-                           catalog_surface, hopf_cusp_slice, oracle_slice)
+                           catalog_surface, families_at, hopf_cusp_slice,
+                           oracle_slice)
 from .critical_values import (classify_fiber, critical_slice,
                               minimum_crossing_loci, thread_segments)
 from .errors import NumericalError, Res112Error, ValidationError
@@ -206,7 +207,7 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
         # because ell_floor lies below -delta^2
         c12 = next(seg for seg in segs if seg.name == "C12")
         loci_rows = [("ell_star", 0.0, c12.ell_positive[1], 0.0)]
-        if 0.5 / kappa < delta < 1.0 / kappa:
+        if "Cusp1" in families_at(delta, kappa):
             # L+ runs from (0, ell*, 0) up to the cusp height
             ell_hi = catalog_point("Cusp1", lam=delta, kappa=kappa).ell
             ell_grid = np.linspace(loci_rows[0][2], ell_hi, max(grid // 2, 9))

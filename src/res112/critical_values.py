@@ -34,7 +34,7 @@ from .errors import NumericalError, UnsupportedRegimeError, ValidationError
 from .model import CasimirValues
 from .polyroots import real_roots
 from .bifurcations import (a_sub_boundary, a_sup_boundary, catalog_point,
-                           f_quartic, instability_interval)
+                           f_quartic, families_at, instability_interval)
 from .reduced_dynamics import (Equilibrium, ReducedParams, Stability,
                                equilibria)
 from .reduced_space import TipKind, tip_class
@@ -365,7 +365,7 @@ def minimum_crossing_loci(rp: ReducedParams, ell_values) -> list[tuple[float, fl
     lam, k = rp.lam, rp.kappa
     if k <= 0.0:
         raise UnsupportedRegimeError("minimum_crossing_loci requires kappa > 0")
-    if not 0.5 / k < lam < 1.0 / k:
+    if "Cusp1" not in families_at(lam, k):
         return []
     ell_lo = _ell_star(lam, k)
     ell_hi = catalog_point("Cusp1", lam=lam, kappa=k).ell

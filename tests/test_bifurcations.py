@@ -10,11 +10,12 @@ from scipy.optimize import brentq
 
 from res112 import (AmbiguousClassificationError, BifurcationKind,
                     CasimirValues, LambdaStratum, ReducedParams, Res112Error,
-                    ValidationError, a0_root, catalog_point,
-                    catalog_point_kappa0, catalog_slice,
-                    classify_multiple_root, f_quartic, family_domain,
-                    hopf_cusp_slice, instability_interval, kappa_scaling,
-                    oracle_slice, solve_bifurcations_numeric)
+                    UnsupportedRegimeError, ValidationError, a0_root,
+                    catalog_point, catalog_point_kappa0, catalog_slice,
+                    classify_multiple_root, f_quartic, families_at,
+                    family_domain, hopf_cusp_slice, instability_interval,
+                    kappa_scaling, oracle_slice, solve_bifurcations_numeric)
+from res112 import bifurcations
 from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_probe,
                                  _discriminant_core, _ell_from_mu2,
                                  _ell_slope, _event_distance,
@@ -291,6 +292,41 @@ def test_family_domain_agrees_with_catalog_next_to_lambda_half(kappa, direction)
             assert pt.boundary and pt.a == a
 
 
+_HALF_BELOW = math.nextafter(0.5, 0.0)
+_HALF_ABOVE = math.nextafter(0.5, 1.0)
+_ONE_BELOW = math.nextafter(1.0, 0.0)
+_ONE_ABOVE = math.nextafter(1.0, 2.0)
+
+
+# lam = x / kappa with x next to the boundaries kappa lam = 0, 1/2 and 1;
+# dividing by a power of two is exact, so the ulp steps carry over
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("x,expected", [
+    (0.0, {"HHsub1", "HHsub2", "HHsub3", "HHsup1", "HHsup2"}),
+    # CS3 has no points within 1e-14/kappa of lam = 1/(2 kappa)
+    (_HALF_BELOW, {"CS1", "CS2", "HHsub1", "HHsub2", "HHsub3", "HHsup1", "HHsup2"}),
+    (0.5, {"CS1", "CS2", "HHsub3"}),
+    (_HALF_ABOVE, {"CS1", "CS2", "Cusp1", "Cusp2", "HHsub3"}),
+    (_ONE_BELOW, {"CS1", "CS2", "CS4", "Cusp1", "Cusp2", "HHsub3"}),
+    (1.0, set()),
+    (_ONE_ABOVE, {"HHsup3"}),
+])
+def test_families_at_table(kappa, x, expected):
+    fams = families_at(x / kappa, kappa)
+    assert set(fams) == expected
+    assert list(fams) == [f for f in bifurcations.CATALOG_FAMILIES if f in fams]
+
+
+def test_families_at_kappa0_and_negative_kappa():
+    for lam in (-1.0, 1.0):
+        assert families_at(lam, 0.0) == bifurcations.KAPPA0_FAMILIES
+    assert families_at(0.0, 0.0) == ()
+    with pytest.raises(UnsupportedRegimeError):
+        families_at(0.3, -1.0)
+    with pytest.raises(UnsupportedRegimeError):
+        solve_bifurcations_numeric(0.0, -1.0, n_grid=51)
+
+
 # ---------------------------------------------------------------------------
 # adjacency: family closures meet at the Hopf/cusp strata
 # ---------------------------------------------------------------------------
@@ -348,6 +384,23 @@ def test_a0_root_window_behavior():
         a0_root(0.0, 1.0)
 
 
+@pytest.mark.xfail(strict=True, reason="1 - kappa lam - sqrt(1 - 2 kappa lam) "
+                   "cancels for small |lam|; the fix moves CS and HHsub bytes")
+def test_a_sub_boundary_is_accurate_near_lam_zero():
+    # the cancellation-free form lam^2 / (1 - kappa lam + sqrt(1 - 2 kappa lam))
+    for lam in (-1e-9, -1e-6):
+        exact = lam * lam / (1.0 - lam + math.sqrt(1.0 - 2.0 * lam))
+        assert a_sub_boundary(lam, 1.0) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="the companion-matrix roots return the "
+                   "double root 3/2 of a (2a - 3)^2; the fix moves CS3 bytes")
+def test_a0_root_near_lam_zero_is_the_small_root():
+    # np.linspace(-3, 3, 20001)[10000]; the root is 4 lam^2/9 to leading order
+    lam = -4.440892098500626e-16
+    assert a0_root(lam, 1.0) == pytest.approx(4.0 * lam * lam / 9.0, rel=1e-6, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # numeric solver
 # ---------------------------------------------------------------------------
@@ -377,6 +430,7 @@ def _assert_events_verify(evs, kappa):
 def test_numeric_solver_recovers_catalog(kappa, lam1):
     evs = solve_bifurcations_numeric(lam1 / kappa, kappa, n_grid=401)
     assert {e.family for e in evs if e.family} == EXPECTED_FAMILIES[lam1]
+    assert set(families_at(lam1 / kappa, kappa)) == EXPECTED_FAMILIES[lam1]
     assert all(e.family is not None for e in evs)
     for e in evs:
         if e.family.startswith("CS"):
@@ -631,6 +685,26 @@ def test_hopf_cusp_slice_finds_every_hopf_point(kappa):
                     if r[0] == fam and abs(r[1] - lam) <= 1e-9]
             assert len(rows) == 1, (kappa, lam, fam)
             assert rows[0][2] == pytest.approx(pt.mu, abs=1e-9)
+
+
+def test_surface_and_hopf_cusp_slice_ask_only_for_present_families(monkeypatch):
+    # both read families_at instead of letting catalog_point raise
+    calls, raised = [], []
+    original = bifurcations.catalog_point
+
+    def counted(family, **kw):
+        calls.append(family)
+        try:
+            return original(family, **kw)
+        except Res112Error:
+            raised.append((family, kw.get("lam")))
+            raise
+
+    monkeypatch.setattr(bifurcations, "catalog_point", counted)
+    bifurcations.catalog_surface(1.0, -1.5, 1.5, 60)
+    for ell in (-1.2, -0.5, 0.0, 0.125, 0.3125, 0.6):
+        hopf_cusp_slice(ell, 1.0, -1.5, 1.0)
+    assert calls and not raised, raised
 
 
 # ---------------------------------------------------------------------------
