@@ -493,8 +493,7 @@ def check_kappa0_catalog(n=100) -> AcceptanceResult:
             continue
         per_fam = max(n // 8, 13)
         for fam in ("CS1_k0", "CS2_k0", "CS3_k0"):
-            lo = 4 * lam * lam / 9 if fam == "CS3_k0" else 0.0
-            hi = 0.5 * lam * lam
+            lo, hi = family_domain(fam, lam, 0.0)
             for a in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), per_fam):
                 pt = catalog_point_kappa0(fam, lam=lam, a=float(a),
                                           sign=1 if total % 2 else -1)

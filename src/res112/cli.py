@@ -74,6 +74,13 @@ def _parse_floats(text: str) -> list[float]:
         raise ValidationError(f"bad float list {text!r}") from exc
 
 
+def _parse_window(text: str) -> tuple[float, float]:
+    vals = _parse_floats(text)
+    if len(vals) != 2:
+        raise ValidationError(f"window {text!r} is not two floats lo,hi")
+    return vals[0], vals[1]
+
+
 # ---------------------------------------------------------------------------
 # bifdiag
 # ---------------------------------------------------------------------------
@@ -98,7 +105,7 @@ def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out):
     if kappa < 0.0:
         raise ValidationError("bifdiag requires kappa >= 0; see the scale command")
     ells = _parse_floats(ell)
-    lo, hi = _parse_floats(lambda_window)
+    lo, hi = _parse_window(lambda_window)
     if not ells or hi <= lo or grid < 2:
         raise ValidationError("need ell values and a nonempty lambda window")
     lam_grid = np.linspace(lo, hi, grid)
@@ -149,8 +156,10 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
     """Critical values of the energy-momentum map over a (mu, ell)-grid."""
     if kappa <= 0.0:
         raise ValidationError("critvals requires kappa > 0")
-    mu_lo, mu_hi = _parse_floats(mu_window)
-    ell_lo, ell_hi = _parse_floats(ell_window)
+    if grid < 1:
+        raise ValidationError("critvals needs --grid >= 1")
+    mu_lo, mu_hi = _parse_window(mu_window)
+    ell_lo, ell_hi = _parse_window(ell_window)
     mus = np.linspace(mu_lo, mu_hi, grid)
     ells = np.linspace(ell_lo, ell_hi, grid)
     params = ModelParams(delta=delta, lambda1=lambda1, lambda2=lambda2,
@@ -186,25 +195,21 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
                    "over the grid when lambda1 or lambda2 is nonzero", err=True)
     else:
         rp0 = ReducedParams(lam=delta, kappa=kappa)
-        segs = thread_segments(rp0, ell_floor=min(ell_lo, -abs(delta) ** 2 - 5.0))
+        segs = thread_segments(rp0)
         for seg in segs:
             lo_u, hi_u = seg.ell_unstable or (math.nan, math.nan)
             lo_p, hi_p = seg.ell_positive or (math.nan, math.nan)
             for ell in ells:
                 e = float(ell)
-                if seg.name == "C12" and e >= 0.0:
+                # C12 runs over ell < 0, C23 and C13 over ell > 0
+                if not (e < 0.0 if seg.name == "C12" else e > 0.0):
                     continue
-                if seg.name != "C12" and e <= 0.0:
-                    continue
-                mu = seg.mu_of_ell * e
-                thread_rows.append((seg.name, mu, e, seg.h_c(e),
-                                    int(lo_u < e < hi_u if seg.ell_unstable else 0),
-                                    int(lo_p < e < hi_p if seg.ell_positive else 0)))
+                thread_rows.append((seg.name, seg.mu_of_ell * e, e, seg.h_c(e),
+                                    int(lo_u < e < hi_u), int(lo_p < e < hi_p)))
         _write_rows(f"{out}_threads.{ext}",
                     ["curve", "mu", "ell", "h_c", "unstable", "above_min"],
                     thread_rows, fmt)
-        # ell* closes the C12 above-minimum span, which is never empty here
-        # because ell_floor lies below -delta^2
+        # ell* closes the C12 above-minimum span
         c12 = next(seg for seg in segs if seg.name == "C12")
         loci_rows = [("ell_star", 0.0, c12.ell_positive[1], 0.0)]
         if "Cusp1" in families_at(delta, kappa):

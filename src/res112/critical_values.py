@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NumericalError, UnsupportedRegimeError, ValidationError
+from .errors import NumericalError, UnsupportedRegimeError
 from .model import CasimirValues
 from .polyroots import real_roots
 from .bifurcations import (a_sub_boundary, a_sup_boundary, catalog_point,
@@ -259,9 +259,7 @@ class ThreadSegments:
 
     name: str                       # "C23", "C13", "C12"
     mu_of_ell: float                # mu = sign * ell (C23: +1, C13: -1, C12: 0)
-    ell_range: tuple[float, float]  # domain of the curve parameter
     ell_unstable: tuple[float, float] | None
-    endpoint_kinds: tuple | None
     ell_positive: tuple[float, float] | None
     lam: float
     kappa: float
@@ -272,16 +270,16 @@ class ThreadSegments:
         return out if np.ndim(ell) else float(out)
 
 
-def thread_segments(rp: ReducedParams, ell_floor: float = -50.0) -> list[ThreadSegments]:
+def thread_segments(rp: ReducedParams) -> list[ThreadSegments]:
     """Describe the three normal-mode curves at fixed reduced detuning.
 
-    For each curve: the instability interval in ell, the classification of
-    its endpoints, and the part where the normal-mode energy sits strictly
-    above the minimal energy.  All spans are closed forms, valid for every
-    kappa > 0: C23/C13 are unstable between the Hopf parabolas
-    ``a_sub_boundary`` and ``a_sup_boundary``, C12 below ell = -lam^2, and
-    C12 sits above the minimal energy below ell* (0 for kappa lam <= 1/2,
-    (1 - 2 kappa lam)/kappa^2 up to kappa lam = 1, -lam^2 beyond).
+    For each curve: the instability interval in ell and the part where the
+    normal-mode energy sits strictly above the minimal energy.  All spans
+    are closed forms, valid for every kappa > 0: C23/C13 are unstable
+    between the Hopf parabolas ``a_sub_boundary`` and ``a_sup_boundary``,
+    C12 below ell = -lam^2, and C12 sits above the minimal energy below
+    ell* (0 for kappa lam <= 1/2, (1 - 2 kappa lam)/kappa^2 up to
+    kappa lam = 1, -lam^2 beyond).
     """
     if rp.kappa <= 0.0:
         raise UnsupportedRegimeError("thread_segments requires kappa > 0")
@@ -289,40 +287,16 @@ def thread_segments(rp: ReducedParams, ell_floor: float = -50.0) -> list[ThreadS
     out = []
     for name, sgn in (("C23", 1.0), ("C13", -1.0), ("C12", 0.0)):
         if name == "C12":
-            ell_range = (ell_floor, 0.0)
-            unstable = (ell_floor, -lam * lam) if -lam * lam > ell_floor else None
-            pos_hi = _ell_star(lam, k)
-            positive = (ell_floor, pos_hi) if pos_hi > ell_floor else None
+            unstable = (-math.inf, -lam * lam)
+            positive = (-math.inf, _ell_star(lam, k))
+        elif 1.0 - 2.0 * k * lam > 0.0:
+            unstable = (a_sub_boundary(lam, k), a_sup_boundary(lam, k))
+            positive = (0.0, unstable[1])
         else:
-            ell_range = (0.0, -ell_floor)
-            if 1.0 - 2.0 * k * lam > 0.0:
-                unstable = (a_sub_boundary(lam, k), a_sup_boundary(lam, k))
-                positive = (0.0, unstable[1])
-            else:
-                unstable = None
-                positive = None
-        kinds = None
-        if unstable is not None:
-            kinds = tuple(
-                _tip_endpoint_kind(name, sgn, e, lam, k) for e in unstable
-                if math.isfinite(e))
-        out.append(ThreadSegments(name=name, mu_of_ell=sgn, ell_range=ell_range,
-                                  ell_unstable=unstable, endpoint_kinds=kinds,
+            unstable = positive = None
+        out.append(ThreadSegments(name=name, mu_of_ell=sgn, ell_unstable=unstable,
                                   ell_positive=positive, lam=lam, kappa=k))
     return out
-
-
-def _tip_endpoint_kind(name, sgn, ell, lam, kappa):
-    if not math.isfinite(ell):
-        return None
-    mu = sgn * ell
-    cas = CasimirValues(mu=mu, ell=ell) if name != "C12" else CasimirValues(mu=0.0, ell=ell)
-    try:
-        iv = instability_interval(cas, kappa=kappa)
-    except ValidationError:
-        return None
-    # which endpoint of the lam-interval does this ell correspond to?
-    return iv.kind_hi if abs(iv.lam_hi - lam) <= abs(iv.lam_lo - lam) else iv.kind_lo
 
 
 def _ell_star(lam: float, kappa: float) -> float:

@@ -304,6 +304,16 @@ def test_cli_exit_codes():
     io_err = run("bifdiag", "--ell", "0", "--grid", "5", "--no-surface",
                  "--no-oracle", "--out", "/nonexistent-dir/xx")
     assert io_err.returncode == 3
+    # malformed windows and grids are validation errors, not tracebacks
+    for args in (["critvals", "--delta", "0", "--mu-window", "1"],
+                 ["critvals", "--delta", "0", "--ell-window", "1,2,3"],
+                 ["bifdiag", "--ell", "0", "--lambda-window", "1"],
+                 ["critvals", "--delta", "0", "--grid", "-3"],
+                 ["critvals", "--delta", "0", "--grid", "0"]):
+        bad = run(*args, "--out", "/nonexistent-dir/xx")
+        assert bad.returncode == 1, args
+        assert "validation error" in bad.stderr, args
+        assert "Traceback" not in bad.stderr, args
 
 
 def test_cli_env_var_defaults():
@@ -379,20 +389,25 @@ def test_critvals_loci_complete_at_delta_09(tmp_path, runner):
         assert abs(hs[0] - h) <= 1e-12 and abs(hs[1] - h) <= 1e-12, (name, mu, ell)
 
 
-def test_critvals_threads_in_kappa_frame(tmp_path, runner):
+@pytest.mark.parametrize("args, n_rows", [
+    (["--delta", "0.2", "--grid", "21", "--mu-window=-0.5,0.5",
+      "--ell-window=-0.5,0.5"], 30),
+    # the ell window reaches far below -delta^2 on C12
+    (["--delta", "-1", "--grid", "9", "--mu-window=-8,8",
+      "--ell-window=-8,8"], 12),
+], ids=["delta0.2", "delta-1"])
+def test_critvals_threads_in_kappa_frame(tmp_path, runner, args, n_rows):
     # threads.csv is written for kappa != 1 too, and its unstable column
     # agrees with the per-node thread tags of faces.csv
     out = tmp_path / "cv"
-    res = runner.invoke(cli, ["critvals", "--kappa", "2", "--delta", "0.2",
-                              "--grid", "21", "--mu-window=-0.5,0.5",
-                              "--ell-window=-0.5,0.5", "--out", str(out)],
-                        catch_exceptions=False)
+    res = runner.invoke(cli, ["critvals", "--kappa", "2", *args,
+                              "--out", str(out)], catch_exceptions=False)
     assert res.exit_code == 0
     faces = [l.split(",") for l in
              (tmp_path / "cv_faces.csv").read_text().splitlines()[1:]]
     threads = [l.split(",") for l in
                (tmp_path / "cv_threads.csv").read_text().splitlines()[1:]]
-    assert len(threads) == 30
+    assert len(threads) == n_rows
     assert {t[4] for t in threads} == {"0", "1"}
     for curve, mu, ell, _, unstable, _ in threads:
         mu, ell = float(mu), float(ell)

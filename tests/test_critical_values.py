@@ -201,14 +201,16 @@ def test_thread_segments_h_c_in_kappa_frame():
 @pytest.mark.parametrize("kappa", [0.7, 2.0])
 def test_thread_segments_match_per_tip_instability(kappa):
     # the closed-form spans agree with the per-tip instability interval
-    # (the oracle) in any kappa frame, tip by tip
+    # (the oracle) in any kappa frame, tip by tip, however far out along
+    # the curve: C12 has no lower end
     for x in (-0.6, 0.0, 0.3, 0.45, 0.8, 1.3):
         lam = x / kappa
-        for seg in thread_segments(ReducedParams(lam=lam, kappa=kappa),
-                                   ell_floor=-20.0):
+        for seg in thread_segments(ReducedParams(lam=lam, kappa=kappa)):
+            if seg.name == "C12":
+                assert seg.ell_unstable[0] == seg.ell_positive[0] == -math.inf
             lo, hi = seg.ell_unstable or (math.nan, math.nan)
             sign = -1.0 if seg.name == "C12" else 1.0
-            for ell in sign * np.linspace(1e-3, 10.0, 401):
+            for ell in sign * np.geomspace(1e-3, 100.0, 801):
                 ell = float(ell)
                 iv = instability_interval(CasimirValues(seg.mu_of_ell * ell, ell),
                                           kappa=kappa)
