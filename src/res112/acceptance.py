@@ -600,7 +600,8 @@ ALL_CHECKS = [
     check_cli_determinism,
 ]
 
-SLOW_CHECKS = {"check_monodromy_generators", "check_cli_determinism"}
+# the criteria that take seconds: AC6 (orbit integration) and AC11 (CLI runs)
+SLOW_CHECKS = {"check_conservation", "check_cli_determinism"}
 
 
 def run_all(skip_slow: bool = False) -> list[AcceptanceResult]:

@@ -32,7 +32,7 @@ from .errors import (AmbiguousClassificationError, Res112Error,
                      RootFindingError, UnsupportedRegimeError,
                      ValidationError)
 from .model import CasimirValues
-from .reduced_dynamics import ReducedParams
+from .reduced_dynamics import ReducedParams, tip_energy
 from .reduced_space import r_min, tip_class
 
 # Tolerances, pinned once.  Residuals of F and its derivatives are judged
@@ -420,7 +420,7 @@ class CatalogPoint:
 
 def _hopf_point(family, lam, mu, ell, kappa, kind) -> CatalogPoint:
     a = max(abs(mu), ell)  # Hopf roots sit at the tip
-    h = lam * a + 0.5 * kappa * a * a
+    h = tip_energy(a, ReducedParams(lam=lam, kappa=kappa))
     return CatalogPoint(family=family, kind=kind, lam=lam, mu=mu, ell=ell,
                         a=a, b=_b_of_a(a, lam, kappa), h=h, kappa=kappa)
 
@@ -455,7 +455,7 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
         else:
             lam, mu, ell = 1.0 / k, 0.0, -1.0 / k ** 2
         a = a_quadruple(lam, k)
-        h = lam * max(abs(mu), ell) + 0.5 * k * max(abs(mu), ell) ** 2
+        h = tip_energy(max(abs(mu), ell), ReducedParams(lam=lam, kappa=k))
         return CatalogPoint(family=family, kind=BifurcationKind.HOPF_DEGENERATE,
                             lam=lam, mu=mu, ell=ell, a=a, b=a, h=h, kappa=k)
 
@@ -1087,17 +1087,18 @@ def _events_lambda_zero(kappa: float) -> list[BifurcationEvent]:
     kappa != 0, the two supercritical Hopf points at +-mu = ell = 2/kappa^2."""
     events = []
     cas0 = CasimirValues(mu=0.0, ell=0.0)
-    q0 = f_quartic(0.0, ReducedParams(lam=0.0, kappa=kappa), cas0)
+    rp = ReducedParams(lam=0.0, kappa=kappa)
+    q0 = f_quartic(0.0, rp, cas0)
     kind0 = classify_multiple_root(0.0, q0, cas0)
     b0 = _b_of_a(0.0, 0.0, kappa) if kappa != 0.0 else None
     events.append(BifurcationEvent(kind=kind0, a=0.0, b=b0, h=0.0, lam=0.0,
                                    mu=0.0, ell=0.0, kappa=kappa))
     if kappa != 0.0:
         a = 2.0 / kappa ** 2
-        h = 0.5 * kappa * a * a
+        h = tip_energy(a, rp)
         for sgn in (1, -1):
             cas = CasimirValues(mu=sgn * a, ell=a)
-            q = f_quartic(h, ReducedParams(lam=0.0, kappa=kappa), cas)
+            q = f_quartic(h, rp, cas)
             kind = classify_multiple_root(a, q, cas)
             events.append(BifurcationEvent(kind=kind, a=a, b=_b_of_a(a, 0.0, kappa),
                                            h=h, lam=0.0, mu=sgn * a, ell=a,
@@ -1212,8 +1213,8 @@ def instability_interval(cas: CasimirValues, kappa: float = 1.0) -> InstabilityI
     hi = math.sqrt(rad) - kappa * rmin
 
     def endpoint_kind(lam):
-        h_c = lam * rmin + 0.5 * kappa * rmin * rmin
-        q = f_quartic(h_c, ReducedParams(lam=lam, kappa=kappa), cas)
+        rp = ReducedParams(lam=lam, kappa=kappa)
+        q = f_quartic(tip_energy(rmin, rp), rp, cas)
         f3 = q.d3(rmin)
         f3_scale = 6.0 * max(1.0, kappa * kappa) * (1.0 + abs(rmin))
         if abs(f3) <= _F3_REL_TOL * f3_scale:

@@ -13,17 +13,15 @@ error, 2 numerical failure, 3 I/O error.
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
 import numpy as np
 
 from . import acceptance
-from .bifurcations import (LambdaStratum, catalog_point, catalog_slice,
-                           catalog_surface, families_at, hopf_cusp_slice,
-                           oracle_slice)
-from .critical_values import (classify_fiber, critical_slice,
+from .bifurcations import (LambdaStratum, catalog_slice, catalog_surface,
+                           hopf_cusp_slice, oracle_slice)
+from .critical_values import (classify_fiber, crease_span, critical_slice,
                               minimum_crossing_loci, thread_segments)
 from .errors import NumericalError, Res112Error, ValidationError
 from .model import CasimirValues, ModelParams, kappa_scaling
@@ -196,29 +194,18 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
     else:
         rp0 = ReducedParams(lam=delta, kappa=kappa)
         segs = thread_segments(rp0)
-        for seg in segs:
-            lo_u, hi_u = seg.ell_unstable or (math.nan, math.nan)
-            lo_p, hi_p = seg.ell_positive or (math.nan, math.nan)
-            for ell in ells:
-                e = float(ell)
-                # C12 runs over ell < 0, C23 and C13 over ell > 0
-                if not (e < 0.0 if seg.name == "C12" else e > 0.0):
-                    continue
-                thread_rows.append((seg.name, seg.mu_of_ell * e, e, seg.h_c(e),
-                                    int(lo_u < e < hi_u), int(lo_p < e < hi_p)))
+        thread_rows = [row for seg in segs for row in seg.samples(ells)]
         _write_rows(f"{out}_threads.{ext}",
                     ["curve", "mu", "ell", "h_c", "unstable", "above_min"],
                     thread_rows, fmt)
         # ell* closes the C12 above-minimum span
         c12 = next(seg for seg in segs if seg.name == "C12")
         loci_rows = [("ell_star", 0.0, c12.ell_positive[1], 0.0)]
-        if "Cusp1" in families_at(delta, kappa):
-            # L+ runs from (0, ell*, 0) up to the cusp height
-            ell_hi = catalog_point("Cusp1", lam=delta, kappa=kappa).ell
-            ell_grid = np.linspace(loci_rows[0][2], ell_hi, max(grid // 2, 9))
+        span = crease_span(rp0)
+        if span is not None:
+            ell_grid = np.linspace(*span, max(grid // 2, 9))
             for mu_l, ell_l, h_l in minimum_crossing_loci(rp0, ell_grid[1:-1]):
-                loci_rows.append(("L+", mu_l, ell_l, h_l))
-                loci_rows.append(("L-", -mu_l, ell_l, h_l))
+                loci_rows += [("L+", mu_l, ell_l, h_l), ("L-", -mu_l, ell_l, h_l)]
         _write_rows(f"{out}_loci.{ext}", ["name", "mu", "ell", "h"],
                     loci_rows, fmt)
     click.echo(f"wrote {len(surface_rows)} surface rows, {len(face_rows)} face rows, "
@@ -323,7 +310,8 @@ def scale(kappa, lam, mu, ell, r_, x_, y_, h, inverse):
 
 @cli.command()
 @click.option("--skip-slow", is_flag=True, default=False,
-              help="skip the monodromy and CLI-determinism criteria")
+              help="skip the slow criteria: conservation (AC6) and CLI "
+              "determinism (AC11)")
 def selfcheck(skip_slow):
     """Run the acceptance suite and print one pass/fail line per criterion."""
     results = acceptance.run_all(skip_slow=skip_slow)

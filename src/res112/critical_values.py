@@ -36,7 +36,7 @@ from .polyroots import real_roots
 from .bifurcations import (a_sub_boundary, a_sup_boundary, catalog_point,
                            f_quartic, families_at, instability_interval)
 from .reduced_dynamics import (Equilibrium, ReducedParams, Stability,
-                               equilibria)
+                               equilibria, tip_energy)
 from .reduced_space import TipKind, tip_class
 
 # Relative tolerance deciding whether the level set passes through the tip,
@@ -95,7 +95,7 @@ def classify_fiber(cas: CasimirValues, rp: ReducedParams, h: float) -> FiberRepo
     tip = tip_class(cas)
     rmin = tip.r_min
     q = f_quartic(h, rp, cas)
-    h_tip = rp.lam * rmin + 0.5 * rp.kappa * rmin * rmin
+    h_tip = tip_energy(rmin, rp)
     through_tip = abs(h - h_tip) <= TIP_HIT_RTOL * max(1.0, abs(h), abs(h_tip))
 
     real, r_scale = real_roots(q.coeffs[::-1], imag_rtol=1e-7)
@@ -249,25 +249,48 @@ def classify_fiber(cas: CasimirValues, rp: ReducedParams, h: float) -> FiberRepo
 class ThreadSegments:
     """One normal-mode curve of critical values at fixed reduced detuning.
 
-    ``ell_unstable`` is the parameter interval where the tip is unstable
-    (the thread: transversally isolated critical values); ``ell_positive``
-    the interval where the tip energy exceeds the minimal energy.  Both are
-    (lo, hi) with -inf allowed; None when empty.  ``h_c`` is the energy of
-    the normal mode as a function of ell, at the segment's own ``lam`` and
-    ``kappa``.
+    The curve runs over ell of sign ``ell_sign`` with mu = ``mu_of_ell`` *
+    ell, so its tip sits at r_min = |mu|.  ``ell_unstable`` is the
+    parameter interval where the tip is unstable (the thread: transversally
+    isolated critical values); ``ell_positive`` the interval where the tip
+    energy exceeds the minimal energy.  Both are open (lo, hi) with -inf
+    allowed; None when empty.  ``h_c`` is the energy of the normal mode as
+    a function of ell, at the segment's own ``lam`` and ``kappa``.
     """
 
     name: str                       # "C23", "C13", "C12"
-    mu_of_ell: float                # mu = sign * ell (C23: +1, C13: -1, C12: 0)
+    mu_of_ell: float                # C23: +1, C13: -1, C12: 0
+    ell_sign: float                 # C23, C13: +1 (ell > 0); C12: -1 (ell < 0)
     ell_unstable: tuple[float, float] | None
     ell_positive: tuple[float, float] | None
     lam: float
     kappa: float
 
+    def mu(self, ell: float) -> float:
+        """mu of the curve point over ell (0, never -0, on C12)."""
+        return self.mu_of_ell * ell if self.mu_of_ell else 0.0
+
     def h_c(self, ell):
-        rmin = np.abs(ell) if self.name != "C12" else np.zeros_like(np.asarray(ell, dtype=float))
-        out = self.lam * rmin + 0.5 * self.kappa * rmin ** 2
+        rp = ReducedParams(lam=self.lam, kappa=self.kappa)
+        out = tip_energy(np.abs(self.mu_of_ell * np.asarray(ell)), rp)
         return out if np.ndim(ell) else float(out)
+
+    def samples(self, ell_values) -> list[tuple[str, float, float, float, int, int]]:
+        """Rows (curve, mu, ell, h_c, unstable, above_min) at the given ells
+        that lie on the curve's side, with 0/1 flags for membership of the
+        open spans."""
+        out = []
+        for ell in ell_values:
+            e = float(ell)
+            if self.ell_sign * e > 0.0:
+                out.append((self.name, self.mu(e), e, self.h_c(e),
+                            _inside(self.ell_unstable, e),
+                            _inside(self.ell_positive, e)))
+        return out
+
+
+def _inside(span: tuple[float, float] | None, x: float) -> int:
+    return int(span is not None and span[0] < x < span[1])
 
 
 def thread_segments(rp: ReducedParams) -> list[ThreadSegments]:
@@ -285,7 +308,8 @@ def thread_segments(rp: ReducedParams) -> list[ThreadSegments]:
         raise UnsupportedRegimeError("thread_segments requires kappa > 0")
     lam, k = rp.lam, rp.kappa
     out = []
-    for name, sgn in (("C23", 1.0), ("C13", -1.0), ("C12", 0.0)):
+    for name, sgn, side in (("C23", 1.0, 1.0), ("C13", -1.0, 1.0),
+                            ("C12", 0.0, -1.0)):
         if name == "C12":
             unstable = (-math.inf, -lam * lam)
             positive = (-math.inf, _ell_star(lam, k))
@@ -294,8 +318,9 @@ def thread_segments(rp: ReducedParams) -> list[ThreadSegments]:
             positive = (0.0, unstable[1])
         else:
             unstable = positive = None
-        out.append(ThreadSegments(name=name, mu_of_ell=sgn, ell_unstable=unstable,
-                                  ell_positive=positive, lam=lam, kappa=k))
+        out.append(ThreadSegments(name=name, mu_of_ell=sgn, ell_sign=side,
+                                  ell_unstable=unstable, ell_positive=positive,
+                                  lam=lam, kappa=k))
     return out
 
 
@@ -325,6 +350,17 @@ def _crease_energy(mu: float, ell: float, kappa: float) -> float:
     return 0.5 * kappa * mu * ell + mu / (2.0 * kappa)
 
 
+def crease_span(rp: ReducedParams) -> tuple[float, float] | None:
+    """Open ell-span (ell*, ell of Cusp1) of the L+- creases, or None
+    where they do not exist (outside 1/2 < kappa lam < 1)."""
+    lam, k = rp.lam, rp.kappa
+    if k <= 0.0:
+        raise UnsupportedRegimeError("the L+- creases require kappa > 0")
+    if "Cusp1" not in families_at(lam, k):
+        return None
+    return _ell_star(lam, k), catalog_point("Cusp1", lam=lam, kappa=k).ell
+
+
 def minimum_crossing_loci(rp: ReducedParams, ell_values) -> list[tuple[float, float, float]]:
     """Points (mu, ell, h) of the L+ crease over the given ells, where two
     distinct tangencies share the minimal energy (the second sheet of the
@@ -333,22 +369,19 @@ def minimum_crossing_loci(rp: ReducedParams, ell_values) -> list[tuple[float, fl
     Along L+ the quartic F is a perfect square, which forces
     mu = ell - ell* and h = (kappa/2) mu ell + mu/(2 kappa).  The crease
     exists for 1/2 < kappa lam < 1 and runs from (0, ell*, 0) to Cusp2;
-    ells outside that open span are skipped.  The L- crease is the
-    mu -> -mu mirror.
+    ells outside that open span (``crease_span``) are skipped.  The L-
+    crease is the mu -> -mu mirror.
     """
-    lam, k = rp.lam, rp.kappa
-    if k <= 0.0:
-        raise UnsupportedRegimeError("minimum_crossing_loci requires kappa > 0")
-    if "Cusp1" not in families_at(lam, k):
+    span = crease_span(rp)
+    if span is None:
         return []
-    ell_lo = _ell_star(lam, k)
-    ell_hi = catalog_point("Cusp1", lam=lam, kappa=k).ell
+    ell_lo, ell_hi = span
     out = []
     for ell in ell_values:
         ell = float(ell)
         if ell_lo < ell < ell_hi:
             mu = ell - ell_lo
-            out.append((mu, ell, _crease_energy(mu, ell, k)))
+            out.append((mu, ell, _crease_energy(mu, ell, rp.kappa)))
     return out
 
 

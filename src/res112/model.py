@@ -3,8 +3,8 @@
 Houses the full-phase-space state with its two linear charts, the
 quadratic/cubic invariants of the effective 2-torus action, the syzygy
 cutting out the reduced phase spaces, the Poisson structure on invariant
-space, isotropy classification of full-space points, and the detuning /
-kappa-normalisation maps used by every downstream module.
+space, the torus action, and the detuning / kappa-normalisation maps
+used by every downstream module.
 
 Conventions
 -----------
@@ -27,21 +27,10 @@ from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 
-# Default absolute threshold on |z_j|^2 deciding that a mode is switched off.
-EPS_MODE_OFF = 1e-12
-
 
 class Chart(Enum):
     ORIGINAL = "original"      # (x, y): axial angular momentum is x1*y2 - x2*y1
     OSCILLATOR = "oscillator"  # (q, p): all three normal modes are coordinate modes
-
-
-class IsotropyClass(Enum):
-    TRIVIAL = "Trivial"
-    C12 = "C12"    # z1 = z2 = 0 != z3, normal 3-mode
-    C13 = "C13"    # z1 = z3 = 0 != z2, normal 2-mode
-    C23 = "C23"    # z2 = z3 = 0 != z1, normal 1-mode
-    C123 = "C123"  # origin, the equilibrium
 
 
 @dataclass(frozen=True)
@@ -239,25 +228,6 @@ def structure_matrix(point: InvariantPoint, cas: CasimirValues) -> np.ndarray:
         [-2.0 * y, 0.0, xy],
         [2.0 * x, -xy, 0.0],
     ])
-
-
-def isotropy_class(state: FullState, eps_z: float = EPS_MODE_OFF) -> IsotropyClass:
-    """Classify the isotropy of the effective torus action at a state.
-
-    The set-theoretic conditions z_j = 0 are decided with an absolute
-    threshold ``eps_z`` on |z_j|^2.
-    """
-    z = state.z
-    off = np.abs(z) ** 2 <= eps_z
-    if off[0] and off[1] and off[2]:
-        return IsotropyClass.C123
-    if off[0] and off[1]:
-        return IsotropyClass.C12
-    if off[0] and off[2]:
-        return IsotropyClass.C13
-    if off[1] and off[2]:
-        return IsotropyClass.C23
-    return IsotropyClass.TRIVIAL
 
 
 def torus_action(state: FullState, s: float, t: float) -> FullState:

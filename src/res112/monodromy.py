@@ -30,7 +30,7 @@ import numpy as np
 from .errors import LoopError, NumericalError, ValidationError
 from .model import CasimirValues, ModelParams
 from .bifurcations import f_quartic
-from .critical_values import FiberKind, classify_fiber
+from .critical_values import FiberKind, classify_fiber, thread_segments
 from .polyroots import newton
 from .reduced_dynamics import ReducedParams, h_min
 
@@ -94,20 +94,6 @@ def to_matrix(v: MonodromyVector) -> MonodromyMatrix:
         (0, 1, v.m_J),
         (0, 0, 1),
     ))
-
-
-def compose(a: MonodromyMatrix, b: MonodromyMatrix) -> MonodromyMatrix:
-    """Matrix product; the image of the monodromy map is abelian, so the
-    product must equal the matrix of the summed vectors."""
-    prod = a.array @ b.array
-    expected = to_matrix(a.vector + b.vector).array
-    if not np.array_equal(prod, expected):
-        raise NumericalError("monodromy matrices violated the additive law")
-    return MonodromyMatrix(matrix=tuple(tuple(int(x) for x in row) for row in prod))
-
-
-def inverse(a: MonodromyMatrix) -> MonodromyMatrix:
-    return to_matrix(-a.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -460,54 +446,54 @@ def _advance_component(prev_tori, prev_idx, new_tori) -> int:
 # Named generator loops
 # ---------------------------------------------------------------------------
 
+# the thread each named loop goes around
+LOOP_THREADS = {"gamma1": "C23", "gamma2": "C13", "gamma3": "C12"}
+
+
 def generator_loop(name: str, params: ModelParams, n_points: int = 48,
                    radius: float | None = None, plane: float | None = None):
     """Construct a named generator loop around one of the three threads.
 
-    gamma1 circles the normal 1-mode thread in a plane mu = +c (clockwise
-    in the oriented (J, H)-plane: the thread points toward -mu), gamma2 the
-    normal 2-mode thread in mu = -c (counterclockwise in (J, H)), gamma3
-    the normal 3-mode thread in iota = -c (clockwise in (N, H)).  Radii are
-    shrunk automatically until every sample is a regular value.
+    gamma1 circles the normal 1-mode thread C23 in a plane mu = +c
+    (clockwise in the oriented (J, H)-plane: the thread points toward -mu),
+    gamma2 the normal 2-mode thread C13 in mu = -c (counterclockwise in
+    (J, H)), gamma3 the normal 3-mode thread C12 in iota = -c (clockwise in
+    (N, H)).  Each loop is centred where its thread, taken from
+    ``thread_segments``, pierces the plane.  Radii are shrunk automatically
+    until every sample is a regular value.
     """
     if params.lambda1 != 0.0 or params.lambda2 != 0.0:
         raise ValidationError("named generator loops assume lambda1 = lambda2 = 0")
-    lam = params.delta
-    kappa = params.kappa
-    if name not in ("gamma1", "gamma2", "gamma3"):
+    if name not in LOOP_THREADS:
         raise ValidationError(f"unknown generator loop {name!r}")
+    c = plane if plane is not None else (0.75 if name == "gamma3" else 0.5)
+    if not c > 0.0:
+        raise ValidationError(f"loop plane must be positive (got {c})")
+    rp = ReducedParams(lam=params.delta, kappa=params.kappa)
+    seg = next(s for s in thread_segments(rp) if s.name == LOOP_THREADS[name])
+    # the thread pierces the plane at (mu0, iota0, h0); gamma3's plane
+    # iota = -c meets C12 at ell = -2c
+    ell0 = -2.0 * c if name == "gamma3" else c
+    mu0 = seg.mu(ell0)
+    iota0 = 0.5 * (mu0 + ell0)
+    h0 = seg.h_c(ell0)
+    phi = 0.37 + np.linspace(0.0, 2.0 * math.pi, n_points + 1)
 
-    if name in ("gamma1", "gamma2"):
-        c = plane if plane is not None else 0.5
-        mu0 = c if name == "gamma1" else -c
-        ell0 = abs(mu0)
-        # thread pierces the plane at (iota, h) = ((mu0+ell0)/2, h_c)
-        iota0 = 0.5 * (mu0 + ell0)
-        h0 = lam * ell0 + 0.5 * kappa * ell0 * ell0
-        ccw = name == "gamma2"
-
+    if name == "gamma3":
         def make(r):
-            phi = 0.37 + np.linspace(0.0, 2.0 * math.pi, n_points + 1)
-            sgn = 1.0 if ccw else -1.0
-            iotas = iota0 + r * np.cos(phi)
-            hs = h0 + sgn * r * np.sin(phi)
-            return [(mu0, float(i), float(hh)) for i, hh in zip(iotas, hs)]
-    else:
-        c = plane if plane is not None else 0.75
-        iota0 = -c
-        h0 = 0.0  # normal 3-mode energy
-        ell0 = 2.0 * iota0
-
-        def make(r):
-            phi = 0.37 + np.linspace(0.0, 2.0 * math.pi, n_points + 1)
             mus = r * np.cos(phi)
             hs = h0 - r * np.sin(phi)  # clockwise in (mu, h)
             return [(float(m), iota0, float(hh)) for m, hh in zip(mus, hs)]
+    else:
+        sgn = 1.0 if name == "gamma2" else -1.0  # gamma2 counterclockwise
+
+        def make(r):
+            iotas = iota0 + r * np.cos(phi)
+            hs = h0 + sgn * r * np.sin(phi)
+            return [(mu0, float(i), float(hh)) for i, hh in zip(iotas, hs)]
 
     if radius is None:
-        cas0 = CasimirValues(mu=0.0, ell=ell0) if name == "gamma3" else \
-            CasimirValues(mu=mu0, ell=ell0)
-        gap = h0 - h_min(cas0, ReducedParams(lam=lam, kappa=kappa))
+        gap = h0 - h_min(CasimirValues(mu=mu0, ell=ell0), rp)
         radius = 0.35 * gap if gap > 0.0 else 0.1
 
     for _ in range(8):

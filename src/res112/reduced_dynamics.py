@@ -3,9 +3,8 @@
 The reduced Hamiltonian X + lam*R + (kappa/2) R^2 cuts the reduced phase
 space along its level sets; tangencies are equilibria.  This module locates
 all equilibria through the degree-five tangency polynomial, classifies
-their stability, computes the minimal energy, integrates orbits of the
-reduced flow, and evaluates the internal frequencies of the reconstructed
-2-tori.
+their stability, computes the minimal energy and integrates orbits of the
+reduced flow.
 """
 
 from __future__ import annotations
@@ -75,17 +74,34 @@ def reduced_h(point: InvariantPoint, rp: ReducedParams) -> float:
     return point.X + rp.lam * point.R + 0.5 * rp.kappa * point.R * point.R
 
 
-def vector_field(point: InvariantPoint, cas: CasimirValues, rp: ReducedParams) -> np.ndarray:
-    """Reduced flow (dR, dX, dY) = grad(H) x grad(S) at a point.
+def tip_energy(r, rp: ReducedParams):
+    """Energy lam*r + (kappa/2) r^2 of the reduced Hamiltonian at X = 0.
+
+    At r = r_min this is the energy of the tip, and of the normal mode
+    (or equilibrium) over it.  Works elementwise on arrays.
+    """
+    return rp.lam * r + 0.5 * rp.kappa * r * r
+
+
+def vector_field(cas: CasimirValues, rp: ReducedParams):
+    """Right-hand side rhs(t, (R, X, Y)) of the reduced flow
+    (dR, dX, dY) = grad(H) x grad(S), in the form solve_ivp takes.
 
     The sign is fixed so the bracket table is reproduced: with H = X the
     field gives dR/dt = 2Y.  Both the syzygy and the energy are conserved
     along the flow (the field is a cross product of their gradients).
     """
-    r, x, y = point.R, point.X, point.Y
-    gp = rp.lam + rp.kappa * r
-    c = 3.0 * r * r - 2.0 * cas.ell * r - cas.mu * cas.mu
-    return np.array([2.0 * y, -2.0 * gp * y, 2.0 * gp * x + c])
+    mu2 = cas.mu * cas.mu
+    ell = cas.ell
+    lam, kap = rp.lam, rp.kappa
+
+    def rhs(t, y):
+        r, x, yy = y
+        gp = lam + kap * r
+        c = 3.0 * r * r - 2.0 * ell * r - mu2
+        return (2.0 * yy, -2.0 * gp * yy, 2.0 * gp * x + c)
+
+    return rhs
 
 
 def tangency_quintic_coeffs(cas: CasimirValues, rp: ReducedParams) -> np.ndarray:
@@ -148,8 +164,7 @@ def equilibria(cas: CasimirValues, rp: ReducedParams,
         out.append(_regular_equilibrium(max(r, rmin), cas, rp, dcoeffs, d2coeffs))
 
     if tip.is_singular:
-        h_tip = rp.lam * rmin + 0.5 * rp.kappa * rmin * rmin
-        out.append(Equilibrium(R=rmin, X=0.0, h=float(h_tip),
+        out.append(Equilibrium(R=rmin, X=0.0, h=float(tip_energy(rmin, rp)),
                                stability=Stability.SINGULAR_TIP,
                                quintic_deriv=polyval(dcoeffs, rmin)))
     out.sort(key=lambda e: e.R)
@@ -228,12 +243,7 @@ def integrate_orbit(start: InvariantPoint, cas: CasimirValues, rp: ReducedParams
     mu2 = cas.mu * cas.mu
     ell = cas.ell
     lam, kap = rp.lam, rp.kappa
-
-    def rhs(t, y):
-        r, x, yy = y
-        gp = lam + kap * r
-        c = 3.0 * r * r - 2.0 * ell * r - mu2
-        return (2.0 * yy, -2.0 * gp * yy, 2.0 * gp * x + c)
+    rhs = vector_field(cas, rp)
 
     y0 = np.array([start.R, start.X, start.Y])
     f0 = np.asarray(rhs(0.0, y0))
@@ -290,17 +300,3 @@ def integrate_orbit(start: InvariantPoint, cas: CasimirValues, rp: ReducedParams
 def _syzygy_value(point: InvariantPoint, cas: CasimirValues) -> float:
     return (point.X ** 2 + point.Y ** 2
             - (point.R ** 2 - cas.mu ** 2) * (point.R - cas.ell))
-
-
-def internal_frequencies(R: float, cas: CasimirValues, mp: ModelParams) -> tuple[float, float]:
-    """Internal frequencies (dH/dN, dH/dJ) of the 2-torus over a regular equilibrium.
-
-    Evaluated from the full normal form with the second Casimir replaced by
-    2J - N; the ratio decides periodicity of the reconstructed trajectories.
-    """
-    dn = (mp.beta - mp.alpha
-          + (mp.gamma1 - mp.gamma2) * cas.mu
-          + (mp.gamma2 - mp.gamma3) * cas.ell
-          + (mp.lambda1 - mp.lambda2) * R)
-    dj = 2.0 * (mp.alpha + mp.gamma2 * cas.mu + mp.gamma3 * cas.ell + mp.lambda2 * R)
-    return dn, dj

