@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bifurcations import (BifurcationKind, LambdaStratum, catalog_point,
-                           catalog_point_kappa0, classify_multiple_root,
-                           f_quartic, families_at, family_domain,
-                           instability_interval, residual_scale,
-                           solve_bifurcations_numeric, _event_distance)
+                           classify_multiple_root, f_quartic, families_at,
+                           family_domain, instability_interval,
+                           residual_scale, solve_bifurcations_numeric)
 from .critical_values import classify_fiber
 from .errors import LoopError, Res112Error, ValidationError
 from .model import (CasimirValues, FullState, InvariantPoint, ModelParams,
@@ -122,7 +121,7 @@ def _event_catalog_distance(ev):
     evaluated at the event by the solver's own tagging rule."""
     if ev.family is None:
         return math.inf
-    return _event_distance(ev, ev.family, LambdaStratum(ev.lam, ev.kappa).domains)
+    return LambdaStratum(ev.lam, ev.kappa).distance(ev, ev.family)
 
 
 def check_oracle_equivalence() -> AcceptanceResult:
@@ -495,8 +494,8 @@ def check_kappa0_catalog(n=100) -> AcceptanceResult:
         for fam in ("CS1_k0", "CS2_k0", "CS3_k0"):
             lo, hi = family_domain(fam, lam, 0.0)
             for a in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), per_fam):
-                pt = catalog_point_kappa0(fam, lam=lam, a=float(a),
-                                          sign=1 if total % 2 else -1)
+                pt = catalog_point(fam, lam=lam, a=float(a),
+                                   sign=1 if total % 2 else -1, kappa=0.0)
                 total += 1
                 cas = CasimirValues(pt.mu, pt.ell)
                 q = f_quartic(pt.h, ReducedParams(lam=lam, kappa=0.0), cas)
@@ -507,7 +506,7 @@ def check_kappa0_catalog(n=100) -> AcceptanceResult:
                 elif classify_multiple_root(pt.a, q, cas) is not pt.kind:
                     problems.append(f"{fam} lam={lam} a={a}: misclassified")
         for fam in ("HHsub1_k0", "HHsub2_k0", "HHsub3_k0"):
-            pt = catalog_point_kappa0(fam, lam=lam)
+            pt = catalog_point(fam, lam=lam, kappa=0.0)
             total += 1
             cas = CasimirValues(pt.mu, pt.ell)
             q = f_quartic(pt.h, ReducedParams(lam=lam, kappa=0.0), cas)

@@ -428,20 +428,23 @@ def _hopf_point(family, lam, mu, ell, kappa, kind) -> CatalogPoint:
 def catalog_point(family: str, *, lam: float | None = None, a: float | None = None,
                   mu: float | None = None, sign: int = 1,
                   kappa: float = 1.0) -> CatalogPoint:
-    """Closed-form catalog point of the kappa != 0 bifurcation set.
+    """Closed-form catalog point of the bifurcation set, for every kappa >= 0.
 
-    Centre-saddle families take (lam, a) with the a-range of family_domain
-    enforced; CS3/CS4 additionally take ``sign`` selecting the mu-branch.
-    Cusp1/2 and the Hopf families take lam alone; Cusp3 takes mu; the three
-    degenerate points take no parameter.  A family parametrised by lam
-    raises ValidationError where families_at does not list it.  lam = 0 and
-    lam = 1/(2 kappa) are handled by dedicated special-case formulas.
+    For kappa > 0 the families are CATALOG_FAMILIES, for kappa = 0 the
+    KAPPA0_FAMILIES.  Centre-saddle families take (lam, a) with the a-range
+    of family_domain enforced; CS3/CS4/CS3_k0 additionally take ``sign``
+    selecting the mu-branch.  Cusp1/2 and the Hopf families take lam alone;
+    Cusp3 takes mu; the three degenerate points take no parameter.  A
+    family parametrised by lam raises ValidationError where families_at
+    does not list it.  lam = 0 and lam = 1/(2 kappa) are handled by
+    dedicated special-case formulas.  Raises UnsupportedRegimeError for
+    kappa < 0 (use kappa_scaling) and for any other family at kappa = 0.
     """
-    if kappa <= 0.0:
+    if kappa < 0.0 or (kappa == 0.0 and family not in KAPPA0_FAMILIES):
         raise UnsupportedRegimeError(
-            "catalog_point covers kappa > 0; use kappa_scaling for kappa < 0 "
-            "and catalog_point_kappa0 for kappa = 0")
-    if family not in CATALOG_FAMILIES:
+            "catalog_point covers kappa > 0 and the KAPPA0_FAMILIES at "
+            "kappa = 0; use kappa_scaling for kappa < 0")
+    if kappa > 0.0 and family not in CATALOG_FAMILIES:
         raise ValidationError(f"unknown family {family!r}")
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
@@ -470,6 +473,8 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
     if family not in families_at(lam, k):
         raise ValidationError(f"{family} has no points at lam = {lam}")
 
+    if k == 0.0 and family.startswith("HHsub"):
+        return _hopf_point_kappa0(family, lam)
     if family.startswith(("HHsub", "HHsup")):
         sub = family.startswith("HHsub")
         kind = BifurcationKind.HOPF_SUB if sub else BifurcationKind.HOPF_SUPER
@@ -508,12 +513,8 @@ def _at_lambda_half(lam: float, k: float) -> bool:
     return abs(lam - 0.5 / k) <= 1e-14 / k
 
 
-def _cs_point(family: str, lam: float, a: float, sign: int, k: float,
-              lo: float, hi: float) -> CatalogPoint:
-    """CS1..CS4 point at (lam, a) away from lam = 1/(2 kappa), given the
-    family's a-range (lo, hi) from family_domain; raises outside it."""
-    if not lo < a < hi:
-        raise ValidationError(f"{family} needs {lo} < a < {hi}")
+def _cs_point(family: str, lam: float, a: float, sign: int, k: float) -> CatalogPoint:
+    """CS1..CS4 point at (lam, a) away from lam = 1/(2 kappa)."""
     if family == "CS3":
         _, m_plus = _mu2_branches(a, lam, k)
         mu_val = sign * math.sqrt(max(m_plus, 0.0))
@@ -534,14 +535,10 @@ def _cs_point(family: str, lam: float, a: float, sign: int, k: float,
                         b=_b_of_a(a, lam, k), h=h, kappa=k)
 
 
-def _cs_point_lambda_half(family: str, a: float, k: float,
-                          lo: float, hi: float) -> CatalogPoint:
-    """CS1/CS2 boundary point at lam = 1/(2 kappa), given the family's
-    a-range (lo, hi) from family_domain; raises outside it.  There the
-    eliminated quartic factorises and the sheets continue onto
-    mu^2 = 2 kappa^2 a^3, flagged as boundary points."""
-    if not lo < a < hi:
-        raise ValidationError(f"boundary {family} points need {lo} < a < {hi}")
+def _cs_point_lambda_half(family: str, a: float, k: float) -> CatalogPoint:
+    """CS1/CS2 boundary point at lam = 1/(2 kappa).  There the eliminated
+    quartic factorises and the sheets continue onto mu^2 = 2 kappa^2 a^3,
+    flagged as boundary points."""
     lam = 0.5 / k
     mu2 = 2.0 * k ** 2 * a ** 3
     mu_val = math.sqrt(mu2)
@@ -555,41 +552,23 @@ def _cs_point_lambda_half(family: str, a: float, k: float,
                         boundary=True)
 
 
-def catalog_point_kappa0(family: str, *, lam: float, a: float | None = None,
-                         sign: int = 1) -> CatalogPoint:
-    """Closed-form catalog point of the kappa = 0 bifurcation set.
-
-    Families CS1/CS2/CS3 (suffix _k0) take (lam, a) with the ranges
-    0 < a < lam^2/2 resp. 4 lam^2/9 < a < lam^2/2; the three subcritical
-    Hopf families take lam alone.  lam must be nonzero (families_at).
-    """
-    if family not in families_at(lam, 0.0):
-        raise ValidationError(f"no kappa = 0 family {family!r} at lam = {lam}")
+def _hopf_point_kappa0(family: str, lam: float) -> CatalogPoint:
+    """HHsub1_k0..HHsub3_k0 point at lam: the tip a = ell = lam^2/2 with
+    mu = +-a on HHsub1_k0/HHsub2_k0, and a = mu = 0, ell = -lam^2 on
+    HHsub3_k0."""
     L2 = lam * lam
-
-    if family == "HHsub1_k0":
-        mu, ell, a = 0.5 * L2, 0.5 * L2, 0.5 * L2
-    elif family == "HHsub2_k0":
-        mu, ell, a = -0.5 * L2, 0.5 * L2, 0.5 * L2
-    elif family == "HHsub3_k0":
+    if family == "HHsub3_k0":
         mu, ell, a = 0.0, -L2, 0.0
     else:
-        if a is None:
-            raise ValidationError(f"family {family} needs the triple root a")
-        return _cs_point_kappa0(family, lam, a, sign,
-                                *family_domain(family, lam, 0.0))
-
+        a = ell = 0.5 * L2
+        mu = a if family == "HHsub1_k0" else -a
     h = (mu * mu + 3.0 * a * a) / (2.0 * lam)
     return CatalogPoint(family=family, kind=BifurcationKind.HOPF_SUB, lam=lam,
                         mu=mu, ell=ell, a=a, b=None, h=h, kappa=0.0)
 
 
-def _cs_point_kappa0(family: str, lam: float, a: float, sign: int,
-                     lo: float, hi: float) -> CatalogPoint:
-    """CS1_k0..CS3_k0 point at (lam, a), given the family's a-range (lo, hi)
-    from family_domain; raises outside it."""
-    if not lo < a < hi:
-        raise ValidationError(f"{family} needs {lo} < a < {hi}")
+def _cs_point_kappa0(family: str, lam: float, a: float, sign: int) -> CatalogPoint:
+    """CS1_k0..CS3_k0 point at (lam, a)."""
     L2 = lam * lam
     rad = 2.0 * abs(lam) * (L2 - 2.0 * a) ** 1.5
     base = -3.0 * a * a + 6.0 * a * L2 - 2.0 * L2 * L2
@@ -622,7 +601,8 @@ class LambdaStratum:
     ell = const shares: ``domains`` for the catalog route, ``oracle`` for
     the numeric one.  Each is computed on first use and kept, so the planes
     at one lam cost one a0_root per route; the oracle takes its own
-    structural points, so the routes stay independent."""
+    structural points, so the routes stay independent.  ``tag`` names the
+    catalog family of each solver event at lam."""
 
     lam: float
     kappa: float = 1.0
@@ -661,26 +641,63 @@ class LambdaStratum:
         grid = _a_grid(1.05 * max([1.0, *pts]), 129, pts)
         return [], grid, [_m_branches_numeric(a, lam, kappa) for a in grid]
 
+    def distance(self, ev: BifurcationEvent, family: str) -> float:
+        """Distance in (mu, ell) from an event at this lam to the catalog
+        point of a family, evaluated at the event; inf where the family has
+        no point there.
+
+        A centre-saddle family is evaluated at the event's a and mu-sign when
+        a lies in the closed range that ``domains`` gives it; any other
+        family through catalog_point, and its point must lie within
+        MATCH_RADIUS of the event's lam.
+        """
+        try:
+            if family_kind(family) is BifurcationKind.CENTRE_SADDLE:
+                lo, hi = self.domains.get(family, (math.nan, math.nan))
+                if not lo <= ev.a <= hi:  # also where it has no points at lam
+                    return math.inf
+                # the closed range is checked here, so the probe gets no bounds
+                pt = _cs_probe(family, ev.lam, ev.a, 1 if ev.mu >= 0.0 else -1,
+                               ev.kappa, -math.inf, math.inf)
+            else:
+                pt = catalog_point(family, lam=ev.lam, mu=ev.mu, kappa=ev.kappa)
+        except Res112Error:
+            return math.inf
+        if abs(pt.lam - ev.lam) > MATCH_RADIUS:
+            return math.inf
+        return math.hypot(pt.mu - ev.mu, pt.ell - ev.ell)
+
+    def tag(self, events) -> list[BifurcationEvent]:
+        """The events at this lam, each tagged with the family of its kind
+        (family_kind) whose catalog point lies nearest in (mu, ell) and
+        within MATCH_RADIUS (distance); family None where none does."""
+        # the fixed-lam families are tried at every lam: MATCH_RADIUS applies in lam
+        fixed = () if self.kappa == 0.0 else ("Cusp3", "HHdeg1", "HHdeg2", "HHdeg3")
+        by_kind: dict[BifurcationKind, list[str]] = {}
+        for family in families_at(self.lam, self.kappa) + fixed:
+            by_kind.setdefault(family_kind(family), []).append(family)
+        tagged = []
+        for ev in events:
+            best, best_d = None, math.inf
+            for family in by_kind.get(ev.kind, ()):
+                d = self.distance(ev, family)
+                if d < best_d:
+                    best, best_d = family, d
+            tagged.append(replace(ev, family=best if best_d <= MATCH_RADIUS else None))
+        return tagged
+
 
 def _cs_probe(family: str, lam: float, a: float, sign: int, kappa: float,
               lo: float, hi: float) -> CatalogPoint:
-    """catalog_point (catalog_point_kappa0 for kappa = 0) of a centre-saddle
-    family, with the a-range (lo, hi) already taken from family_domain."""
+    """catalog_point of a centre-saddle family, with the a-range (lo, hi)
+    already taken from family_domain; raises ValidationError outside it."""
+    if not lo < a < hi:
+        raise ValidationError(f"{family} needs {lo} < a < {hi}")
     if kappa == 0.0:
-        return _cs_point_kappa0(family, lam, a, sign, lo, hi)
+        return _cs_point_kappa0(family, lam, a, sign)
     if _at_lambda_half(lam, kappa):
-        return _cs_point_lambda_half(family, a, kappa, lo, hi)
-    return _cs_point(family, lam, a, sign, kappa, lo, hi)
-
-
-def _family_point(family: str, lam: float | None, mu: float | None,
-                  kappa: float) -> CatalogPoint:
-    """catalog_point (catalog_point_kappa0 for kappa = 0) of a family that
-    is not centre-saddle: Cusp3 at mu, the others at lam (the degenerate
-    Hopf points need neither)."""
-    if kappa == 0.0:
-        return catalog_point_kappa0(family, lam=lam)
-    return catalog_point(family, lam=lam, mu=mu, kappa=kappa)
+        return _cs_point_lambda_half(family, a, kappa)
+    return _cs_point(family, lam, a, sign, kappa)
 
 
 def catalog_slice(st: LambdaStratum, ell_target: float) -> list[tuple]:
@@ -746,7 +763,8 @@ def hopf_cusp_slice(ell_target: float, kappa: float, lam_lo: float,
     Each family's closed form is solved for lam: the Hopf parabolas
     ell = (1 - kappa lam -+ sqrt(1 - 2 kappa lam))/kappa^2 give
     lam = +-sqrt(2 ell) - kappa ell, HHsub3/HHsup3 give
-    lam = +-sqrt(-ell), and the cusp curves
+    lam = +-sqrt(-ell) (for kappa = 0 the same lam carry HHsub1_k0..3_k0),
+    and for kappa > 0 the cusp curves
     ell = (1 - x - sqrt(2x - 1))/kappa^2, x = kappa lam in (1/2, 1), give
     x = (1 + u^2)/2 with u = -1 + sqrt(2 - 2 kappa^2 ell); a solution whose
     family has no points at its lam (families_at) is skipped.  Returns
@@ -763,27 +781,19 @@ def hopf_cusp_slice(ell_target: float, kappa: float, lam_lo: float,
         present = families_at(lam, kappa)
         for family in families:
             if family in present:
-                add(_family_point(family, lam, None, kappa))
-
-    if kappa == 0.0:
-        if ell_target > 0.0:
-            L = math.sqrt(2.0 * ell_target)
-            for lam in (L, -L):
-                add_at(lam, "HHsub1_k0", "HHsub2_k0")
-        if ell_target < 0.0:
-            L = math.sqrt(-ell_target)
-            for lam in (L, -L):
-                add_at(lam, "HHsub3_k0")
-        return rows
+                add(catalog_point(family, lam=lam, kappa=kappa))
 
     k = kappa
     if ell_target > 0.0:
         for lam in (math.sqrt(2.0 * ell_target) - k * ell_target,
                     -math.sqrt(2.0 * ell_target) - k * ell_target):
-            add_at(lam, "HHsub1", "HHsub2", "HHsup1", "HHsup2")
+            add_at(lam, "HHsub1", "HHsub2", "HHsup1", "HHsup2",
+                   "HHsub1_k0", "HHsub2_k0")
     if ell_target < 0.0:
         for lam in (math.sqrt(-ell_target), -math.sqrt(-ell_target)):
-            add_at(lam, "HHsub3", "HHsup3")
+            add_at(lam, "HHsub3", "HHsup3", "HHsub3_k0")
+    if k == 0.0:
+        return rows
     c = ell_target * k ** 2
     if -1.0 < c < 0.5:
         u = -1.0 + math.sqrt(2.0 - 2.0 * c)
@@ -828,7 +838,7 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
                     rows.append((family, lam, float(a), pt.mu, pt.ell, pt.h))
         for family in families_at(lam, kappa):
             if family_kind(family) is not BifurcationKind.CENTRE_SADDLE:
-                pt = _family_point(family, lam, None, kappa)
+                pt = catalog_point(family, lam=lam, kappa=kappa)
                 rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
     if kappa > 0.0:
         for mu in np.linspace(-0.49 / kappa ** 2, 0.49 / kappa ** 2, n):
@@ -1026,16 +1036,16 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     (_structural_points); Hopf points are the roots of a - r_min along each
     root branch (_branch_crossings).  Events are classified by the
     multiple-root rules and tagged with the nearest catalog family
-    (_tag_events); unmatched events keep family None and are never dropped.
+    (LambdaStratum.tag); unmatched events keep family None and are never dropped.
     kappa = 0 is supported through the cubic degeneration of F (no b root,
     no quadruple candidates); kappa < 0 raises UnsupportedRegimeError, as
     the catalog that tags the events does (families_at).
     """
     special = _special_lambda(lam, kappa)
     if special == 0.0:
-        return _tag_events(_events_lambda_zero(kappa), special, kappa)
+        return LambdaStratum(special, kappa).tag(_events_lambda_zero(kappa))
     if special is not None:
-        return _tag_events(_events_lambda_half(kappa, n_grid), special, kappa)
+        return LambdaStratum(special, kappa).tag(_events_lambda_half(kappa, n_grid))
 
     pts = _structural_points(lam, kappa)
     a_max = 1.2 * max([0.0, *pts, *([1.0 / kappa ** 2] if kappa else [])]) + 0.5
@@ -1050,7 +1060,7 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     events = _unique_events(ev for a, m in on_grid + crossings
                             for ev in _events_from_am(a, m, lam, kappa))
     events.sort(key=lambda e: (e.a, e.mu, e.kind.value))
-    return _tag_events(events, lam, kappa)
+    return LambdaStratum(lam, kappa).tag(events)
 
 
 def oracle_slice(st: LambdaStratum, ell_target: float) -> list[tuple]:
@@ -1115,7 +1125,7 @@ def _events_lambda_half(kappa: float, n_grid: int) -> list[BifurcationEvent]:
     # sheet mu^2 = 2 kappa^2 a^3 on [0, a_c] (so with its Hopf end point a = 0)
     points = [_cusp3_point(float(mu), kappa) for mu in np.linspace(-a_c, a_c, n)]
     for a in np.linspace(0.0, a_c, n):
-        pt = _cs_point_lambda_half("CS2", float(a), kappa, -math.inf, math.inf)
+        pt = _cs_point_lambda_half("CS2", float(a), kappa)
         points += [replace(pt, mu=sgn * pt.mu) for sgn in _mu_signs(pt.mu * pt.mu)]
     events = []
     for pt in points:
@@ -1130,54 +1140,6 @@ def _events_lambda_half(kappa: float, n_grid: int) -> list[BifurcationEvent]:
     events = _unique_events(events)
     events.sort(key=lambda e: (e.a, e.mu, e.kind.value))
     return events
-
-
-def _event_distance(ev: BifurcationEvent, family: str,
-                    domains: dict[str, tuple[float, float]]) -> float:
-    """Distance in (mu, ell) from an event to the catalog point of a family,
-    evaluated at the event; inf where the family has no point there.
-
-    A centre-saddle family is evaluated at the event's a and mu-sign when a
-    lies in the closed range that ``domains`` (LambdaStratum.domains at the
-    event's lam) gives it; any other family through _family_point, and its
-    point must lie within MATCH_RADIUS of the event's lam.
-    """
-    try:
-        if family_kind(family) is BifurcationKind.CENTRE_SADDLE:
-            lo, hi = domains.get(family, (math.nan, math.nan))
-            if not lo <= ev.a <= hi:  # also where it has no points at lam
-                return math.inf
-            # the closed range is checked here, so the probe gets no bounds
-            pt = _cs_probe(family, ev.lam, ev.a, 1 if ev.mu >= 0.0 else -1,
-                           ev.kappa, -math.inf, math.inf)
-        else:
-            pt = _family_point(family, ev.lam, ev.mu, ev.kappa)
-    except Res112Error:
-        return math.inf
-    if abs(pt.lam - ev.lam) > MATCH_RADIUS:
-        return math.inf
-    return math.hypot(pt.mu - ev.mu, pt.ell - ev.ell)
-
-
-def _tag_events(events, lam: float, kappa: float) -> list[BifurcationEvent]:
-    """The events at lam, each tagged with the family of its kind
-    (family_kind) whose catalog point lies nearest in (mu, ell) and within
-    MATCH_RADIUS (_event_distance); family None where none does."""
-    domains = LambdaStratum(lam, kappa).domains
-    # the fixed-lam families are tried at every lam: MATCH_RADIUS applies in lam
-    fixed = () if kappa == 0.0 else ("Cusp3", "HHdeg1", "HHdeg2", "HHdeg3")
-    by_kind: dict[BifurcationKind, list[str]] = {}
-    for family in families_at(lam, kappa) + fixed:
-        by_kind.setdefault(family_kind(family), []).append(family)
-    tagged = []
-    for ev in events:
-        best, best_d = None, math.inf
-        for family in by_kind.get(ev.kind, ()):
-            d = _event_distance(ev, family, domains)
-            if d < best_d:
-                best, best_d = family, d
-        tagged.append(replace(ev, family=best if best_d <= MATCH_RADIUS else None))
-    return tagged
 
 
 # ---------------------------------------------------------------------------

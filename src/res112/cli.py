@@ -271,7 +271,7 @@ def monodromy_cmd(delta, kappa, loop_name, points, radius, plane, tol, fmt):
     params = ModelParams(delta=delta, kappa=kappa)
     loop = generator_loop(loop_name, params, n_points=points, radius=radius,
                           plane=plane)
-    res = monodromy_vector(loop, params, rtol=tol, atol=0.1 * tol)
+    res = monodromy_vector(loop, params, tol=tol)
     mat = to_matrix(res.vector)
     if fmt == "json":
         click.echo(json.dumps({

@@ -107,8 +107,7 @@ QUAD_NODES_MAX = 2 ** 14
 
 
 def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
-                     component: int = 0, rtol: float = 1e-11,
-                     atol: float = 1e-12) -> RotationData:
+                     component: int = 0, tol: float = 1e-11) -> RotationData:
     """Rotation numbers of the fiber over (mu, iota, h).
 
     Over one reduced period the phases of z1, z2, z3 advance by the period
@@ -117,13 +116,13 @@ def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
     with X = h - lam R - (kappa/2) R^2; the torus-action closure is then
     theta_N = -Delta_2 / 2 pi, theta_J = -Delta_3 / 2 pi (mod 1), checked
     by (Delta_1 + Delta_2 + Delta_3) / 2 pi being an integer.  See
-    _period_integrals for the quadrature and the meaning of rtol, atol.
+    _period_integrals for the quadrature and the meaning of tol.
     """
     tori = _regular_tori(value, params)
     if component >= len(tori):
         raise ValidationError(
             f"component {component} out of range ({len(tori)} torus components)")
-    return _fiber_rotation(value, params, tori[component], rtol, atol)
+    return _fiber_rotation(value, params, tori[component], tol)
 
 
 def _regular_tori(value, params: ModelParams) -> list[tuple[float, float]]:
@@ -141,7 +140,7 @@ def _regular_tori(value, params: ModelParams) -> list[tuple[float, float]]:
 
 
 def _fiber_rotation(value, params: ModelParams, r_interval: tuple[float, float],
-                    rtol: float, atol: float) -> RotationData:
+                    tol: float) -> RotationData:
     """Rotation numbers of the torus over ``value`` whose reduced orbit
     spans ``r_interval``."""
     mu, iota, h = value
@@ -151,7 +150,7 @@ def _fiber_rotation(value, params: ModelParams, r_interval: tuple[float, float],
     desc = f.coeffs[::-1]
     r1, r2 = (newton(desc, r, 4) for r in r_interval)
     _mode_actions(r1, cas)  # every mode stays excited along the orbit
-    T_red, d1, d2, d3 = _period_integrals(f, r1, r2, h, rp, cas, rtol, atol)
+    T_red, d1, d2, d3 = _period_integrals(f, r1, r2, h, rp, cas, tol)
 
     turns = (d1 + d2 + d3) / (2.0 * math.pi)
     cons = abs(turns - round(turns))
@@ -164,8 +163,8 @@ def _fiber_rotation(value, params: ModelParams, r_interval: tuple[float, float],
 
 
 def _period_integrals(f, r1: float, r2: float, h: float, rp: ReducedParams,
-                      cas: CasimirValues, rtol: float,
-                      atol: float) -> tuple[float, float, float, float]:
+                      cas: CasimirValues,
+                      tol: float) -> tuple[float, float, float, float]:
     """(T_red, Delta_1, Delta_2, Delta_3) over the orbit between the turning
     points r1 < r2.
 
@@ -184,8 +183,8 @@ def _period_integrals(f, r1: float, r2: float, h: float, rp: ReducedParams,
     with the polynomials D_p = -lam - (kappa/2)(R + p) and
     s_p = (q(R) - q(p))/(R - p), so the rule converges even when a pole
     lies just below r1.  The node count starts at QUAD_NODES_START and
-    doubles until no integral moves by more than rtol max(1, |value|) +
-    atol; beyond QUAD_NODES_MAX it raises NumericalError.
+    doubles until no integral moves by more than tol max(1, |value|) +
+    tol/10; beyond QUAD_NODES_MAX it raises NumericalError.
     """
     lam, kappa = rp.lam, rp.kappa
     # F = (R - r1)(R - r2) q(R) by synthetic division; the remainder is
@@ -235,7 +234,7 @@ def _period_integrals(f, r1: float, r2: float, h: float, rp: ReducedParams,
             raise NumericalError(
                 f"period integrals unconverged at {QUAD_NODES_MAX} nodes")
         cur = integrals(n)
-        if np.all(np.abs(cur - prev) <= rtol * np.maximum(1.0, np.abs(cur)) + atol):
+        if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur)) + 0.1 * tol):
             return tuple(float(x) for x in cur)
         prev = cur
 
@@ -309,7 +308,7 @@ class MonodromyResult:
 
 
 def monodromy_vector(loop, params: ModelParams, component: int = 0,
-                     rtol: float = 1e-11, atol: float = 1e-12) -> MonodromyResult:
+                     tol: float = 1e-11) -> MonodromyResult:
     """Continue rotation numbers along a closed loop of regular values.
 
     ``loop`` is a sequence of (mu, iota, h) with first point equal to last
@@ -336,7 +335,7 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
 
     def eval_point(p, interval):
         try:
-            return _fiber_rotation(p, params, interval, rtol, atol)
+            return _fiber_rotation(p, params, interval, tol)
         except (ValidationError, NumericalError) as exc:
             raise LoopError(f"loop point {p} unusable: {exc}") from exc
 

@@ -120,8 +120,7 @@ def tangency_quintic_coeffs(cas: CasimirValues, rp: ReducedParams) -> np.ndarray
     return polysub(left, right)
 
 
-def equilibria(cas: CasimirValues, rp: ReducedParams,
-               merge_tol: float = ROOT_MERGE_TOL) -> list[Equilibrium]:
+def equilibria(cas: CasimirValues, rp: ReducedParams) -> list[Equilibrium]:
     """All equilibria of the reduced flow for the given Casimir values.
 
     Finds the real roots of the tangency quintic on [r_min, inf), recovers
@@ -141,13 +140,13 @@ def equilibria(cas: CasimirValues, rp: ReducedParams,
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic failure
         raise RootFindingError(f"companion-matrix eigenvalue solve failed: {exc}")
     polished = [newton(coeffs, r, 3, dcoeffs) for r in real]
-    polished = sorted(r for r in polished if r >= rmin - merge_tol * scale)
+    polished = sorted(r for r in polished if r >= rmin - ROOT_MERGE_TOL * scale)
 
     # Merge near-coincident roots; delegate genuine multiple-root analysis
     # to the bifurcation module, which works with exact conditions.
     merged: list[float] = []
     for r in polished:
-        if merged and abs(r - merged[-1]) <= merge_tol * scale:
+        if merged and abs(r - merged[-1]) <= ROOT_MERGE_TOL * scale:
             merged[-1] = 0.5 * (merged[-1] + r)
         else:
             merged.append(r)

@@ -11,15 +11,14 @@ from scipy.optimize import brentq
 from res112 import (AmbiguousClassificationError, BifurcationKind,
                     CasimirValues, LambdaStratum, ReducedParams, Res112Error,
                     UnsupportedRegimeError, ValidationError, a0_root,
-                    catalog_point, catalog_point_kappa0, catalog_slice,
+                    catalog_point, catalog_slice,
                     classify_multiple_root, f_quartic, families_at,
                     family_domain, hopf_cusp_slice, instability_interval,
                     kappa_scaling, oracle_slice, solve_bifurcations_numeric)
 from res112 import bifurcations
 from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_probe,
                                  _discriminant_core, _ell_from_mu2,
-                                 _ell_slope, _event_distance,
-                                 _mu2_branches, a_quadruple,
+                                 _ell_slope, _mu2_branches, a_quadruple,
                                  a_sub_boundary, a_sup_boundary,
                                  g_cubic_coeffs, residual_scale)
 
@@ -228,12 +227,6 @@ def _restated_domain(family, lam, kappa):
     return (a0, hopf) if family == "CS3" else (cusp, a0)
 
 
-def _cs_catalog_point(family, lam, a, kappa):
-    if family.endswith("_k0"):
-        return catalog_point_kappa0(family, lam=lam, a=a, sign=-1)
-    return catalog_point(family, lam=lam, a=a, sign=-1, kappa=kappa)
-
-
 @pytest.mark.parametrize("family,kappa", [
     (fam, kap) for fam in ("CS1", "CS2", "CS3", "CS4") for kap in (1.0, 2.0)
 ] + [(fam, 0.0) for fam in ("CS1_k0", "CS2_k0", "CS3_k0")])
@@ -247,16 +240,16 @@ def test_family_domain_matches_restated_ranges(family, kappa, x):
         with pytest.raises(ValidationError):
             family_domain(family, lam, kappa)
         with pytest.raises(ValidationError):
-            _cs_catalog_point(family, lam, 0.01, kappa)
+            catalog_point(family, lam=lam, a=0.01, sign=-1, kappa=kappa)
         return
     lo, hi = family_domain(family, lam, kappa)
     assert (lo, hi) == pytest.approx(expected, rel=1e-12, abs=1e-10)
     # the catalog enforces exactly this open interval
     for a in (lo - 1e-12, hi + 1e-12):
         with pytest.raises(ValidationError):
-            _cs_catalog_point(family, lam, a, kappa)
+            catalog_point(family, lam=lam, a=a, sign=-1, kappa=kappa)
     for a in (lo + 1e-12, hi - 1e-12):
-        assert _cs_catalog_point(family, lam, a, kappa).a == a
+        assert catalog_point(family, lam=lam, a=a, sign=-1, kappa=kappa).a == a
 
 
 def test_catalog_boundary_lambda_half():
@@ -434,7 +427,7 @@ def test_numeric_solver_recovers_catalog(kappa, lam1):
     assert all(e.family is not None for e in evs)
     for e in evs:
         if e.family.startswith("CS"):
-            assert _event_distance(e, e.family, LambdaStratum(e.lam, kappa).domains) <= 1e-6
+            assert LambdaStratum(e.lam, kappa).distance(e, e.family) <= 1e-6
     _assert_events_verify(evs, kappa)
 
 
@@ -485,8 +478,7 @@ def test_numeric_solver_kappa_scaling_covariance():
                           inverse=True)
         assert s.lam == pytest.approx(0.3)
         scaled = replace(e, kappa=1.0, lam=s.lam, mu=s.mu, ell=s.ell, a=s.R, h=s.h)
-        assert _event_distance(scaled, e.family,
-                               LambdaStratum(s.lam, 1.0).domains) <= 1e-8
+        assert LambdaStratum(s.lam, 1.0).distance(scaled, e.family) <= 1e-8
 
 
 def _newton_triple_root(lam: float, kappa: float, mu: float, a0: float,
@@ -577,20 +569,41 @@ def test_degenerate_points_are_quadruple_roots():
 # ---------------------------------------------------------------------------
 
 def test_kappa0_catalog_spot_values():
-    pt = catalog_point_kappa0("HHsub1_k0", lam=1.0)
+    pt = catalog_point("HHsub1_k0", lam=1.0, kappa=0.0)
     assert (pt.lam, pt.mu, pt.ell) == pytest.approx((1.0, 0.5, 0.5))
-    pt = catalog_point_kappa0("HHsub3_k0", lam=1.0)
+    pt = catalog_point("HHsub3_k0", lam=1.0, kappa=0.0)
     assert (pt.lam, pt.mu, pt.ell) == pytest.approx((1.0, 0.0, -1.0))
+
+
+def test_kappa0_catalog_sign_picks_the_mirror_branch():
+    # sign selects mu = +-sqrt(mu^2); any other value is refused, not scaled
+    plus, minus = (catalog_point("CS3_k0", lam=1.0, a=0.47, sign=s, kappa=0.0)
+                   for s in (1, -1))
+    assert plus.mu > 0.0 and minus.mu == -plus.mu
+    assert (minus.ell, minus.h) == (plus.ell, plus.h)
+    for sign in (0, 5):
+        with pytest.raises(ValidationError):
+            catalog_point("CS3_k0", lam=1.0, a=0.47, sign=sign, kappa=0.0)
+
+
+def test_catalog_point_family_sets_by_kappa():
+    # kappa = 0 takes only the KAPPA0_FAMILIES; kappa > 0 knows no _k0 name
+    with pytest.raises(UnsupportedRegimeError):
+        catalog_point("HHsub1", lam=1.0, kappa=0.0)
+    with pytest.raises(UnsupportedRegimeError):
+        catalog_point("HHsub1_k0", lam=1.0, kappa=-1.0)
+    with pytest.raises(ValidationError, match="unknown family"):
+        catalog_point("HHsub1_k0", lam=1.0, kappa=1.0)
 
 
 def test_kappa0_cs_limits_to_hopf():
     lam = 1.1
     hi = 0.5 * lam * lam
-    pt = catalog_point_kappa0("CS2_k0", lam=lam, a=hi * (1 - 1e-10))
-    hp = catalog_point_kappa0("HHsub1_k0", lam=lam)
+    pt = catalog_point("CS2_k0", lam=lam, a=hi * (1 - 1e-10), kappa=0.0)
+    hp = catalog_point("HHsub1_k0", lam=lam, kappa=0.0)
     assert math.hypot(pt.mu - hp.mu, pt.ell - hp.ell) < 1e-4
-    pt0 = catalog_point_kappa0("CS2_k0", lam=lam, a=1e-12)
-    hp3 = catalog_point_kappa0("HHsub3_k0", lam=lam)
+    pt0 = catalog_point("CS2_k0", lam=lam, a=1e-12, kappa=0.0)
+    hp3 = catalog_point("HHsub3_k0", lam=lam, kappa=0.0)
     assert math.hypot(pt0.mu - hp3.mu, pt0.ell - hp3.ell) < 1e-5
 
 

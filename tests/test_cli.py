@@ -209,9 +209,13 @@ def test_bifdiag_rejects_negative_kappa(tmp_path, runner):
     assert isinstance(res.exception, ValidationError)
 
 
-def test_cli_imports_no_private_names():
-    # the CLI does I/O on top of the public library API
-    tree = ast.parse(Path(res112.cli.__file__).read_text())
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in Path(res112.__file__).parent.glob("*.py")))
+def test_module_imports_no_private_names(module):
+    # no private name crosses a module boundary inside the package: each
+    # module works on top of the others' public API
+    path = Path(res112.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text())
     private = [(node.module, alias.name) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                and (node.level > 0

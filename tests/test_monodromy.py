@@ -47,7 +47,7 @@ def test_rotation_numbers_basic():
 def test_rotation_numbers_tolerance_independence():
     # fiber invariants: tightening the quadrature must not move them
     a = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0)
-    b = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0, rtol=1e-12, atol=1e-13)
+    b = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0, tol=1e-12)
     assert abs(a.theta_N - b.theta_N) <= 1e-7
     assert abs(a.theta_J - b.theta_J) <= 1e-7
 
