@@ -626,20 +626,25 @@ class LambdaStratum:
         return out
 
     @cached_property
-    def oracle(self) -> tuple[list[BifurcationEvent], list[float], list[list[float]]]:
-        """(events, grid, table) of the numeric oracle at lam: no events, 129
+    def oracle(self) -> tuple[list[BifurcationEvent], list[float],
+                              tuple[list[float], list[float]]]:
+        """(events, grid, ells) of the numeric oracle at lam: no events, 129
         equally spaced a-values up to 1.05 times the largest of 1 and the
-        structural points (_structural_points) plus those points, and the
-        _m_branches_numeric roots at each.  At lam = 0 and 1/(2 kappa)
-        (_special_lambda), where the eliminated quartic degenerates, the
-        events of solve_bifurcations_numeric(lam, kappa, n_grid=201) and an
-        empty grid and table instead."""
+        structural points (_structural_points) plus those points, and ell(a,
+        m) (_ell_from_am) at each of them on each mu^2-branch of
+        _m_branches_numeric (_branch_values; NaN where the branch does not
+        exist), which every plane's oracle_slice shares.  At lam = 0 and
+        1/(2 kappa) (_special_lambda), where the eliminated quartic
+        degenerates, the events of solve_bifurcations_numeric(lam, kappa,
+        n_grid=201) and an empty grid and branches instead."""
         lam, kappa = self.lam, self.kappa
         if _special_lambda(lam, kappa) is not None:
-            return solve_bifurcations_numeric(lam, kappa, n_grid=201), [], []
+            return solve_bifurcations_numeric(lam, kappa, n_grid=201), [], ([], [])
         pts = _structural_points(lam, kappa)
         grid = _a_grid(1.05 * max([1.0, *pts]), 129, pts)
-        return [], grid, [_m_branches_numeric(a, lam, kappa) for a in grid]
+        table = [_m_branches_numeric(a, lam, kappa) for a in grid]
+        return [], grid, _branch_values(
+            grid, table, lambda a, m: _ell_from_am(a, m, lam, kappa))
 
     def distance(self, ev: BifurcationEvent, family: str) -> float:
         """Distance in (mu, ell) from an event at this lam to the catalog
@@ -975,37 +980,44 @@ def _a_grid(a_hi: float, n: int, pts) -> list[float]:
                   | {a for a in pts if 0.0 <= a <= a_hi})
 
 
-def _branch_crossings(grid: list[float], table: list[list[float]], g,
-                      lam: float, kappa: float) -> list[tuple[float, float]]:
+def _branch_values(grid: list[float], table: list[list[float]],
+                   g) -> tuple[list[float], list[float]]:
+    """g(a, m) at each a of ``grid`` on the smaller (branch 0), then on the
+    larger (branch 1) mu^2-root m of ``table``, its _m_branches_numeric
+    roots there; NaN where the branch has no real m >= 0."""
+    return tuple([g(a, ms[which]) if len(ms) > which and ms[which] >= 0.0
+                  else math.nan for a, ms in zip(grid, table)]
+                 for which in (0, 1))
+
+
+def _branch_crossings(grid: list[float], values, g, lam: float,
+                      kappa: float) -> list[tuple[float, float]]:
     """Roots of g(a, m) along each mu^2-branch m(a) of _m_branches_numeric.
 
-    ``grid`` is an increasing list of a-values and ``table`` the
-    _m_branches_numeric roots at each of them.  On the smaller root
-    (branch 0), then on the larger (branch 1), g is evaluated at every grid
-    point where the branch has a real m >= 0.  A value of exactly zero is a
-    root; a strict sign change between neighbours is polished by brentq
-    (xtol 1e-13).  Returns the distinct (a, m) pairs, branch by branch in
-    grid order; where the branches meet, a root on both counts once.
+    ``grid`` is an increasing list of a-values and ``values`` the
+    _branch_values of g on it, so g itself runs only inside a bracket.  On
+    the smaller root (branch 0), then on the larger (branch 1), a grid value
+    of exactly zero is a root; a strict sign change between neighbours is
+    polished by polyroots.brentq (xtol 1e-13), and a bracket where g meets
+    a missing branch (NaN) is skipped.  Returns the distinct (a, m) pairs,
+    branch by branch in grid order; where the branches meet, a root on
+    both counts once.
     """
-    from scipy.optimize import brentq
-
     out = []
-    for which in (0, 1):
-        def on_branch(a, ms):
+    for which, vals in enumerate(values):
+        def g_at(a):
+            ms = _m_branches_numeric(a, lam, kappa)
             if len(ms) <= which or ms[which] < 0.0:
                 return math.nan
             return g(a, ms[which])
 
-        def g_at(a):
-            return on_branch(a, _m_branches_numeric(a, lam, kappa))
-
-        vals = [on_branch(a, ms) for a, ms in zip(grid, table)]
         roots = [a for a, v in zip(grid, vals) if v == 0.0]
         for i in range(len(grid) - 1):
             v0, v1 = vals[i], vals[i + 1]
             if v0 < 0.0 < v1 or v1 < 0.0 < v0:
                 try:
-                    roots.append(brentq(g_at, grid[i], grid[i + 1], xtol=1e-13))
+                    roots.append(polyroots.brentq(g_at, grid[i], grid[i + 1],
+                                                  xtol=1e-13))
                 except ValueError:
                     continue
         for a in sorted(roots):
@@ -1056,7 +1068,8 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
         return a - max(math.sqrt(m), _ell_from_am(a, m, lam, kappa))
 
     on_grid = [(a, m) for a, ms in zip(grid, table) for m in ms if m >= 0.0]
-    crossings = _branch_crossings(grid, table, tip_gap, lam, kappa)
+    crossings = _branch_crossings(grid, _branch_values(grid, table, tip_gap),
+                                  tip_gap, lam, kappa)
     events = _unique_events(ev for a, m in on_grid + crossings
                             for ev in _events_from_am(a, m, lam, kappa))
     events.sort(key=lambda e: (e.a, e.mu, e.kind.value))
@@ -1070,19 +1083,20 @@ def oracle_slice(st: LambdaStratum, ell_target: float) -> list[tuple]:
     Independent of the catalog: the events of ``st.oracle`` within 1e-6 of
     the plane (there are some only at lam = 0 and lam = 1/(2 kappa)), then,
     along each root branch of the eliminated quadratic in mu^2, the roots
-    of ell(a) - ell_target on the oracle's grid (_branch_crossings); points
-    below the tip are dropped.  Returns ("numeric-oracle", lam, mu, ell, a,
-    h) tuples.
+    of ell(a) - ell_target on the oracle's grid (_branch_crossings), whose
+    grid values are the stratum's ell less ell_target; points below the tip
+    are dropped.  Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
     """
     lam, kappa = st.lam, st.kappa
-    events, grid, table = st.oracle
+    events, grid, ells = st.oracle
     rows = [("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h)
             for ev in events if abs(ev.ell - ell_target) <= 1e-6]
 
     def off_plane(a, m):
         return _ell_from_am(a, m, lam, kappa) - ell_target
 
-    for a, m in _branch_crossings(grid, table, off_plane, lam, kappa):
+    values = [[ell - ell_target for ell in branch] for branch in ells]
+    for a, m in _branch_crossings(grid, values, off_plane, lam, kappa):
         ell, h = _ell_from_am(a, m, lam, kappa), _h_from_am(a, m, lam, kappa)
         for sgn in _mu_signs(m):
             mu = sgn * math.sqrt(m)

@@ -13,6 +13,7 @@ error, 2 numerical failure, 3 I/O error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -67,9 +68,12 @@ def cli():
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
+        vals = [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"bad float list {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"non-finite value in {text!r}")
+    return vals
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -100,8 +104,9 @@ def _parse_window(text: str) -> tuple[float, float]:
               help="output path prefix")
 def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out):
     """Per-ell slices of the bifurcation set in the (lambda, mu)-plane."""
-    if kappa < 0.0:
-        raise ValidationError("bifdiag requires kappa >= 0; see the scale command")
+    if not 0.0 <= kappa < math.inf:
+        raise ValidationError("bifdiag requires a finite kappa >= 0; see the "
+                              "scale command")
     ells = _parse_floats(ell)
     lo, hi = _parse_window(lambda_window)
     if not ells or hi <= lo or grid < 2:

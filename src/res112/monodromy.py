@@ -118,11 +118,19 @@ def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
     by (Delta_1 + Delta_2 + Delta_3) / 2 pi being an integer.  See
     _period_integrals for the quadrature and the meaning of tol.
     """
+    _check_tol(tol)
     tori = _regular_tori(value, params)
     if component >= len(tori):
         raise ValidationError(
             f"component {component} out of range ({len(tori)} torus components)")
     return _fiber_rotation(value, params, tori[component], tol)
+
+
+def _check_tol(tol: float) -> None:
+    """ValidationError unless the quadrature tolerance is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(
+            f"quadrature tol must be positive and finite (got {tol})")
 
 
 def _regular_tori(value, params: ModelParams) -> list[tuple[float, float]]:
@@ -321,6 +329,7 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
     or merging with a second substantial family) raises LoopError, while
     passing through an elliptic face on the surviving family is fine.
     """
+    _check_tol(tol)
     pts = [tuple(float(x) for x in p) for p in loop]
     if len(pts) < 4:
         raise ValidationError("loop needs at least 4 points")
@@ -468,6 +477,9 @@ def generator_loop(name: str, params: ModelParams, n_points: int = 48,
     c = plane if plane is not None else (0.75 if name == "gamma3" else 0.5)
     if not c > 0.0:
         raise ValidationError(f"loop plane must be positive (got {c})")
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise ValidationError(
+            f"loop radius must be positive and finite (got {radius})")
     rp = ReducedParams(lam=params.delta, kappa=params.kappa)
     seg = next(s for s in thread_segments(rp) if s.name == LOOP_THREADS[name])
     # the thread pierces the plane at (mu0, iota0, h0); gamma3's plane

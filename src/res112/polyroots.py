@@ -15,6 +15,9 @@ the numpy polynomial routine it stands for:
 What is left out is numpy's per-call cost on five-element arrays
 (``poly1d`` wrapping, ``trim_zeros``, array scalars), which dominated the
 per-node cost of the critical values.
+
+``brentq``, the bracketed solver of the numeric oracle, likewise has the
+bits of ``scipy.optimize.brentq`` without importing scipy.
 """
 
 from __future__ import annotations
@@ -121,3 +124,79 @@ def newton(coeffs, x: float, steps: int, dcoeffs=None) -> float:
             break
         x -= step
     return x
+
+
+def brentq(f, xa: float, xb: float, xtol: float,
+           rtol: float = 4.0 * math.ulp(1.0), maxiter: int = 100) -> float:
+    """A root of f in the bracket [xa, xb] by Brent's method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-by-line port of scipy's C ``brentq``, so the iterates and the
+    root have its bits; the root is within xtol + rtol |root| of a sign
+    change.  An endpoint where f is zero is returned as the root.  Raises
+    ValueError if f(xa) and f(xb) have the same sign or f returns NaN
+    (as ``scipy.optimize.brentq`` does), RuntimeError after maxiter
+    iterations.
+    """
+    def at(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = at(xpre)
+    fcur = at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # an underflowed divisor: C's quotient is +-inf or NaN, and
+                # the step test below then bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = at(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0

@@ -918,3 +918,18 @@ def test_oracle_slice_matches_catalog_slice(kappa):
                 origin = lam == 0.0 and o[2:5] == (0.0, 0.0, 0.0)
                 assert origin or any(near(o, r) for r in known), (kappa, lam, ell, o)
     assert n_rows > 150
+
+
+def test_oracle_slice_reads_the_stratum_branch_values(monkeypatch):
+    # ell(a, m) on the oracle's grid is computed once per lam, in st.oracle;
+    # a plane then evaluates ell only to polish and report its crossings
+    st = LambdaStratum(-1.0, 1.0)
+    assert len(st.oracle[1]) > 100
+    calls = []
+    real = bifurcations._ell_from_am
+    monkeypatch.setattr(bifurcations, "_ell_from_am",
+                        lambda *args: calls.append(args) or real(*args))
+    assert oracle_slice(st, 0.75) == []
+    assert calls == []
+    assert len(oracle_slice(st, 0.125)) == 2
+    assert 0 < len(calls) < 20

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import res112
-from res112.cli import cli
+from res112.cli import cli, main
 from res112.errors import ValidationError
 
 
@@ -224,16 +224,6 @@ def test_module_imports_no_private_names(module):
     assert private == []
 
 
-def test_cli_imports_no_scipy():
-    # the CLI leaves the numerics, scipy included, to the library
-    tree = ast.parse(Path(res112.cli.__file__).read_text())
-    modules = [alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names]
-    modules += [node.module or "" for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)]
-    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
-
-
 def test_cli_imports_no_private_or_catalog_names():
     # the CLI is I/O over the public API: no private helpers, and no catalog
     # lookups that restate what thread_segments and crease_span give
@@ -246,14 +236,26 @@ def test_cli_imports_no_private_or_catalog_names():
             or n in ("catalog_point", "families_at")] == []
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported only inside the numeric oracles and integrate_orbit
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # scipy is imported only by the orbit integrators (integrate_orbit and
+    # AC6): importing the CLI and running bifdiag with its numeric oracle,
+    # critvals, fiber and monodromy loads none of it
+    commands = [
+        ["bifdiag", "--ell", "-0.125,0.125", "--lambda-window=-1,0.8",
+         "--grid", "4", "--out", "b"],
+        ["critvals", "--delta", "-1", "--grid", "3", "--out", "c"],
+        ["fiber", "--delta", "0", "--mu", "0", "--ell", "0", "--h", "0"],
+        ["monodromy", "--delta", "0", "--loop", "gamma1", "--points", "16"]]
     res = subprocess.run(
-        [sys.executable, "-c", "import sys, res112.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=_cli_env(), capture_output=True, text=True, timeout=60)
+        [sys.executable, "-c", "import sys\nfrom res112.cli import cli\n"
+         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+         f"for args in {commands!r}:\n"
+         "    cli.main(args, standalone_mode=False)\n"
+         "print(loaded, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=_cli_env(), cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert "monodromy vector" in res.stdout
+    assert res.stdout.splitlines()[-1] == "[] []"
 
 
 def test_critvals_outputs(tmp_path, runner):
@@ -302,7 +304,7 @@ def test_cli_determinism_quick(tmp_path, runner):
     assert outs[0] == outs[1]
 
 
-def test_cli_exit_codes():
+def test_cli_exit_codes(monkeypatch, capsys):
     def run(*args):
         return subprocess.run([sys.executable, "-m", "res112.cli", *args],
                               env=_cli_env(), capture_output=True, text=True)
@@ -320,16 +322,33 @@ def test_cli_exit_codes():
     io_err = run("bifdiag", "--ell", "0", "--grid", "5", "--no-surface",
                  "--no-oracle", "--out", "/nonexistent-dir/xx")
     assert io_err.returncode == 3
-    # malformed windows and grids are validation errors, not tracebacks
-    for args in (["critvals", "--delta", "0", "--mu-window", "1"],
-                 ["critvals", "--delta", "0", "--ell-window", "1,2,3"],
-                 ["bifdiag", "--ell", "0", "--lambda-window", "1"],
-                 ["critvals", "--delta", "0", "--grid", "-3"],
-                 ["critvals", "--delta", "0", "--grid", "0"]):
-        bad = run(*args, "--out", "/nonexistent-dir/xx")
-        assert bad.returncode == 1, args
-        assert "validation error" in bad.stderr, args
-        assert "Traceback" not in bad.stderr, args
+
+    # malformed or non-finite input is a validation error, not a traceback
+    # or a numerical failure; main() runs in this process, where an uncaught
+    # exception fails the test instead of printing a traceback
+    for key in [k for k in os.environ if k.startswith("RES112_")]:
+        monkeypatch.delenv(key)
+    nowhere = ["--out", "/nonexistent-dir/xx"]
+    gamma1 = ["monodromy", "--delta", "0", "--loop", "gamma1"]
+    for args in (["critvals", "--delta", "0", "--mu-window", "1", *nowhere],
+                 ["critvals", "--delta", "0", "--ell-window", "1,2,3", *nowhere],
+                 ["bifdiag", "--ell", "0", "--lambda-window", "1", *nowhere],
+                 ["critvals", "--delta", "0", "--grid", "-3", *nowhere],
+                 ["critvals", "--delta", "0", "--grid", "0", *nowhere],
+                 ["bifdiag", "--ell", "nan", *nowhere],
+                 ["bifdiag", "--ell", "0", "--kappa", "nan", *nowhere],
+                 ["bifdiag", "--ell", "0", "--kappa", "inf", *nowhere],
+                 ["bifdiag", "--ell", "0", "--lambda-window=-1,nan", *nowhere],
+                 ["bifdiag", "--ell", "0", "--lambda-window=-1,inf", *nowhere],
+                 [*gamma1, "--tol", "0"], [*gamma1, "--tol", "-1"],
+                 [*gamma1, "--tol", "nan"], [*gamma1, "--radius", "0"],
+                 [*gamma1, "--radius", "nan"]):
+        monkeypatch.setattr(sys, "argv", ["res112", *args])
+        with pytest.raises(SystemExit) as exited:
+            main()
+        err = capsys.readouterr().err
+        assert exited.value.code == 1, (args, err)
+        assert "validation error" in err, args
 
 
 def test_cli_env_var_defaults():

@@ -1,21 +1,28 @@
 """The polynomial root kernel: bit equality with numpy's polynomial
-routines, and a guard that keeps every other module on the kernel."""
+routines and scipy's brentq, and guards that keep every other module on
+the kernel and off scipy."""
 
 import ast
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from res112 import CasimirValues, ReducedParams, f_quartic, polyroots
+from res112 import (CasimirValues, LambdaStratum, ReducedParams, f_quartic,
+                    oracle_slice, polyroots, solve_bifurcations_numeric)
 from res112.bifurcations import Quartic
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "res112"
 KERNEL = "polyroots.py"
 NUMPY_POLY_CALLS = {"roots", "polymul", "polysub", "polyder", "polyval",
                     "trim_zeros"}
+# the two DOP853 routes, (module, top-level function), may import scipy
+SCIPY_ROUTES = {("reduced_dynamics", "integrate_orbit"),
+                ("acceptance", "check_conservation")}
 
 _coef = st.floats(-4.0, 4.0, allow_nan=False)
 _zero_or_coef = st.one_of(st.just(0.0), _coef)
@@ -86,6 +93,107 @@ def test_newton_stays_finite_and_polishes():
     # a vanishing derivative or an infinite step stops the iteration
     assert polyroots.newton([1.0, 0.0, 1.0], 0.0, 3) == 0.0
     assert polyroots.newton([1.0, 0.0, -1e300], 5e-324, 3) == 5e-324
+
+
+def _brentq_outcome(solve, f, xa, xb, **kw):
+    """Bits of the root, or the type of the error the solve raised."""
+    try:
+        return solve(f, xa, xb, **kw).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _same_as_scipy(f, xa, xb, **kw):
+    ours = _brentq_outcome(polyroots.brentq, f, xa, xb, **kw)
+    assert ours == _brentq_outcome(scipy.optimize.brentq, f, xa, xb, **kw)
+    return ours
+
+
+@given(st.lists(_coef, min_size=2, max_size=6), _coef, _coef,
+       st.sampled_from([1e-13, 2e-12, 1e-6]),
+       st.sampled_from([1.0, 1e-300, 1e300]))
+@settings(max_examples=300, deadline=None)
+def test_brentq_matches_scipy_on_polynomial_brackets(desc, xa, xb, xtol, scale):
+    _same_as_scipy(lambda x: scale * polyroots.polyval(desc, x), xa, xb, xtol=xtol)
+
+
+def test_brentq_matches_scipy_at_the_edges():
+    def cubic(x):
+        return x ** 3 - 2.0 * x - 5.0
+
+    assert isinstance(_same_as_scipy(cubic, 2.0, 3.0, xtol=1e-13), str)
+    # an endpoint root is returned as it is, on either side
+    assert _same_as_scipy(lambda x: x - 0.25, 0.25, 1.0, xtol=1e-13) == (0.25).hex()
+    assert _same_as_scipy(lambda x: x - 1.0, 0.25, 1.0, xtol=1e-13) == (1.0).hex()
+    # same-sign endpoints, a NaN at an endpoint or inside the bracket
+    assert _same_as_scipy(cubic, 3.0, 4.0, xtol=1e-13) is ValueError
+    assert _same_as_scipy(lambda x: math.nan, 0.0, 1.0, xtol=1e-13) is ValueError
+    assert _same_as_scipy(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5,
+                          0.0, 1.0, xtol=1e-13) is ValueError
+    # tiny values underflow the extrapolation's divisor to zero
+    assert isinstance(_same_as_scipy(lambda x: 1e-300 * cubic(x), 2.0, 3.0,
+                                     xtol=1e-13), str)
+    # too few iterations
+    assert _same_as_scipy(cubic, 2.0, 3.0, xtol=1e-13, maxiter=2) is RuntimeError
+
+
+def test_brentq_matches_scipy_on_the_oracle_brackets(monkeypatch):
+    # every bracket the numeric oracle polishes, on a small (kappa, lam,
+    # plane) sweep and in the solver's Hopf search
+    outcomes = []
+    ours = polyroots.brentq
+
+    def checked(f, xa, xb, **kw):
+        outcome = _brentq_outcome(ours, f, xa, xb, **kw)
+        assert outcome == _brentq_outcome(scipy.optimize.brentq, f, xa, xb, **kw)
+        outcomes.append(outcome)
+        return ours(f, xa, xb, **kw)
+
+    monkeypatch.setattr(polyroots, "brentq", checked)
+    for kappa in (0.0, 0.5, 1.0, 2.0):
+        for lam in np.linspace(-1.5, 1.5, 17):
+            solve_bifurcations_numeric(float(lam), kappa, n_grid=201)
+            stratum = LambdaStratum(float(lam), kappa)
+            for ell in (-1.25, -0.125, 0.0, 0.125, 0.3125, 0.75):
+                oracle_slice(stratum, ell)
+    assert len(outcomes) > 150
+
+
+def _scipy_imports(path):
+    """(top-level function or None, line) of every scipy import in one
+    module."""
+    hits = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                hits.append((owner, node.lineno))
+    return hits
+
+
+def test_only_the_orbit_integrators_import_scipy():
+    modules = sorted(SRC.glob("*.py"))
+    found = {(p.stem, owner) for p in modules for owner, _ in _scipy_imports(p)}
+    assert found <= SCIPY_ROUTES, f"scipy imported outside {SCIPY_ROUTES}: {found}"
+
+
+def test_guard_sees_a_scipy_import(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("import math\n"
+                      "import scipy.linalg\n"
+                      "def f():\n"
+                      "    from scipy.optimize import brentq\n"
+                      "    return brentq\n"
+                      "class C:\n"
+                      "    def g(self):\n"
+                      "        from scipy import integrate\n")
+    assert _scipy_imports(module) == [(None, 2), ("f", 4), (None, 8)]
 
 
 def _dotted(node):
