@@ -126,16 +126,19 @@ def newton(coeffs, x: float, steps: int, dcoeffs=None) -> float:
     return x
 
 
-def brentq(f, xa: float, xb: float, xtol: float,
-           rtol: float = 4.0 * math.ulp(1.0), maxiter: int = 100) -> float:
+_BRENT_RTOL = 4.0 * math.ulp(1.0)  # scipy's default and least rtol
+_BRENT_MAXITER = 100
+
+
+def brentq(f, xa: float, xb: float, xtol: float) -> float:
     """A root of f in the bracket [xa, xb] by Brent's method (Brent,
     *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
 
     A line-by-line port of scipy's C ``brentq``, so the iterates and the
-    root have its bits; the root is within xtol + rtol |root| of a sign
+    root have its bits; the root is within xtol + 4 eps |root| of a sign
     change.  An endpoint where f is zero is returned as the root.  Raises
     ValueError if f(xa) and f(xb) have the same sign or f returns NaN
-    (as ``scipy.optimize.brentq`` does), RuntimeError after maxiter
+    (as ``scipy.optimize.brentq`` does), RuntimeError after 100
     iterations.
     """
     def at(x):
@@ -155,7 +158,7 @@ def brentq(f, xa: float, xb: float, xtol: float,
         return xcur
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -163,7 +166,7 @@ def brentq(f, xa: float, xb: float, xtol: float,
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -194,8 +197,8 @@ def brentq(f, xa: float, xb: float, xtol: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = at(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur}")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
 
 
 def _signbit(x: float) -> bool:

@@ -133,8 +133,9 @@ def test_brentq_matches_scipy_at_the_edges():
     # tiny values underflow the extrapolation's divisor to zero
     assert isinstance(_same_as_scipy(lambda x: 1e-300 * cubic(x), 2.0, 3.0,
                                      xtol=1e-13), str)
-    # too few iterations
-    assert _same_as_scipy(cubic, 2.0, 3.0, xtol=1e-13, maxiter=2) is RuntimeError
+    # a jump at 0 that no step closes to 1e-300 in 100 iterations
+    assert _same_as_scipy(lambda x: math.copysign(1.0, x), -1.0, 1.0,
+                          xtol=1e-300) is RuntimeError
 
 
 def test_brentq_matches_scipy_on_the_oracle_brackets(monkeypatch):
