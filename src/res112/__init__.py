@@ -23,8 +23,8 @@ from .bifurcations import (BifurcationEvent, BifurcationKind, CatalogPoint,
                            solve_bifurcations_numeric)
 from .critical_values import (ComponentDescriptor, CriticalSlice, FiberKind,
                               FiberReport, SliceNode, ThreadSegments,
-                              classify_fiber, crease_span, critical_slice,
-                              thread_segments)
+                              classify_fiber, classify_fibers, crease_span,
+                              critical_slice, thread_segments)
 from .monodromy import (MonodromyMatrix, MonodromyResult, MonodromyVector,
                         RotationData, generator_loop, lift_turning_point,
                         monodromy_vector, rotation_numbers, to_matrix)

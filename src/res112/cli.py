@@ -19,7 +19,6 @@ import sys
 import click
 import numpy as np
 
-from . import acceptance
 from .bifurcations import (LambdaStratum, catalog_slice, catalog_surface,
                            hopf_cusp_slice, oracle_slice)
 from .critical_values import (classify_fiber, crease_span, critical_slice,
@@ -80,6 +79,8 @@ def _parse_window(text: str) -> tuple[float, float]:
     vals = _parse_floats(text)
     if len(vals) != 2:
         raise ValidationError(f"window {text!r} is not two floats lo,hi")
+    if not math.isfinite(vals[1] - vals[0]):
+        raise ValidationError(f"window {text!r} is wider than a float")
     return vals[0], vals[1]
 
 
@@ -319,6 +320,7 @@ def scale(kappa, lam, mu, ell, r_, x_, y_, h, inverse):
               "determinism (AC11)")
 def selfcheck(skip_slow):
     """Run the acceptance suite and print one pass/fail line per criterion."""
+    from . import acceptance  # only this command needs it
     results = acceptance.run_all(skip_slow=skip_slow)
     failed = 0
     for res in results:

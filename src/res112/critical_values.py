@@ -30,11 +30,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NumericalError, UnsupportedRegimeError
+from .errors import NumericalError, UnsupportedRegimeError, ValidationError
 from .model import CasimirValues
-from .polyroots import real_roots
-from .bifurcations import (a_sub_boundary, a_sup_boundary, catalog_point,
-                           f_quartic, families_at, instability_interval)
+from .polyroots import real_roots, real_roots_many
+from .bifurcations import (Quartic, a_sub_boundary, a_sup_boundary,
+                           catalog_point, f_quartic, families_at,
+                           instability_interval)
 from .reduced_dynamics import (Equilibrium, ReducedParams, Stability,
                                equilibria, tip_energy)
 from .reduced_space import TipKind, tip_class
@@ -43,6 +44,8 @@ from .reduced_space import TipKind, tip_class
 # and the root-clustering scale for multiplicity detection.
 TIP_HIT_RTOL = 1e-9
 CLUSTER_RTOL = 2e-7
+# Imaginary-part tolerance, relative to the root scale, for a real root of F.
+FIBER_IMAG_RTOL = 1e-7
 
 
 class FiberKind(Enum):
@@ -85,20 +88,60 @@ def classify_fiber(cas: CasimirValues, rp: ReducedParams, h: float) -> FiberRepo
     Computes the clustered real roots of F on [r_min, inf), maps maximal
     F<0 intervals and isolated tangencies to fiber components by the
     reconstruction rules, and flags (never guesses through) near-tolerance
-    multiplicities.
+    multiplicities.  Raises ValidationError for a non-finite h.  This is
+    ``classify_fibers`` on one fiber, with the one-matrix root solve.
     """
+    q = _fiber_quartic(cas, rp, h)
+    real, r_scale = real_roots(q.coeffs[::-1], imag_rtol=FIBER_IMAG_RTOL)
+    return _fiber_report(cas, rp, h, q, real, r_scale)
+
+
+def classify_fibers(cas_seq, rp_seq, hs) -> list:
+    """``classify_fiber`` over many fibers, with one stacked root solve.
+
+    Entry i is ``classify_fiber(cas_seq[i], rp_seq[i], hs[i])``, or the
+    exception that call raises, so that one bad fiber does not stop the
+    others.  The quartics of all fibers go to ``real_roots_many``; the
+    interval walk runs on each fiber.
+    """
+    out: list = []
+    for cas, rp, h in zip(cas_seq, rp_seq, hs, strict=True):
+        try:
+            out.append(_fiber_quartic(cas, rp, h))
+        except Exception as exc:  # noqa: BLE001 - kept as this fiber's result
+            out.append(exc)
+    todo = [i for i, q in enumerate(out) if isinstance(q, Quartic)]
+    found = real_roots_many([out[i].coeffs[::-1] for i in todo],
+                            imag_rtol=FIBER_IMAG_RTOL)
+    for i, roots in zip(todo, found):
+        if isinstance(roots, Exception):
+            out[i] = roots
+            continue
+        try:
+            out[i] = _fiber_report(cas_seq[i], rp_seq[i], hs[i], out[i], *roots)
+        except Exception as exc:  # noqa: BLE001 - kept as this fiber's result
+            out[i] = exc
+    return out
+
+
+def _fiber_quartic(cas: CasimirValues, rp: ReducedParams, h: float) -> Quartic:
+    """The quartic F of a fiber, after the checks on kappa and h."""
     if rp.kappa <= 0.0:
         raise UnsupportedRegimeError(
             f"classify_fiber requires kappa > 0 (got {rp.kappa}): "
             "fibers need not be compact otherwise")
+    if not math.isfinite(h):
+        raise ValidationError(f"fiber energy h must be finite (got {h})")
+    return f_quartic(h, rp, cas)
 
+
+def _fiber_report(cas: CasimirValues, rp: ReducedParams, h: float, q: Quartic,
+                  real: list[float], r_scale: float) -> FiberReport:
+    """The interval walk of ``classify_fiber`` on the real roots of F."""
     tip = tip_class(cas)
     rmin = tip.r_min
-    q = f_quartic(h, rp, cas)
     h_tip = tip_energy(rmin, rp)
     through_tip = abs(h - h_tip) <= TIP_HIT_RTOL * max(1.0, abs(h), abs(h_tip))
-
-    real, r_scale = real_roots(q.coeffs[::-1], imag_rtol=1e-7)
 
     flags: list[str] = []
     clusters: list[list[float]] = []  # [center, multiplicity]

@@ -23,14 +23,16 @@ genuine predictions.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LoopError, NumericalError, ValidationError
 from .model import CasimirValues, ModelParams
 from .bifurcations import f_quartic
-from .critical_values import FiberKind, classify_fiber, thread_segments
+from .critical_values import FiberKind, classify_fibers, thread_segments
 from .polyroots import newton
 from .reduced_dynamics import ReducedParams, h_min
 
@@ -104,6 +106,11 @@ def to_matrix(v: MonodromyVector) -> MonodromyMatrix:
 # beyond which the doubling gives up.
 QUAD_NODES_START = 32
 QUAD_NODES_MAX = 2 ** 14
+# Fibers times nodes in one quadrature array: fibers evaluated together are
+# summed in chunks of at most QUAD_BATCH // n fibers at n nodes, so no
+# array is larger than the one-fiber arrays at QUAD_NODES_MAX, whatever
+# the number of fibers.
+QUAD_BATCH = QUAD_NODES_MAX
 
 
 def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
@@ -116,14 +123,17 @@ def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
     with X = h - lam R - (kappa/2) R^2; the torus-action closure is then
     theta_N = -Delta_2 / 2 pi, theta_J = -Delta_3 / 2 pi (mod 1), checked
     by (Delta_1 + Delta_2 + Delta_3) / 2 pi being an integer.  See
-    _period_integrals for the quadrature and the meaning of tol.
+    _period_integrals for the quadrature and the meaning of tol.  This is
+    the one-fiber call of the batch that ``monodromy_vector`` evaluates.
     """
     _check_tol(tol)
-    tori = _regular_tori(value, params)
+    (tori,) = _regular_tori([value], params)
+    tori = _raised(tori)
     if component >= len(tori):
         raise ValidationError(
             f"component {component} out of range ({len(tori)} torus components)")
-    return _fiber_rotation(value, params, tori[component], tol)
+    (rd,) = _fiber_rotations([(value, tori[component])], params, tol)
+    return _raised(rd)
 
 
 def _check_tol(tol: float) -> None:
@@ -133,24 +143,95 @@ def _check_tol(tol: float) -> None:
             f"quadrature tol must be positive and finite (got {tol})")
 
 
-def _regular_tori(value, params: ModelParams) -> list[tuple[float, float]]:
-    """Sorted torus-component intervals of the fiber over ``value``; raises
-    ValidationError unless the value is regular."""
+# Fibers are evaluated in batches.  A fiber whose evaluation fails keeps the
+# exception as its result, which is raised only where that fiber is used.
+
+def _attempt(f, *args):
+    """f(*args), or the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - kept as this fiber's result
+        return exc
+
+
+def _raised(result):
+    """A fiber's result; raises it if it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _batched(batch, entries) -> list:
+    """``batch`` applied to the entries that are not exceptions, with the
+    exceptions left in place."""
+    valid = [e for e in entries if not isinstance(e, Exception)]
+    results = iter(batch(valid) if valid else ())
+    return [e if isinstance(e, Exception) else next(results) for e in entries]
+
+
+def _regular_tori(values, params: ModelParams) -> list:
+    """For each (mu, iota, h): the sorted torus-component intervals of its
+    fiber, or the exception classifying it raised (ValidationError unless
+    the value is regular).  All fibers go to one ``classify_fibers`` call."""
+    fibers = [_attempt(_fiber_args, value, params) for value in values]
+    reports = _batched(lambda valid: classify_fibers(*zip(*valid)), fibers)
+    return [rep if isinstance(rep, Exception)
+            else _attempt(_torus_intervals, value, rep)
+            for value, rep in zip(values, reports)]
+
+
+def _fiber_args(value, params: ModelParams):
+    """(cas, rp, h) of the fiber over (mu, iota, h)."""
     mu, iota, h = value
     cas = CasimirValues(mu=mu, ell=2.0 * iota - mu)
-    rep = classify_fiber(cas, ReducedParams.from_model(params, cas), h)
+    return cas, ReducedParams.from_model(params, cas), h
+
+
+def _torus_intervals(value, rep) -> list[tuple[float, float]]:
+    """Sorted torus-component intervals of a regular fiber's report."""
     tori = [c.r_interval for c in rep.components if c.kind is FiberKind.TORUS3]
     if rep.is_critical or not tori:
+        mu, iota, h = value
         raise ValidationError(
             f"value (mu={mu}, iota={iota}, h={h}) is not regular: "
             f"{rep.multiset() or 'empty fiber'}")
     return sorted(tori)
 
 
-def _fiber_rotation(value, params: ModelParams, r_interval: tuple[float, float],
-                    tol: float) -> RotationData:
-    """Rotation numbers of the torus over ``value`` whose reduced orbit
-    spans ``r_interval``."""
+def _fiber_rotations(items, params: ModelParams, tol: float) -> list:
+    """For each (value, r_interval): the rotation numbers of the torus over
+    ``value`` whose reduced orbit spans ``r_interval``, or the exception
+    computing them raised.  The setup of each fiber is scalar; the period
+    quadrature runs on all of them together."""
+    setups = [_attempt(_period_setup, value, params, r_interval)
+              for value, r_interval in items]
+    sums = _batched(lambda valid: _period_integrals(valid, tol), setups)
+    return [res if isinstance(res, Exception)
+            else _attempt(_rotation_data, res, r_interval)
+            for (_, r_interval), res in zip(items, sums)]
+
+
+class _PeriodSetup(NamedTuple):
+    """One fiber's terms of the period integrals (see _period_integrals)."""
+
+    c: float                # R = c - d cos(theta)
+    d: float
+    q2: float               # q(R) = (q2 R + q1) R + q0
+    q1: float
+    q0: float
+    lam: float
+    kappa: float
+    poles: tuple            # -mu, mu, ell
+    sqrt_qp: tuple          # sqrt(q(p)) at each pole
+    w_p: tuple              # X(p) / sqrt(q(p)) = sign(X(p)) sqrt((r1 - p)(r2 - p))
+    const: tuple            # singular parts: 0, then sign(X(p)) pi
+
+
+def _period_setup(value, params: ModelParams,
+                  r_interval: tuple[float, float]) -> _PeriodSetup:
+    """The period-integral terms of the torus over ``value`` whose reduced
+    orbit spans ``r_interval``: its turning points, Newton-polished on F,
+    the quadratic q and the pole terms."""
     mu, iota, h = value
     cas = CasimirValues(mu=mu, ell=2.0 * iota - mu)
     rp = ReducedParams.from_model(params, cas)
@@ -158,42 +239,6 @@ def _fiber_rotation(value, params: ModelParams, r_interval: tuple[float, float],
     desc = f.coeffs[::-1]
     r1, r2 = (newton(desc, r, 4) for r in r_interval)
     _mode_actions(r1, cas)  # every mode stays excited along the orbit
-    T_red, d1, d2, d3 = _period_integrals(f, r1, r2, h, rp, cas, tol)
-
-    turns = (d1 + d2 + d3) / (2.0 * math.pi)
-    cons = abs(turns - round(turns))
-    if cons > 1e-6:
-        raise NumericalError(
-            f"phase consistency on z1 failed: {cons:.3e} cycles off")
-    return RotationData(theta_N=(-d2 / (2.0 * math.pi)) % 1.0,
-                        theta_J=(-d3 / (2.0 * math.pi)) % 1.0, T_red=T_red,
-                        closure_residual=cons, r_interval=r_interval)
-
-
-def _period_integrals(f, r1: float, r2: float, h: float, rp: ReducedParams,
-                      cas: CasimirValues,
-                      tol: float) -> tuple[float, float, float, float]:
-    """(T_red, Delta_1, Delta_2, Delta_3) over the orbit between the turning
-    points r1 < r2.
-
-    With -F = (R - r1)(r2 - R) q(R), q quadratic since kappa > 0, and
-    R = c - d cos(theta), each integral is int_0^pi g(R) / sqrt(q(R)) dtheta,
-    summed by the midpoint rule on theta (Gauss-Chebyshev in R), which
-    converges exponentially.  The poles
-    p in {-mu, mu, ell} of the phase speeds are roots of S, so that
-    q(p) (r1 - p)(r2 - p) = X(p)^2 and their singular part is exactly
-    sign(X(p)) pi:
-
-        int X/(R - p) dR/sqrt(-F) = int D_p / sqrt(q) dtheta + sign(X(p)) pi
-            - sign(X(p)) sqrt((r1 - p)(r2 - p))
-              int s_p / (sqrt(q) (sqrt(q) + sqrt(q(p)))) dtheta
-
-    with the polynomials D_p = -lam - (kappa/2)(R + p) and
-    s_p = (q(R) - q(p))/(R - p), so the rule converges even when a pole
-    lies just below r1.  The node count starts at QUAD_NODES_START and
-    doubles until no integral moves by more than tol max(1, |value|) +
-    tol/10; beyond QUAD_NODES_MAX it raises NumericalError.
-    """
     lam, kappa = rp.lam, rp.kappa
     # F = (R - r1)(R - r2) q(R) by synthetic division; the remainder is
     # roundoff because r1, r2 are polished roots
@@ -202,8 +247,7 @@ def _period_integrals(f, r1: float, r2: float, h: float, rp: ReducedParams,
     q2 = c4
     q1 = c3 + r_sum * q2
     q0 = c2 + r_sum * q1 - r_prod * q2
-    c, d = 0.5 * (r1 + r2), 0.5 * (r2 - r1)
-    poles = np.array([-cas.mu, cas.mu, cas.ell])
+    poles = (-cas.mu, cas.mu, cas.ell)
     sqrt_qp, w_p, const = [], [], [0.0]
     for pole in poles:
         x_p = h - lam * pole - 0.5 * kappa * pole * pole
@@ -221,30 +265,98 @@ def _period_integrals(f, r1: float, r2: float, h: float, rp: ReducedParams,
             sqrt_qp.append(math.sqrt(q_p))
             w_p.append(x_p / sqrt_qp[-1])
         const.append(sign * math.pi)
-    const = np.array(const)
-    poles, sqrt_qp, w_p = poles[:, None], np.array(sqrt_qp)[:, None], np.array(w_p)[:, None]
+    return _PeriodSetup(c=0.5 * (r1 + r2), d=0.5 * (r2 - r1), q2=q2, q1=q1,
+                        q0=q0, lam=lam, kappa=kappa, poles=poles,
+                        sqrt_qp=tuple(sqrt_qp), w_p=tuple(w_p),
+                        const=tuple(const))
 
-    def integrals(n):
-        R = c - d * np.cos((np.arange(n) + 0.5) * (math.pi / n))
-        sq = np.sqrt((q2 * R + q1) * R + q0)
-        pole_part = ((-lam - 0.5 * kappa * (R + poles))
-                     - w_p * (q2 * (R + poles) + q1) / (sq + sqrt_qp)) / sq
-        gp = (lam + kappa * R) / sq
-        rows = np.stack([1.0 / sq, gp + pole_part[0], gp + pole_part[1],
-                         pole_part[2]])
-        return rows.sum(axis=1) * (math.pi / n) + const
 
+def _rotation_data(sums, r_interval: tuple[float, float]) -> RotationData:
+    """RotationData from the period integrals, after the phase check."""
+    T_red, d1, d2, d3 = sums
+    turns = (d1 + d2 + d3) / (2.0 * math.pi)
+    cons = abs(turns - round(turns))
+    if cons > 1e-6:
+        raise NumericalError(
+            f"phase consistency on z1 failed: {cons:.3e} cycles off")
+    return RotationData(theta_N=(-d2 / (2.0 * math.pi)) % 1.0,
+                        theta_J=(-d3 / (2.0 * math.pi)) % 1.0, T_red=T_red,
+                        closure_residual=cons, r_interval=r_interval)
+
+
+def _period_integrals(setups, tol: float) -> list:
+    """(T_red, Delta_1, Delta_2, Delta_3) of each fiber, over the orbit
+    between its turning points r1 < r2, or the NumericalError of a fiber
+    that does not converge.
+
+    With -F = (R - r1)(r2 - R) q(R), q quadratic since kappa > 0, and
+    R = c - d cos(theta), each integral is int_0^pi g(R) / sqrt(q(R)) dtheta,
+    summed by the midpoint rule on theta (Gauss-Chebyshev in R), which
+    converges exponentially.  The poles
+    p in {-mu, mu, ell} of the phase speeds are roots of S, so that
+    q(p) (r1 - p)(r2 - p) = X(p)^2 and their singular part is exactly
+    sign(X(p)) pi:
+
+        int X/(R - p) dR/sqrt(-F) = int D_p / sqrt(q) dtheta + sign(X(p)) pi
+            - sign(X(p)) sqrt((r1 - p)(r2 - p))
+              int s_p / (sqrt(q) (sqrt(q) + sqrt(q(p)))) dtheta
+
+    with the polynomials D_p = -lam - (kappa/2)(R + p) and
+    s_p = (q(R) - q(p))/(R - p), so the rule converges even when a pole
+    lies just below r1.  The node count starts at QUAD_NODES_START and
+    doubles, for each fiber on its own, until no integral moves by more
+    than tol max(1, |value|) + tol/10; beyond QUAD_NODES_MAX the fiber gets
+    a NumericalError.  All fibers still doubling are summed together at
+    each node count, at most QUAD_BATCH fiber-nodes per array.
+    """
+    # one row per fiber: c, d, q2, q1, q0, lam, kappa, the poles, sqrt_qp
+    # and w_p (three each), const (four); rows leave as their fibers converge
+    terms = np.array([[*s[:7], *s.poles, *s.sqrt_qp, *s.w_p, *s.const]
+                      for s in setups])
+    out: list = [None] * len(setups)
+    active = np.arange(len(setups))
     n = QUAD_NODES_START
-    prev = integrals(n)
-    while True:
+    prev = _midpoint_sums(terms, n)
+    while active.size:
         n *= 2
         if n > QUAD_NODES_MAX:
-            raise NumericalError(
-                f"period integrals unconverged at {QUAD_NODES_MAX} nodes")
-        cur = integrals(n)
-        if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur)) + 0.1 * tol):
-            return tuple(float(x) for x in cur)
-        prev = cur
+            for i in active:
+                out[i] = NumericalError(
+                    f"period integrals unconverged at {QUAD_NODES_MAX} nodes")
+            break
+        cur = _midpoint_sums(terms, n)
+        done = np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))
+                      + 0.1 * tol, axis=1)
+        for i, sums in zip(active[done], cur[done].tolist()):
+            out[i] = tuple(sums)
+        left = ~done
+        active, prev, terms = active[left], cur[left], terms[left]
+    return out
+
+
+def _midpoint_sums(terms: np.ndarray, n: int) -> np.ndarray:
+    """The four integrals of each fiber (row of terms) by the n-node
+    midpoint rule, one row per fiber, in chunks of QUAD_BATCH // n fibers."""
+    cos_nodes = np.cos((np.arange(n) + 0.5) * (math.pi / n))
+    chunk = max(1, QUAD_BATCH // n)
+    return np.concatenate([_midpoint_chunk(terms[k:k + chunk], cos_nodes, n)
+                           for k in range(0, len(terms), chunk)])
+
+
+def _midpoint_chunk(terms: np.ndarray, cos_nodes: np.ndarray,
+                    n: int) -> np.ndarray:
+    # per-fiber scalars as (N, 1) columns, pole terms as (N, 3, 1)
+    c, d, q2, q1, q0, lam, kappa = terms[:, :7, None].transpose(1, 0, 2)
+    poles, sqrt_qp, w_p = terms[:, 7:16].reshape(-1, 3, 3, 1).transpose(1, 0, 2, 3)
+    R = c - d * cos_nodes
+    sq = np.sqrt((q2 * R + q1) * R + q0)
+    R_p, sq_p = R[:, None] + poles, sq[:, None]
+    pole_part = ((-lam[:, None] - 0.5 * kappa[:, None] * R_p)
+                 - w_p * (q2[:, None] * R_p + q1[:, None]) / (sq_p + sqrt_qp)) / sq_p
+    gp = (lam + kappa * R) / sq
+    rows = np.stack([1.0 / sq, gp + pole_part[:, 0], gp + pole_part[:, 1],
+                     pole_part[:, 2]], axis=1)
+    return rows.sum(axis=2) * (math.pi / n) + terms[:, 16:]
 
 
 def _wrap_unit(x: float) -> float:
@@ -328,6 +440,12 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
     crossing a hyperbolic face (the tracked interval splitting at a saddle,
     or merging with a second substantial family) raises LoopError, while
     passing through an elliptic face on the surviving family is fine.
+
+    The given points are evaluated first, as one batch: their tori (taken
+    from a ``GeneratorLoop`` placed with the same params) and the rotation
+    numbers of each of their torus intervals.  Bisection midpoints are
+    evaluated one at a time.  A point whose evaluation failed raises only
+    when the continuation reaches it.
     """
     _check_tol(tol)
     pts = [tuple(float(x) for x in p) for p in loop]
@@ -336,18 +454,40 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
     if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-13):
         raise ValidationError("loop must be closed (first point == last)")
 
+    placed = (loop.tori if isinstance(loop, GeneratorLoop)
+              and loop.params == params else {})
+    tori, rotations = {}, {}  # by point key; by (point key, interval)
+
+    def evaluate(points):
+        new = {}
+        for p in points:
+            key = _point_key(p)
+            if key not in tori:
+                new.setdefault(key, p)
+        unplaced = [k for k in new if k not in placed]
+        tori.update(zip(unplaced, _regular_tori([new[k] for k in unplaced], params)))
+        tori.update((k, placed[k]) for k in new if k in placed)
+        items = [(k, iv) for k in new if not isinstance(tori[k], Exception)
+                 for iv in tori[k]]
+        rotations.update(zip(items, _fiber_rotations(
+            [(new[k], iv) for k, iv in items], params, tol)))
+
     def tori_at(p):
-        try:
-            return _regular_tori(p, params)
-        except ValidationError as exc:
-            raise LoopError(f"loop point {p} unusable: {exc}") from exc
+        key = _point_key(p)
+        if key not in tori:
+            evaluate([p])
+        found = tori[key]
+        if isinstance(found, ValidationError):
+            raise LoopError(f"loop point {p} unusable: {found}") from found
+        return _raised(found)
 
     def eval_point(p, interval):
-        try:
-            return _fiber_rotation(p, params, interval, tol)
-        except (ValidationError, NumericalError) as exc:
-            raise LoopError(f"loop point {p} unusable: {exc}") from exc
+        rd = rotations[_point_key(p), interval]
+        if isinstance(rd, (ValidationError, NumericalError)):
+            raise LoopError(f"loop point {p} unusable: {rd}") from rd
+        return _raised(rd)
 
+    evaluate(pts)
     tori0 = tori_at(pts[0])
     if component >= len(tori0):
         raise ValidationError(
@@ -459,7 +599,8 @@ LOOP_THREADS = {"gamma1": "C23", "gamma2": "C13", "gamma3": "C12"}
 
 
 def generator_loop(name: str, params: ModelParams, n_points: int = 48,
-                   radius: float | None = None, plane: float | None = None):
+                   radius: float | None = None,
+                   plane: float | None = None) -> "GeneratorLoop":
     """Construct a named generator loop around one of the three threads.
 
     gamma1 circles the normal 1-mode thread C23 in a plane mu = +c
@@ -468,7 +609,8 @@ def generator_loop(name: str, params: ModelParams, n_points: int = 48,
     (J, H)), gamma3 the normal 3-mode thread C12 in iota = -c (clockwise in
     (N, H)).  Each loop is centred where its thread, taken from
     ``thread_segments``, pierces the plane.  Radii are shrunk automatically
-    until every sample is a regular value.
+    until every sample is a regular value; the loop carries the tori found
+    on the way to ``monodromy_vector``.
     """
     if params.lambda1 != 0.0 or params.lambda2 != 0.0:
         raise ValidationError("named generator loops assume lambda1 = lambda2 = 0")
@@ -509,16 +651,39 @@ def generator_loop(name: str, params: ModelParams, n_points: int = 48,
 
     for _ in range(8):
         loop = make(radius)
-        if _loop_regular(loop, params):
-            return loop
+        tori = _loop_tori(loop, params)
+        if tori is not None:
+            return GeneratorLoop(loop, params, tori)
         radius *= 0.6
     raise LoopError(f"could not place a regular {name} loop")
 
 
-def _loop_regular(loop, params: ModelParams) -> bool:
-    try:
-        for value in loop:
-            _regular_tori(value, params)
-    except (ValidationError, NumericalError):
-        return False
-    return True
+class GeneratorLoop(list):
+    """The (mu, iota, h) points of a generator loop, with the torus
+    intervals of each point's fiber under ``params``, found while the loop
+    was placed (``tori``, by point key).  ``monodromy_vector`` takes them
+    instead of classifying the points again; a slice or copy of the loop is
+    a plain list, whose points are classified again."""
+
+    def __init__(self, points, params: ModelParams, tori: dict):
+        super().__init__(points)
+        self.params = params
+        self.tori = tori
+
+
+def _point_key(p) -> bytes:
+    """The bits of a loop point, as the key of its fiber."""
+    return struct.pack(f"{len(p)}d", *p)
+
+
+def _loop_tori(loop, params: ModelParams) -> dict | None:
+    """The torus intervals of every loop point, by point key, or None
+    unless every point is regular.  One batch classifies the distinct
+    points (the last point can repeat the first bit for bit)."""
+    points = dict(zip(map(_point_key, loop), loop))
+    tori = dict(zip(points, _regular_tori(list(points.values()), params)))
+    for found in tori.values():
+        if isinstance(found, (ValidationError, NumericalError)):
+            return None
+        _raised(found)
+    return tori

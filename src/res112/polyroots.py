@@ -6,7 +6,9 @@ descending, as ``np.roots`` takes them, and every result has the bits of
 the numpy polynomial routine it stands for:
 
 * ``roots`` builds the companion matrix exactly as ``np.roots`` does and
-  hands it to ``np.linalg.eigvals``;
+  hands it to ``np.linalg.eigvals``; ``real_roots_many`` stacks those
+  matrices for many coefficient rows into one ``eigvals`` call, whose
+  eigenvalues have the bits of the one-matrix calls;
 * ``polyval`` is Horner's rule on Python floats, the same IEEE operations
   in the same order as ``np.polyval``;
 * ``polyder``, ``polymul`` and ``polysub`` are ``np.polyder``,
@@ -60,9 +62,84 @@ def real_roots(coeffs, imag_rtol: float) -> tuple[list[float], float]:
     found = roots(coeffs)
     if not found.size:
         return [], 1.0
-    scale = 1.0 + float(abs(found).max())
+    return _real_parts(found.tolist(), 1.0 + float(abs(found).max()), imag_rtol)
+
+
+def real_roots_many(rows, imag_rtol: float) -> list:
+    """``real_roots`` of each coefficient row, with one eigenvalue solve
+    per group of rows.
+
+    Rows are grouped by their length and the span of their nonzero
+    coefficients, so that leading and trailing zeros act as in ``roots``.
+    A group's companion matrices, laid out as ``roots`` lays them out, go
+    to ``np.linalg.eigvals`` as one (N, n, n) stack; a group of one row
+    takes ``roots`` itself.  Entry i is the (roots, scale) pair of
+    ``real_roots(rows[i], imag_rtol)``, or the ``np.linalg.LinAlgError``
+    that solving that row raises: a group whose stacked solve raises is
+    solved again row by row, so the error stays with its own row.
+    """
+    rows = [[float(c) for c in row] for row in rows]
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(rows):
+        groups.setdefault((len(p), _nonzero_span(p)), []).append(i)
+    out: list = [None] * len(rows)
+    for (length, span), idx in groups.items():
+        if len(idx) > 1:
+            try:
+                found = _stacked_roots([rows[i] for i in idx], length, span)
+            except np.linalg.LinAlgError:
+                pass  # find the row that raises
+            else:
+                if found.shape[1]:
+                    scales = (1.0 + abs(found).max(axis=1)).tolist()
+                    for i, row, scale in zip(idx, found.tolist(), scales):
+                        out[i] = _real_parts(row, scale, imag_rtol)
+                else:
+                    for i in idx:
+                        out[i] = [], 1.0
+                continue
+        for i in idx:
+            try:
+                out[i] = real_roots(rows[i], imag_rtol)
+            except np.linalg.LinAlgError as exc:
+                out[i] = exc
+    return out
+
+
+def _nonzero_span(p) -> tuple[int, int] | None:
+    """Positions of the first and last nonzero coefficients, or None."""
+    nonzero = [i for i, c in enumerate(p) if c != 0.0]
+    return (nonzero[0], nonzero[-1]) if nonzero else None
+
+
+def _stacked_roots(rows, length: int, span: tuple[int, int] | None) -> np.ndarray:
+    """Rows of ``roots`` for coefficient rows that share their length and
+    nonzero span, from one ``np.linalg.eigvals`` call."""
+    if span is None:
+        return np.empty((len(rows), 0))
+    lead, last = span
+    p = np.array(rows)[:, lead:last + 1]
+    n = last - lead
+    if n:
+        companion = np.broadcast_to(np.eye(n, k=-1), (len(rows), n, n)).copy()
+        companion[:, 0] = -p[:, 1:] / p[:, :1]
+        found = np.linalg.eigvals(companion)
+    else:
+        found = np.empty((len(rows), 0))
+    trailing = length - 1 - last
+    if trailing:
+        found = np.concatenate(
+            (found, np.zeros((len(rows), trailing), found.dtype)), axis=1)
+    return found
+
+
+def _real_parts(found: list, scale: float,
+                imag_rtol: float) -> tuple[list[float], float]:
+    """The step ``real_roots`` and ``real_roots_many`` share: the sorted
+    real parts of the roots whose imaginary part is at most ``imag_rtol``
+    times the root scale, and that scale."""
     tol = imag_rtol * scale
-    return sorted(z.real for z in found.tolist() if abs(z.imag) <= tol), scale
+    return sorted(z.real for z in found if abs(z.imag) <= tol), scale
 
 
 def polyval(coeffs, x: float) -> float:

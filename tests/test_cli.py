@@ -340,6 +340,9 @@ def test_cli_exit_codes(monkeypatch, capsys):
                  ["bifdiag", "--ell", "0", "--kappa", "inf", *nowhere],
                  ["bifdiag", "--ell", "0", "--lambda-window=-1,nan", *nowhere],
                  ["bifdiag", "--ell", "0", "--lambda-window=-1,inf", *nowhere],
+                 ["bifdiag", "--ell", "0", "--grid", "3", "--no-surface",
+                  "--lambda-window=-1e308,1e308", *nowhere],
+                 ["fiber", "--delta", "0", "--mu", "0", "--ell", "0", "--h", "nan"],
                  [*gamma1, "--tol", "0"], [*gamma1, "--tol", "-1"],
                  [*gamma1, "--tol", "nan"], [*gamma1, "--radius", "0"],
                  [*gamma1, "--radius", "nan"]):

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from res112 import (CasimirValues, FiberKind, ReducedParams, Stability,
-                    UnsupportedRegimeError, catalog_point, classify_fiber,
-                    crease_span, critical_slice, equilibria, h_min,
-                    instability_interval, thread_segments)
+from res112 import (CasimirValues, FiberKind, ModelParams, ReducedParams,
+                    Stability, UnsupportedRegimeError, ValidationError,
+                    catalog_point, classify_fiber, classify_fibers,
+                    crease_span, critical_slice, equilibria, generator_loop,
+                    h_min, instability_interval, thread_segments)
 from res112.critical_values import minimum_crossing_loci
 
 RNG = np.random.default_rng(6180339)
@@ -135,6 +136,71 @@ def test_normal_mode_spans_need_positive_kappa():
 def test_classify_fiber_needs_positive_kappa():
     with pytest.raises(UnsupportedRegimeError):
         classify_fiber(CasimirValues(0, 0), ReducedParams(lam=0.0, kappa=0.0), 0.0)
+
+
+def test_classify_fiber_rejects_non_finite_energy():
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            classify_fiber(CasimirValues(0.0, 0.0), ReducedParams(0.0, 1.0), h)
+
+
+def _outcome(rep):
+    """repr of a report (bits included), or the type and message of an
+    error."""
+    if isinstance(rep, Exception):
+        return type(rep), str(rep)
+    return repr(rep)
+
+
+def _classify_outcome(cas, rp, h):
+    try:
+        return _outcome(classify_fiber(cas, rp, h))
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return _outcome(exc)
+
+
+def _loop_fibers():
+    fibers = []
+    for delta in (-1.0, 0.0, 0.3):
+        params = ModelParams(delta=delta, kappa=1.0)
+        for name in ("gamma1", "gamma2", "gamma3"):
+            for mu, iota, h in generator_loop(name, params, n_points=12):
+                cas = CasimirValues(mu, 2.0 * iota - mu)
+                fibers.append((cas, ReducedParams.from_model(params, cas), h))
+    return fibers
+
+
+def test_classify_fibers_matches_classify_fiber():
+    fibers = _loop_fibers()
+    # the strata |mu| = ell, ell = -|mu|, mu = 0 and the cusp, at each
+    # equilibrium energy and on either side of it
+    for mu, ell in ((0.7, 0.7), (-0.7, 0.7), (0.7, -0.7), (0.0, -0.7),
+                    (0.0, 0.5), (0.0, 0.0)):
+        for lam in (-1.0, 0.0, 0.3, 1.5):
+            cas, rp = CasimirValues(mu, ell), ReducedParams(lam, 1.0)
+            for e in equilibria(cas, rp):
+                fibers += [(cas, rp, e.h + dh) for dh in (-1e-3, 0.0, 1e-3)]
+    # fibers that raise: kappa = 0, a non-finite h, an overflowing quartic
+    cas = CasimirValues(0.5, 0.5)
+    fibers += [(cas, ReducedParams(0.0, 0.0), 0.1),
+               (cas, ReducedParams(0.0, 1.0), math.nan),
+               (cas, ReducedParams(0.0, 1.0), 1e200)]
+    batch = classify_fibers(*zip(*fibers))
+    assert len(batch) == len(fibers)
+    assert [_outcome(rep) for rep in batch] == \
+        [_classify_outcome(*fiber) for fiber in fibers]
+    assert [type(rep) for rep in batch[-3:]] == \
+        [UnsupportedRegimeError, ValidationError, np.linalg.LinAlgError]
+
+
+def test_classify_fibers_solves_a_loop_in_one_eigvals_call(monkeypatch):
+    fibers = _loop_fibers()
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(np.shape(a)) or eigvals(a))
+    classify_fibers(*zip(*fibers))
+    assert calls == [(len(fibers), 4, 4)]
 
 
 def test_parity_across_faces():

@@ -293,19 +293,99 @@ def test_rotation_numbers_start_point_independence():
 
 
 def test_loop_classifies_each_point_once(monkeypatch):
+    # generator_loop classifies the points of the loop it places, and
+    # monodromy_vector takes their tori from the loop: across both calls
+    # each evaluated fiber is classified exactly once
     import res112.monodromy as mono
-    calls = []
+    classified = []
 
-    def counting(*args):
-        calls.append(args)
-        return classify(*args)
+    def counting(cas_seq, rp_seq, hs):
+        classified.extend(hs)
+        return classify(cas_seq, rp_seq, hs)
 
-    classify = mono.classify_fiber
-    monkeypatch.setattr(mono, "classify_fiber", counting)
+    classify = mono.classify_fibers
+    monkeypatch.setattr(mono, "classify_fibers", counting)
     loop = generator_loop("gamma2", PARAMS0, n_points=16)
-    calls.clear()
     res = monodromy_vector(loop, PARAMS0)
-    assert len(calls) == res.n_points
+    assert len(classified) == res.n_points
+
+
+def test_loop_solves_its_roots_in_one_eigvals_call(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(np.shape(a)) or eigvals(a))
+    loop = generator_loop("gamma2", PARAMS0, n_points=16)
+    assert calls == [(5, 5), (17, 4, 4)]  # h_min's quintic, the loop's quartics
+    calls.clear()
+    handed = monodromy_vector(loop, PARAMS0)
+    assert calls == []  # the tori come with the loop
+    # a copy is a plain list: its points are classified again, in one batch
+    again = monodromy_vector(list(loop), PARAMS0)
+    assert calls == [(17, 4, 4)]
+    assert repr(again) == repr(handed)
+    # so are the points of a loop placed under other params
+    calls.clear()
+    other = ModelParams(delta=0.0, kappa=1.0, lambda1=0.0, lambda2=1e-9)
+    monodromy_vector(loop, other)
+    assert calls == [(17, 4, 4)]
+
+
+def test_loop_raises_at_the_first_unusable_point_it_reaches():
+    # every point is evaluated up front, but an error surfaces only when the
+    # continuation reaches its point, with the message it always had
+    loop = list(generator_loop("gamma2", PARAMS0, n_points=16))
+    loop[5] = (-0.5, 0.0, 0.125)  # on the thread
+    loop[9] = (0.0, 0.0, -1.0)    # empty fiber
+    with pytest.raises(LoopError) as raised:
+        monodromy_vector(loop, PARAMS0)
+    assert str(raised.value) == (
+        "loop point (-0.5, 0.0, 0.125) unusable: value (mu=-0.5, iota=0.0, "
+        "h=0.125) is not regular: {'PinchedTorusTimesT1': 1}")
+    loop[5] = loop[4]
+    with pytest.raises(LoopError) as raised:
+        monodromy_vector(loop, PARAMS0)
+    assert str(raised.value) == (
+        "loop point (0.0, 0.0, -1.0) unusable: value (mu=0.0, iota=0.0, "
+        "h=-1.0) is not regular: empty fiber")
+
+
+def _rotation_outcome(rd):
+    return (type(rd), str(rd)) if isinstance(rd, Exception) else repr(rd)
+
+
+def test_batched_quadrature_stops_each_fiber_at_its_own_node_count(monkeypatch):
+    # a generator-loop-like fiber converges at 64 nodes, one next to the
+    # cone at 256, and one closer still never does
+    import res112.monodromy as mono
+    values = [(-0.5, 0.0, 0.3), (0.5, 0.5, 0.128), (0.5, 0.5, 0.125 + 5e-7)]
+    items = [(v, mono._regular_tori([v], PARAMS0)[0][0]) for v in values]
+    sums = []
+    midpoint_sums = mono._midpoint_sums
+    monkeypatch.setattr(mono, "_midpoint_sums", lambda terms, n:
+                        sums.append((n, len(terms))) or midpoint_sums(terms, n))
+    batch = mono._fiber_rotations(items, PARAMS0, 1e-11)
+    assert sums == [(32, 3), (64, 3), (128, 2), (256, 2), (512, 1), (1024, 1),
+                    (2048, 1), (4096, 1), (8192, 1), (16384, 1)]
+    assert [_rotation_outcome(rd) for rd in batch[:2]] == \
+        [repr(rotation_numbers(v, PARAMS0)) for v in values[:2]]
+    assert _rotation_outcome(batch[2]) == \
+        (NumericalError, "period integrals unconverged at 16384 nodes")
+    with pytest.raises(NumericalError, match="unconverged at 16384 nodes"):
+        rotation_numbers(values[2], PARAMS0)
+
+
+def test_quadrature_chunks_leave_the_bits(monkeypatch):
+    # QUAD_BATCH bounds the fiber-nodes of one array; chunks of one or two
+    # fibers give the bits of one chunk
+    import res112.monodromy as mono
+    fibers = _loop_fibers(-1.0, 1.0)
+    items = [(value, rotation_numbers(value, params).r_interval)
+             for params, value, _ in fibers]
+    whole = mono._fiber_rotations(items, fibers[0][0], 1e-11)
+    monkeypatch.setattr(mono, "QUAD_BATCH", 64)
+    chunked = mono._fiber_rotations(items, fibers[0][0], 1e-11)
+    assert [repr(rd) for rd in chunked] == [repr(rd) for rd in whole]
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +495,16 @@ def test_period_quadrature_matches_ode_oracle(case):
         assert abs(_wrap(rd.theta_J - t)) <= 1e-10, (value, component)
         assert abs(rd.T_red - T) <= 1e-10 * max(1.0, T), (value, component)
         assert rd.closure_residual <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_batched_rotations_match_one_fiber_calls(case):
+    import res112.monodromy as mono
+    fibers = ORACLE_CASES[case]()
+    params = fibers[0][0]
+    assert all(p == params for p, _, _ in fibers)
+    one = [rotation_numbers(value, params, component=c) for _, value, c in fibers]
+    batch = mono._fiber_rotations(
+        [(value, rd.r_interval) for (_, value, _), rd in zip(fibers, one)],
+        params, 1e-11)
+    assert [_rotation_outcome(rd) for rd in batch] == [repr(rd) for rd in one]

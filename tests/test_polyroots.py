@@ -66,6 +66,73 @@ def test_quartic_roots_with_zero_leading_coefficients():
         assert _root_bits(q.roots) == _root_bits(np.roots, coeffs[::-1])
 
 
+def _real_bits(res):
+    """Bits of a (roots, scale) pair, or the message of the error."""
+    if isinstance(res, np.linalg.LinAlgError):
+        return str(res)
+    found, scale = res
+    return [x.hex() for x in found], scale.hex()
+
+
+def _random_rows(rng, n):
+    """Quartic and quintic coefficient rows: 30% with a near-double root,
+    and some with zero leading or trailing coefficients."""
+    rows = []
+    for k in range(n):
+        deg = 4 + k % 2
+        if k % 10 < 3:
+            r = rng.normal(size=deg - 1)
+            r = np.append(r, r[0] + rng.normal() * 10.0 ** rng.uniform(-12, -5))
+            c = (np.poly(r) * rng.uniform(0.1, 3.0)).tolist()
+        else:
+            c = rng.normal(size=deg + 1).tolist()
+        if k % 17 == 0:
+            c[0] = 0.0
+        if k % 19 == 0:
+            c[-1] = 0.0
+        if k % 23 == 0:
+            c[:2] = [0.0, 0.0]
+        if k % 29 == 0:
+            c[-2:] = [0.0, 0.0]
+        rows.append(c)
+    # all-zero, constant and pure-power rows, twice each so they stack
+    rows += 2 * [[0.0] * 5, [3.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0, 0.0]]
+    return rows
+
+
+def test_stacked_real_roots_match_real_roots():
+    rows = _random_rows(np.random.default_rng(20261020), 12_000)
+    many = polyroots.real_roots_many(rows, imag_rtol=1e-7)
+    assert [_real_bits(r) for r in many] == \
+        [_real_bits(polyroots.real_roots(row, imag_rtol=1e-7)) for row in rows]
+
+
+def test_stacked_real_roots_make_one_eigvals_call_per_span(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(np.shape(a)) or eigvals(a))
+    rng = np.random.default_rng(7)
+    quartics = (rng.normal(size=(50, 5)) + [4.0, 0, 0, 0, 4.0]).tolist()
+    cubics = [[0.0, *rng.normal(size=4)] for _ in range(3)]
+    lone = [[1.0, -2.0, 0.5, 1.0, 0.0]]  # a trailing zero: its own span
+    polyroots.real_roots_many(quartics + cubics + lone, imag_rtol=1e-7)
+    assert calls == [(50, 4, 4), (3, 3, 3), (3, 3)]
+
+
+def test_stacked_real_roots_keep_an_error_on_its_row():
+    rows = [[1.0, -2.0, 0.5, 1.0, -0.3], [1.0, math.inf, 0.5, 1.0, -0.3],
+            [2.0, 1.0, -0.5, 1.0, 0.2]]
+    many = polyroots.real_roots_many(rows, imag_rtol=1e-7)
+    assert isinstance(many[1], np.linalg.LinAlgError)
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        polyroots.real_roots(rows[1], imag_rtol=1e-7)
+    assert str(raised.value) == str(many[1])
+    for k in (0, 2):
+        assert _real_bits(many[k]) == \
+            _real_bits(polyroots.real_roots(rows[k], imag_rtol=1e-7))
+
+
 @given(st.lists(_coef, min_size=1, max_size=6), _coef)
 @settings(max_examples=300, deadline=None)
 def test_polyval_and_polyder_match_numpy(desc, x):
