@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import NumericalError, UnsupportedRegimeError, ValidationError
 from .model import CasimirValues
 from .polyroots import real_roots, real_roots_many
@@ -88,7 +86,8 @@ def classify_fiber(cas: CasimirValues, rp: ReducedParams, h: float) -> FiberRepo
     Computes the clustered real roots of F on [r_min, inf), maps maximal
     F<0 intervals and isolated tangencies to fiber components by the
     reconstruction rules, and flags (never guesses through) near-tolerance
-    multiplicities.  Raises ValidationError for a non-finite h.  This is
+    multiplicities.  Raises ValidationError for a non-finite h and for
+    inputs so large that a coefficient of F overflows.  This is
     ``classify_fibers`` on one fiber, with the one-matrix root solve.
     """
     q = _fiber_quartic(cas, rp, h)
@@ -132,7 +131,11 @@ def _fiber_quartic(cas: CasimirValues, rp: ReducedParams, h: float) -> Quartic:
             "fibers need not be compact otherwise")
     if not math.isfinite(h):
         raise ValidationError(f"fiber energy h must be finite (got {h})")
-    return f_quartic(h, rp, cas)
+    q = f_quartic(h, rp, cas)
+    if not all(map(math.isfinite, q.coeffs)):
+        raise ValidationError(
+            f"the quartic F of the fiber overflows (coefficients {q.coeffs})")
+    return q
 
 
 def _fiber_report(cas: CasimirValues, rp: ReducedParams, h: float, q: Quartic,
@@ -315,8 +318,7 @@ class ThreadSegments:
 
     def h_c(self, ell):
         rp = ReducedParams(lam=self.lam, kappa=self.kappa)
-        out = tip_energy(np.abs(self.mu_of_ell * np.asarray(ell)), rp)
-        return out if np.ndim(ell) else float(out)
+        return tip_energy(abs(self.mu_of_ell * ell), rp)
 
     def samples(self, ell_values) -> list[tuple[str, float, float, float, int, int]]:
         """Rows (curve, mu, ell, h_c, unstable, above_min) at the given ells

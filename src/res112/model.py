@@ -35,28 +35,24 @@ class Chart(Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coefficients of the axially symmetric normal form through order four.
+    """The normal-form coefficients that shape the reduced dynamics.
 
-    ``alpha`` is the basic frequency, ``beta`` the detuning of the 1:1
-    sub-resonance, ``delta`` the external detuning, ``kappa`` the
-    coefficient of R^2/2, ``lambda1``/``lambda2`` the linear dependence of
-    the reduced detuning on the two Casimir values, and ``gamma1..gamma3``
-    the quadratic Casimir coefficients.
+    ``delta`` is the external detuning, ``kappa`` the coefficient of
+    R^2/2, and ``lambda1``/``lambda2`` the linear dependence of the reduced
+    detuning on the two Casimir values.  The terms of the normal form in
+    the Casimirs alone (the frequencies times L and N and the three
+    quadratics in N and L) are absent: the reduction fixes N and L, so
+    they are constants on every reduced space, and ``h`` throughout the
+    library is the reduced energy without them.
     """
 
-    alpha: float = 0.0
-    beta: float = 0.0
     delta: float = 0.0
     kappa: float = 1.0
     lambda1: float = 0.0
     lambda2: float = 0.0
-    gamma1: float = 0.0
-    gamma2: float = 0.0
-    gamma3: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "delta", "kappa", "lambda1",
-                     "lambda2", "gamma1", "gamma2", "gamma3"):
+        for name in ("delta", "kappa", "lambda1", "lambda2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"ModelParams.{name} must be finite")
 

@@ -608,14 +608,18 @@ def generator_loop(name: str, params: ModelParams, n_points: int = 48,
     gamma2 the normal 2-mode thread C13 in mu = -c (counterclockwise in
     (J, H)), gamma3 the normal 3-mode thread C12 in iota = -c (clockwise in
     (N, H)).  Each loop is centred where its thread, taken from
-    ``thread_segments``, pierces the plane.  Radii are shrunk automatically
-    until every sample is a regular value; the loop carries the tori found
-    on the way to ``monodromy_vector``.
+    ``thread_segments``, pierces the plane, and has ``n_points`` distinct
+    points (at least 3) plus the first again at the end.  Radii are
+    shrunk automatically until every sample is a regular value; the loop
+    carries the tori found on the way to ``monodromy_vector``.
     """
     if params.lambda1 != 0.0 or params.lambda2 != 0.0:
         raise ValidationError("named generator loops assume lambda1 = lambda2 = 0")
     if name not in LOOP_THREADS:
         raise ValidationError(f"unknown generator loop {name!r}")
+    if n_points < 3:
+        raise ValidationError(
+            f"a generator loop needs at least 3 points (got {n_points})")
     c = plane if plane is not None else (0.75 if name == "gamma3" else 0.5)
     if not c > 0.0:
         raise ValidationError(f"loop plane must be positive (got {c})")

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .model import CasimirValues
 
 # Absolute threshold on root gaps used by the tip classifier.
@@ -44,18 +42,18 @@ def r_min(cas: CasimirValues) -> float:
     return max(abs(cas.mu), cas.ell)
 
 
-def tip_class(cas: CasimirValues, eps: float = EPS_TIP) -> TipClass:
+def tip_class(cas: CasimirValues) -> TipClass:
     """Classify the tip of the reduced space.
 
     With a1 >= a2 >= a3 the ordered values of {mu, -mu, ell}: a cusp when
     all three coincide (mu = ell = 0), a cone when exactly the top two do
     (ell = |mu| > 0 or mu = 0, ell < 0), a smooth point otherwise.
-    Equalities are tested with the absolute threshold ``eps``.
+    Equalities are tested with the absolute threshold ``EPS_TIP``.
     """
     a1, a2, a3 = sorted((cas.mu, -cas.mu, cas.ell), reverse=True)
-    if a1 - a3 <= eps:
+    if a1 - a3 <= EPS_TIP:
         kind = TipKind.CUSP
-    elif a1 - a2 <= eps:
+    elif a1 - a2 <= EPS_TIP:
         kind = TipKind.CONE
     else:
         kind = TipKind.SMOOTH
@@ -66,23 +64,12 @@ def section_sq(R, cas: CasimirValues):
     """Squared section profile (R^2 - mu^2)(R - ell).
 
     Total on purpose: root finders may probe outside [r_min, inf), where
-    negative values simply flag points off the surface.  Returns a float
-    for a scalar R and an array otherwise.
+    negative values simply flag points off the surface.  Works on a float
+    and elementwise on an array.
     """
-    R = _float_or_array(R)
-    return _scalar_or_array((R * R - cas.mu * cas.mu) * (R - cas.ell))
+    return (R * R - cas.mu * cas.mu) * (R - cas.ell)
 
 
 def section_sq_deriv(R, cas: CasimirValues):
     """d/dR of the section profile: 3R^2 - 2*ell*R - mu^2."""
-    R = _float_or_array(R)
-    return _scalar_or_array(3.0 * R * R - 2.0 * cas.ell * R - cas.mu * cas.mu)
-
-
-def _float_or_array(R):
-    # a float is used as it is: the same IEEE operations as on a 0-d array
-    return R if isinstance(R, float) else np.asarray(R, dtype=float)
-
-
-def _scalar_or_array(out):
-    return out if isinstance(out, np.ndarray) and out.shape else float(out)
+    return 3.0 * R * R - 2.0 * cas.ell * R - cas.mu * cas.mu

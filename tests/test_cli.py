@@ -1,6 +1,7 @@
 """CLI: commands, formats, determinism, exit codes."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -224,6 +225,26 @@ def test_module_imports_no_private_names(module):
     assert private == []
 
 
+@pytest.mark.parametrize("cls", [res112.ModelParams, res112.ReducedParams,
+                                 res112.CasimirValues],
+                         ids=lambda cls: cls.__name__)
+def test_every_parameter_field_is_read(cls):
+    # a field that no module reads is a setting that silently changes
+    # nothing: each field is read as an attribute somewhere in the package,
+    # outside the class's own body (which only validates it)
+    read = set()
+    for path in Path(res112.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        own = {id(node) for top in ast.walk(tree)
+               if isinstance(top, ast.ClassDef) and top.name == cls.__name__
+               for node in ast.walk(top)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and id(node) not in own}
+    unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+    assert unread == []
+
+
 def test_cli_imports_no_private_or_catalog_names():
     # the CLI is I/O over the public API: no private helpers, and no catalog
     # lookups that restate what thread_segments and crease_span give
@@ -343,9 +364,10 @@ def test_cli_exit_codes(monkeypatch, capsys):
                  ["bifdiag", "--ell", "0", "--grid", "3", "--no-surface",
                   "--lambda-window=-1e308,1e308", *nowhere],
                  ["fiber", "--delta", "0", "--mu", "0", "--ell", "0", "--h", "nan"],
+                 ["fiber", "--delta", "0", "--mu", "0", "--ell", "0", "--h", "1e200"],
                  [*gamma1, "--tol", "0"], [*gamma1, "--tol", "-1"],
                  [*gamma1, "--tol", "nan"], [*gamma1, "--radius", "0"],
-                 [*gamma1, "--radius", "nan"]):
+                 [*gamma1, "--radius", "nan"], [*gamma1, "--points", "-5"]):
         monkeypatch.setattr(sys, "argv", ["res112", *args])
         with pytest.raises(SystemExit) as exited:
             main()

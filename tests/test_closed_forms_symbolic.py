@@ -66,3 +66,12 @@ def test_slice_quartic_is_the_eliminated_quadratic_on_the_plane():
     Q = sum(exact(c) * a ** (4 - i)
             for i, c in enumerate(_slice_quartic_coeffs(lam, ell, k)))
     assert sp.expand(k ** 2 * (A * m ** 2 + B * m + C) - 4 * lam ** 2 * Q) == 0
+
+
+def test_eliminated_quadratic_discriminant_is_a_cube():
+    # the discriminant of the eliminated quadratic A m^2 + B m + C in
+    # m = mu^2 is 16 lam^2 times the cube of (kappa a + lam)^2 - 2a, so for
+    # lam != 0 its two branches are real exactly where (kappa a + lam)^2 >= 2a
+    A, B, C = (exact(c) for c in _q_quadratic_coeffs(a, lam, k))
+    disc = 16 * lam ** 2 * ((k * a + lam) ** 2 - 2 * a) ** 3
+    assert sp.expand(B ** 2 - 4 * A * C - disc) == 0

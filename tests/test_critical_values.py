@@ -142,6 +142,11 @@ def test_classify_fiber_rejects_non_finite_energy():
     for h in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
             classify_fiber(CasimirValues(0.0, 0.0), ReducedParams(0.0, 1.0), h)
+    # finite inputs whose square overflows a coefficient of F (c0 = h^2,
+    # c1 = mu^2) are rejected too, not passed on to the root solve
+    for mu, h in ((0.0, 1e200), (1e200, 0.0)):
+        with pytest.raises(ValidationError):
+            classify_fiber(CasimirValues(mu, 0.0), ReducedParams(0.0, 1.0), h)
 
 
 def _outcome(rep):
@@ -190,7 +195,7 @@ def test_classify_fibers_matches_classify_fiber():
     assert [_outcome(rep) for rep in batch] == \
         [_classify_outcome(*fiber) for fiber in fibers]
     assert [type(rep) for rep in batch[-3:]] == \
-        [UnsupportedRegimeError, ValidationError, np.linalg.LinAlgError]
+        [UnsupportedRegimeError, ValidationError, ValidationError]
 
 
 def test_classify_fibers_solves_a_loop_in_one_eigvals_call(monkeypatch):

@@ -348,6 +348,12 @@ def test_loop_raises_at_the_first_unusable_point_it_reaches():
     assert str(raised.value) == (
         "loop point (0.0, 0.0, -1.0) unusable: value (mu=0.0, iota=0.0, "
         "h=-1.0) is not regular: empty fiber")
+    loop[9] = (0.0, 0.0, 1e200)   # h*h overflows in F
+    with pytest.raises(LoopError) as raised:
+        monodromy_vector(loop, PARAMS0)
+    assert str(raised.value).startswith(
+        "loop point (0.0, 0.0, 1e+200) unusable: the quartic F of the fiber "
+        "overflows")
 
 
 def _rotation_outcome(rd):

@@ -2,6 +2,7 @@
 minimal energy, orbit integration, internal frequencies."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from res112 import (CasimirValues, InvariantPoint, ModelParams, ReducedParams,
                     Stability, UnsupportedRegimeError, equilibria, h_min,
-                    integrate_orbit, reduced_h, r_min, section_sq, tip_class,
-                    vector_field)
+                    integrate_orbit, reduced_h, r_min, rotation_numbers,
+                    section_sq, tip_class, vector_field)
 from res112.bifurcations import f_quartic
 from res112.errors import RootFindingError
 from res112.reduced_dynamics import ROOT_MERGE_TOL
@@ -296,15 +297,14 @@ def test_integrate_orbit_conserves_and_finds_period():
     cas = CasimirValues(0.0, 0.0)
     rp = ReducedParams(lam=-1.0, kappa=1.0)
     start = _orbit_start(cas, rp, h=0.5)
-    traj = integrate_orbit(start, cas, rp, t_end=100.0, tol=1e-10,
-                           detect_period=True)
+    traj = integrate_orbit(start, cas, rp, t_end=100.0)
     assert traj.s_drift <= 1e-9
     assert traj.h_drift <= 1e-9
-    assert traj.period is not None and traj.period > 0
-    # the detected period is a genuine full return, not an R-return alias:
-    # integrating for exactly one period lands back at the start
-    traj2 = integrate_orbit(start, cas, rp, t_end=traj.period, tol=1e-11,
-                            n_samples=3)
+    # the reduced period from the period-integral quadrature is a genuine
+    # full return of the flow, not an R-return alias: integrating for
+    # exactly one period lands back at the start
+    period = rotation_numbers((0.0, 0.0, 0.5), ModelParams(delta=-1.0)).T_red
+    traj2 = integrate_orbit(start, cas, rp, t_end=period)
     assert np.linalg.norm(traj2.points[-1] - start.as_array()) <= 1e-6
 
 
@@ -312,7 +312,7 @@ def test_integrate_orbit_stationary_at_equilibrium():
     cas = CasimirValues(0.4, -0.3)
     rp = ReducedParams(lam=0.7, kappa=1.0)
     eq = [e for e in equilibria(cas, rp) if e.stability is Stability.ELLIPTIC][0]
-    traj = integrate_orbit(eq.point, cas, rp, t_end=10.0, tol=1e-10)
+    traj = integrate_orbit(eq.point, cas, rp, t_end=10.0)
     assert np.max(np.abs(traj.points - eq.point.as_array())) <= 1e-6
 
 
@@ -376,7 +376,27 @@ def test_h_min_never_exceeds_tip_energy():
         assert h_min(cas, rp) <= tip_h + 1e-10
 
 
-def internal_frequencies(R: float, cas: CasimirValues, mp: ModelParams) -> tuple[float, float]:
+class NormalForm(NamedTuple):
+    """All nine coefficients of the normal form through order four.
+
+    ModelParams holds only delta, kappa, lambda1 and lambda2: the terms in
+    the Casimirs alone (alpha L, beta N and the gamma quadratics) are
+    constants on each reduced space, but they do shift the internal
+    frequencies.
+    """
+
+    alpha: float = 0.0
+    beta: float = 0.0
+    delta: float = 0.0
+    kappa: float = 1.0
+    lambda1: float = 0.0
+    lambda2: float = 0.0
+    gamma1: float = 0.0
+    gamma2: float = 0.0
+    gamma3: float = 0.0
+
+
+def internal_frequencies(R: float, cas: CasimirValues, mp: NormalForm) -> tuple[float, float]:
     """Internal frequencies (dH/dN, dH/dJ) of the 2-torus over a regular
     equilibrium, from the full normal form with the second Casimir replaced
     by 2J - N."""
@@ -389,9 +409,9 @@ def internal_frequencies(R: float, cas: CasimirValues, mp: ModelParams) -> tuple
 
 
 def test_internal_frequencies_closed_form_and_fd():
-    mp = ModelParams(alpha=1.0)
+    mp = NormalForm(alpha=1.0)
     assert internal_frequencies(0.7, CasimirValues(0.2, 0.4), mp) == (-1.0, 2.0)
-    mp2 = ModelParams(alpha=0.8, beta=0.8)
+    mp2 = NormalForm(alpha=0.8, beta=0.8)
     dn, _ = internal_frequencies(0.5, CasimirValues(0.0, 0.0), mp2)
     assert dn == 0.0  # beta = alpha cancels
 
@@ -404,7 +424,7 @@ def test_internal_frequencies_closed_form_and_fd():
                 + 0.5 * mp.gamma3 * l * l)
 
     for _ in range(50):
-        mp = ModelParams(*(float(v) for v in RNG.normal(0, 1.0, 9)))
+        mp = NormalForm(*(float(v) for v in RNG.normal(0, 1.0, 9)))
         n0, j0, R0 = (float(v) for v in RNG.normal(0, 1.0, 3))
         cas = CasimirValues(n0, 2.0 * j0 - n0)
         dn, dj = internal_frequencies(R0, cas, mp)
