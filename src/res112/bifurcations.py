@@ -12,8 +12,9 @@ or degenerate-Hopf events.
 
 Two independent routes to the same set are maintained on purpose: the
 closed-form catalog (families CS1..CS4, Cusp1..3, HHsub/HHsup/HHdeg 1..3
-for kappa=1, their kappa=0 counterparts, and the general-kappa formulas
-behind them) and a numeric solver that eliminates (b, ell, h) from the
+for kappa > 0, and for kappa = 0 the families CS1_k0..CS3_k0 and
+HHsub1_k0..HHsub3_k0, which are the same closed forms evaluated at
+kappa = 0) and a numeric solver that eliminates (b, ell, h) from the
 coefficient-matching system of F = (kappa^2/4)(R-a)^3 (R-b) and chases the
 real roots of the remaining quartic in mu.  The test suite diffs the two.
 """
@@ -52,6 +53,10 @@ CATALOG_FAMILIES = ("CS1", "CS2", "CS3", "CS4",
 
 KAPPA0_FAMILIES = ("CS1_k0", "CS2_k0", "CS3_k0",
                    "HHsub1_k0", "HHsub2_k0", "HHsub3_k0")
+
+# the families at one lam, 1/(2 kappa) or 1/kappa, which families_at does not
+# list; they have no kappa = 0 form
+FIXED_LAMBDA_FAMILIES = ("Cusp3", "HHdeg1", "HHdeg2", "HHdeg3")
 
 
 class BifurcationKind(Enum):
@@ -200,7 +205,11 @@ def _h_of_quartic(q: Quartic, cas: CasimirValues) -> float:
 # Closed-form parametrisations (general kappa > 0 unless stated otherwise)
 # ---------------------------------------------------------------------------
 
-def _b_of_a(a: float, lam: float, kappa: float) -> float:
+def _b_of_a(a: float, lam: float, kappa: float) -> float | None:
+    """The simple root b of F beside the triple root a; None for kappa = 0,
+    where F is cubic."""
+    if kappa == 0.0:
+        return None
     return 4.0 / kappa ** 2 - 3.0 * a - 4.0 * lam / kappa
 
 
@@ -257,7 +266,10 @@ def _h_from_mu2(a: float, mu2: float, lam: float, kappa: float) -> float:
 
 
 def a_sub_boundary(lam: float, kappa: float) -> float:
-    """a-value where the mu-branches meet the subcritical Hopf curve."""
+    """a-value where the mu-branches meet the subcritical Hopf curve; its
+    limit lam^2/2 at kappa = 0."""
+    if kappa == 0.0:
+        return 0.5 * lam * lam
     return (1.0 - kappa * lam - math.sqrt(1.0 - 2.0 * kappa * lam)) / kappa ** 2
 
 
@@ -340,7 +352,7 @@ def families_at(lam: float, kappa: float = 1.0) -> tuple[str, ...]:
     parabolas meet the cusp and centre-saddle sheets.  Within 1e-14/kappa
     of lam = 1/(2 kappa) (_at_lambda_half), where CS1 and CS2 take the
     boundary formula, CS3 and CS4 have no points.  The kappa = 0 families
-    exist wherever lam != 0.  The families at a fixed lam, the Cusp3 line
+    exist wherever lam != 0.  The FIXED_LAMBDA_FAMILIES, the Cusp3 line
     and HHdeg1..3, are not listed.  Raises UnsupportedRegimeError for
     kappa < 0.
     """
@@ -372,7 +384,9 @@ def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, f
     - CS4: ((1 - kappa lam)/kappa^2, a0_root) for 1/(2 kappa) < lam < 1/kappa
 
     The kappa = 0 families CS1_k0, CS2_k0 and CS3_k0 span (0, lam^2/2),
-    (0, lam^2/2) and (4 lam^2/9, lam^2/2); kappa is not used for them.
+    (0, lam^2/2) and (4 lam^2/9, lam^2/2), the limits of the CS1..CS3
+    ranges (a_sub_boundary at kappa = 0, and a0_root -> 4 lam^2/9); kappa
+    is not used for them.
     Raises ValidationError wherever the family has no points at lam
     (families_at), and UnsupportedRegimeError for CS1..CS4 with kappa <= 0.
     Within 1e-14/kappa of lam = 1/(2 kappa), where the catalog uses the
@@ -388,8 +402,8 @@ def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, f
     if family not in families_at(lam, 0.0 if k0 else kappa):
         raise ValidationError(f"{family} has no points at lam = {lam}")
     if k0:
-        L2 = lam * lam
-        return (4.0 * L2 / 9.0 if family == "CS3_k0" else 0.0), 0.5 * L2
+        return (4.0 * lam * lam / 9.0 if family == "CS3_k0" else 0.0,
+                a_sub_boundary(lam, 0.0))
     k = kappa
     if family == "CS3":
         return a0_root(lam, k), a_sub_boundary(lam, k)
@@ -431,7 +445,9 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
     """Closed-form catalog point of the bifurcation set, for every kappa >= 0.
 
     For kappa > 0 the families are CATALOG_FAMILIES, for kappa = 0 the
-    KAPPA0_FAMILIES.  Centre-saddle families take (lam, a) with the a-range
+    KAPPA0_FAMILIES, whose points are those of CS1..CS3 and HHsub1..3 from
+    the same closed forms evaluated at kappa = 0 (b is None there, since F
+    is cubic).  Centre-saddle families take (lam, a) with the a-range
     of family_domain enforced; CS3/CS4/CS3_k0 additionally take ``sign``
     selecting the mu-branch.  Cusp1/2 and the Hopf families take lam alone;
     Cusp3 takes mu; the three degenerate points take no parameter.  A
@@ -473,15 +489,14 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
     if family not in families_at(lam, k):
         raise ValidationError(f"{family} has no points at lam = {lam}")
 
-    if k == 0.0 and family.startswith("HHsub"):
-        return _hopf_point_kappa0(family, lam)
     if family.startswith(("HHsub", "HHsup")):
         sub = family.startswith("HHsub")
         kind = BifurcationKind.HOPF_SUB if sub else BifurcationKind.HOPF_SUPER
-        if family.endswith("3"):
+        number = family.removesuffix("_k0")[-1]
+        if number == "3":
             return _hopf_point(family, lam, 0.0, -lam * lam, k, kind)
         m = (a_sub_boundary if sub else a_sup_boundary)(lam, k)
-        return _hopf_point(family, lam, m if family.endswith("1") else -m, m, k, kind)
+        return _hopf_point(family, lam, m if number == "1" else -m, m, k, kind)
 
     if family in ("Cusp1", "Cusp2"):
         root = math.sqrt(2.0 * k * lam - 1.0)
@@ -509,25 +524,21 @@ def _cusp3_point(mu: float, k: float) -> CatalogPoint:
 
 
 def _at_lambda_half(lam: float, k: float) -> bool:
-    """lam is within roundoff of 1/(2 kappa), where the CS formulas factorise."""
-    return abs(lam - 0.5 / k) <= 1e-14 / k
+    """lam is within roundoff of 1/(2 kappa), where the CS formulas
+    factorise; never for kappa = 0, where 1/(2 kappa) is infinite."""
+    return k != 0.0 and abs(lam - 0.5 / k) <= 1e-14 / k
 
 
 def _cs_point(family: str, lam: float, a: float, sign: int, k: float) -> CatalogPoint:
-    """CS1..CS4 point at (lam, a) away from lam = 1/(2 kappa)."""
-    if family == "CS3":
-        _, m_plus = _mu2_branches(a, lam, k)
-        mu_val = sign * math.sqrt(max(m_plus, 0.0))
-        mu2 = max(m_plus, 0.0)
-    else:
-        m_minus, _ = _mu2_branches(a, lam, k)
-        mu2 = max(m_minus, 0.0)
-        mu_val = math.sqrt(mu2)
-        if family == "CS1":
-            mu_val = -mu_val
-        elif family == "CS4":
-            mu_val = sign * mu_val
-
+    """CS1..CS4 (CS1_k0..CS3_k0) point at (lam, a) off lam = 1/(2 kappa)."""
+    base = family.removesuffix("_k0")
+    m_minus, m_plus = _mu2_branches(a, lam, k)
+    mu2 = max(m_plus if base == "CS3" else m_minus, 0.0)
+    mu_val = math.sqrt(mu2)
+    if base == "CS1":
+        mu_val = -mu_val
+    elif base in ("CS3", "CS4"):
+        mu_val = sign * mu_val
     ell = _ell_from_mu2(a, mu2, lam, k)
     h = _h_from_mu2(a, mu2, lam, k)
     return CatalogPoint(family=family, kind=BifurcationKind.CENTRE_SADDLE,
@@ -550,41 +561,6 @@ def _cs_point_lambda_half(family: str, a: float, k: float) -> CatalogPoint:
                         lam=lam, mu=mu_val, ell=ell, a=a,
                         b=-3.0 * a + 2.0 / k ** 2, h=h, kappa=k,
                         boundary=True)
-
-
-def _hopf_point_kappa0(family: str, lam: float) -> CatalogPoint:
-    """HHsub1_k0..HHsub3_k0 point at lam: the tip a = ell = lam^2/2 with
-    mu = +-a on HHsub1_k0/HHsub2_k0, and a = mu = 0, ell = -lam^2 on
-    HHsub3_k0."""
-    L2 = lam * lam
-    if family == "HHsub3_k0":
-        mu, ell, a = 0.0, -L2, 0.0
-    else:
-        a = ell = 0.5 * L2
-        mu = a if family == "HHsub1_k0" else -a
-    h = (mu * mu + 3.0 * a * a) / (2.0 * lam)
-    return CatalogPoint(family=family, kind=BifurcationKind.HOPF_SUB, lam=lam,
-                        mu=mu, ell=ell, a=a, b=None, h=h, kappa=0.0)
-
-
-def _cs_point_kappa0(family: str, lam: float, a: float, sign: int) -> CatalogPoint:
-    """CS1_k0..CS3_k0 point at (lam, a)."""
-    L2 = lam * lam
-    rad = 2.0 * abs(lam) * (L2 - 2.0 * a) ** 1.5
-    base = -3.0 * a * a + 6.0 * a * L2 - 2.0 * L2 * L2
-    # mu_pm^2 = base -/+ rad: the plus-branch family takes the smaller root
-    if family == "CS3_k0":
-        mu2 = max(base - rad, 0.0)
-        mu = sign * math.sqrt(mu2)
-    else:
-        mu2 = max(base + rad, 0.0)
-        mu = math.sqrt(mu2)
-        if family == "CS1_k0":
-            mu = -mu
-    ell = 3.0 * a - L2
-    h = (mu2 + 3.0 * a * a) / (2.0 * lam)
-    return CatalogPoint(family=family, kind=BifurcationKind.CENTRE_SADDLE,
-                        lam=lam, mu=mu, ell=ell, a=a, b=None, h=h, kappa=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +607,7 @@ class LambdaStratum:
         """(events, grid, ells) of the numeric oracle at lam: no events, 129
         equally spaced a-values up to 1.05 times the largest of 1 and the
         structural points (_structural_points) plus those points, and ell(a,
-        m) (_ell_from_am) at each of them on each mu^2-branch of
+        m) (_ell_from_mu2) at each of them on each mu^2-branch of
         _m_branches_numeric (_branch_values; NaN where the branch does not
         exist), which every plane's oracle_slice shares.  At lam = 0 and
         1/(2 kappa) (_special_lambda), where the eliminated quartic
@@ -644,7 +620,7 @@ class LambdaStratum:
         grid = _a_grid(1.05 * max([1.0, *pts]), 129, pts)
         table = [_m_branches_numeric(a, lam, kappa) for a in grid]
         return [], grid, _branch_values(
-            grid, table, lambda a, m: _ell_from_am(a, m, lam, kappa))
+            grid, table, lambda a, m: _ell_from_mu2(a, m, lam, kappa))
 
     def distance(self, ev: BifurcationEvent, family: str) -> float:
         """Distance in (mu, ell) from an event at this lam to the catalog
@@ -677,7 +653,7 @@ class LambdaStratum:
         (family_kind) whose catalog point lies nearest in (mu, ell) and
         within MATCH_RADIUS (distance); family None where none does."""
         # the fixed-lam families are tried at every lam: MATCH_RADIUS applies in lam
-        fixed = () if self.kappa == 0.0 else ("Cusp3", "HHdeg1", "HHdeg2", "HHdeg3")
+        fixed = () if self.kappa == 0.0 else FIXED_LAMBDA_FAMILIES
         by_kind: dict[BifurcationKind, list[str]] = {}
         for family in families_at(self.lam, self.kappa) + fixed:
             by_kind.setdefault(family_kind(family), []).append(family)
@@ -698,8 +674,6 @@ def _cs_probe(family: str, lam: float, a: float, sign: int, kappa: float,
     already taken from family_domain; raises ValidationError outside it."""
     if not lo < a < hi:
         raise ValidationError(f"{family} needs {lo} < a < {hi}")
-    if kappa == 0.0:
-        return _cs_point_kappa0(family, lam, a, sign)
     if _at_lambda_half(lam, kappa):
         return _cs_point_lambda_half(family, a, kappa)
     return _cs_point(family, lam, a, sign, kappa)
@@ -803,18 +777,20 @@ def hopf_cusp_slice(ell_target: float, kappa: float, lam_lo: float,
     if -1.0 < c < 0.5:
         u = -1.0 + math.sqrt(2.0 - 2.0 * c)
         add_at(0.5 * (1.0 + u * u) / k, "Cusp1", "Cusp2")
-    if abs(ell_target - 0.25 / k ** 2) < 0.25 / k ** 2 + 1e-12:
-        m2 = (ell_target - 0.25 / k ** 2) / k ** 2
-        if m2 >= 0.0:
-            for s in (1, -1):
-                try:  # the open range |mu| < 1/(2 kappa^2)
-                    pt = catalog_point("Cusp3", mu=s * math.sqrt(m2), kappa=k)
-                except ValidationError:
-                    continue
-                add(pt)
-    for family in ("HHdeg1", "HHdeg2", "HHdeg3"):
-        add(catalog_point(family, kappa=k))
+    m2 = (ell_target - 0.25 / k ** 2) / k ** 2  # the Cusp3 mu^2 at ell_target
+    for pt in _fixed_lambda_points(k, [s * math.sqrt(m2) for s in (1, -1)]
+                                   if m2 >= 0.0 else []):
+        add(pt)
     return rows
+
+
+def _fixed_lambda_points(kappa: float, cusp3_mus) -> list[CatalogPoint]:
+    """The FIXED_LAMBDA_FAMILIES points for kappa > 0: Cusp3 at each mu of
+    ``cusp3_mus`` in its open range |mu| < 1/(2 kappa^2), then HHdeg1..3."""
+    return [catalog_point(family, mu=mu, kappa=kappa)
+            for family in FIXED_LAMBDA_FAMILIES
+            for mu in (cusp3_mus if family == "Cusp3" else [None])
+            if mu is None or abs(mu) < 0.5 / kappa ** 2]
 
 
 def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
@@ -846,12 +822,9 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
                 pt = catalog_point(family, lam=lam, kappa=kappa)
                 rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
     if kappa > 0.0:
-        for mu in np.linspace(-0.49 / kappa ** 2, 0.49 / kappa ** 2, n):
-            pt = catalog_point("Cusp3", mu=float(mu), kappa=kappa)
-            rows.append(("Cusp3", pt.lam, pt.a, pt.mu, pt.ell, pt.h))
-        for family in ("HHdeg1", "HHdeg2", "HHdeg3"):
-            pt = catalog_point(family, kappa=kappa)
-            rows.append((family, pt.lam, pt.a, pt.mu, pt.ell, pt.h))
+        mus = np.linspace(-0.49 / kappa ** 2, 0.49 / kappa ** 2, n).tolist()
+        rows += [(pt.family, pt.lam, pt.a, pt.mu, pt.ell, pt.h)
+                 for pt in _fixed_lambda_points(kappa, mus)]
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     return rows
 
@@ -901,20 +874,6 @@ def _m_branches_numeric(a: float, lam: float, kappa: float) -> list[float]:
     return sorted(0.0 if -1e-11 * scale < m < 0.0 else m for m in roots)
 
 
-def _ell_from_am(a: float, m: float, lam: float, kappa: float) -> float:
-    """ell of the triple root a on the mu^2-branch m at lam."""
-    if kappa == 0.0:
-        return 3.0 * a - lam * lam
-    return _ell_from_mu2(a, m, lam, kappa)
-
-
-def _h_from_am(a: float, m: float, lam: float, kappa: float) -> float:
-    """Energy h of the triple root a on the mu^2-branch m at lam."""
-    if kappa == 0.0:
-        return (m + 3.0 * a ** 2) / (2.0 * lam)
-    return _h_from_mu2(a, m, lam, kappa)
-
-
 def _mu_signs(m: float) -> tuple[int, ...]:
     """Signs of mu = +-sqrt(m): one where m vanishes to roundoff, else two."""
     return (1,) if m <= 1e-14 else (1, -1)
@@ -927,8 +886,8 @@ def _events_from_am(a: float, m: float, lam: float,
     classification or failing its residual check are dropped (the latter
     occur just below a_sup_boundary, where the noise clamp of
     _m_branches_numeric admits a negative discriminant)."""
-    ell, h = _ell_from_am(a, m, lam, kappa), _h_from_am(a, m, lam, kappa)
-    b = None if kappa == 0.0 else _b_of_a(a, lam, kappa)
+    ell, h = _ell_from_mu2(a, m, lam, kappa), _h_from_mu2(a, m, lam, kappa)
+    b = _b_of_a(a, lam, kappa)
     out = []
     for sgn in _mu_signs(m):
         mu = sgn * math.sqrt(m)
@@ -961,7 +920,7 @@ def _structural_points(lam: float, kappa: float) -> list[float]:
     kappa = 0).  Crossings on either side of one of them then fall into
     different intervals of a numeric grid."""
     if kappa == 0.0:
-        return [0.5 * lam * lam]
+        return [a_sub_boundary(lam, kappa)]
     pts = [a_quadruple(lam, kappa)]
     if 1.0 - 2.0 * kappa * lam >= 0.0:
         pts += [a_sub_boundary(lam, kappa), a_sup_boundary(lam, kappa)]
@@ -1065,7 +1024,7 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     table = [_m_branches_numeric(a, lam, kappa) for a in grid]
 
     def tip_gap(a, m):
-        return a - max(math.sqrt(m), _ell_from_am(a, m, lam, kappa))
+        return a - max(math.sqrt(m), _ell_from_mu2(a, m, lam, kappa))
 
     on_grid = [(a, m) for a, ms in zip(grid, table) for m in ms if m >= 0.0]
     crossings = _branch_crossings(grid, _branch_values(grid, table, tip_gap),
@@ -1093,11 +1052,11 @@ def oracle_slice(st: LambdaStratum, ell_target: float) -> list[tuple]:
             for ev in events if abs(ev.ell - ell_target) <= 1e-6]
 
     def off_plane(a, m):
-        return _ell_from_am(a, m, lam, kappa) - ell_target
+        return _ell_from_mu2(a, m, lam, kappa) - ell_target
 
     values = [[ell - ell_target for ell in branch] for branch in ells]
     for a, m in _branch_crossings(grid, values, off_plane, lam, kappa):
-        ell, h = _ell_from_am(a, m, lam, kappa), _h_from_am(a, m, lam, kappa)
+        ell, h = _ell_from_mu2(a, m, lam, kappa), _h_from_mu2(a, m, lam, kappa)
         for sgn in _mu_signs(m):
             mu = sgn * math.sqrt(m)
             if a < max(abs(mu), ell) - 1e-10:
@@ -1114,9 +1073,8 @@ def _events_lambda_zero(kappa: float) -> list[BifurcationEvent]:
     rp = ReducedParams(lam=0.0, kappa=kappa)
     q0 = f_quartic(0.0, rp, cas0)
     kind0 = classify_multiple_root(0.0, q0, cas0)
-    b0 = _b_of_a(0.0, 0.0, kappa) if kappa != 0.0 else None
-    events.append(BifurcationEvent(kind=kind0, a=0.0, b=b0, h=0.0, lam=0.0,
-                                   mu=0.0, ell=0.0, kappa=kappa))
+    events.append(BifurcationEvent(kind=kind0, a=0.0, b=_b_of_a(0.0, 0.0, kappa),
+                                   h=0.0, lam=0.0, mu=0.0, ell=0.0, kappa=kappa))
     if kappa != 0.0:
         a = 2.0 / kappa ** 2
         h = tip_energy(a, rp)

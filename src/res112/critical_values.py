@@ -209,7 +209,6 @@ def _fiber_report(cas: CasimirValues, rp: ReducedParams, h: float, q: Quartic,
 
     # walk chains of F<0 gaps joined by interior roots of even multiplicity
     i = 0
-    used = [False] * len(pts)
     while i < len(gap_neg):
         if not gap_neg[i]:
             i += 1
@@ -225,8 +224,6 @@ def _fiber_report(cas: CasimirValues, rp: ReducedParams, h: float, q: Quartic,
             saddles += 1
             j += 1
         left, right = pts[i][0], pts[j + 1][0]
-        for k in range(i, j + 2):
-            used[k] = True
         starts_at_tip = abs(left - rmin) <= eps_dom and through_tip
         if saddles == 0:
             if starts_at_tip and tip.is_singular:

@@ -139,8 +139,12 @@ def equilibria(cas: CasimirValues, rp: ReducedParams) -> list[Equilibrium]:
         real, _ = real_roots(coeffs, imag_rtol=1e-8)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic failure
         raise RootFindingError(f"companion-matrix eigenvalue solve failed: {exc}")
-    polished = [newton(coeffs, r, 3, dcoeffs) for r in real]
-    polished = sorted(r for r in polished if r >= rmin - ROOT_MERGE_TOL * scale)
+    # Newton can carry a root across the tip either way (from a double root,
+    # where its derivative vanishes), so the roots are held to r_min both
+    # before the polish and after it
+    floor = rmin - ROOT_MERGE_TOL * scale
+    polished = [newton(coeffs, r, 3, dcoeffs) for r in real if r >= floor]
+    polished = sorted(r for r in polished if r >= floor)
 
     # Merge near-coincident roots; delegate genuine multiple-root analysis
     # to the bifurcation module, which works with exact conditions.

@@ -377,6 +377,12 @@ def test_a0_root_window_behavior():
         a0_root(0.0, 1.0)
 
 
+def test_a_sub_boundary_at_kappa0_is_its_limit():
+    # (1 - k lam - sqrt(1 - 2 k lam)) / k^2 -> lam^2 / 2 as k -> 0
+    for lam in (-1.6, -0.3, -1e-9, 1e-9, 0.7, 1.45):
+        assert a_sub_boundary(lam, 0.0) == 0.5 * lam * lam
+
+
 @pytest.mark.xfail(strict=True, reason="1 - kappa lam - sqrt(1 - 2 kappa lam) "
                    "cancels for small |lam|; the fix moves CS and HHsub bytes")
 def test_a_sub_boundary_is_accurate_near_lam_zero():
@@ -567,6 +573,55 @@ def test_degenerate_points_are_quadruple_roots():
 # ---------------------------------------------------------------------------
 # kappa = 0 catalog and sweeps
 # ---------------------------------------------------------------------------
+
+def _kappa0_closed_form(family, lam, a, sign):
+    """(mu, ell, h, a) of a kappa = 0 family written out on its own: the tip
+    a = ell = lam^2/2 with mu = +-a (HHsub1_k0, HHsub2_k0) and a = mu = 0,
+    ell = -lam^2 (HHsub3_k0); on the centre-saddle sheets
+    mu^2 = base -+ rad with base = -3a^2 + 6a lam^2 - 2 lam^4 and
+    rad = 2|lam|(lam^2 - 2a)^(3/2) (CS3_k0 takes the smaller root) and
+    ell = 3a - lam^2; everywhere h = (mu^2 + 3a^2)/(2 lam)."""
+    L2 = lam * lam
+    if family == "HHsub3_k0":
+        mu, ell, a = 0.0, -L2, 0.0
+    elif family.startswith("HHsub"):
+        a = ell = 0.5 * L2
+        mu = a if family == "HHsub1_k0" else -a
+    else:
+        rad = 2.0 * abs(lam) * (L2 - 2.0 * a) ** 1.5
+        base = -3.0 * a * a + 6.0 * a * L2 - 2.0 * L2 * L2
+        mu = math.sqrt(max(base - rad if family == "CS3_k0" else base + rad, 0.0))
+        mu *= {"CS1_k0": -1, "CS2_k0": 1, "CS3_k0": sign}[family]
+        ell = 3.0 * a - L2
+    return mu, ell, (mu * mu + 3.0 * a * a) / (2.0 * lam), a
+
+
+def test_kappa0_families_are_the_general_closed_forms_at_kappa0():
+    # catalog_point evaluates the _k0 families with the kappa > 0 formulas at
+    # kappa = 0; the formulas written for kappa = 0 alone are their oracle
+    n = 0
+    for lam in np.linspace(-1.6, 1.6, 17):
+        lam = float(lam)
+        if lam == 0.0:
+            continue
+        for family in bifurcations.KAPPA0_FAMILIES:
+            if family.startswith("HHsub"):
+                probes = [(None, 1)]
+            else:
+                lo, hi = family_domain(family, lam, 0.0)
+                probes = [(float(a), s) for a in np.linspace(lo, hi, 13)[1:-1]
+                          for s in ((1, -1) if family == "CS3_k0" else (1,))]
+            for a, sign in probes:
+                pt = catalog_point(family, lam=lam, a=a, sign=sign, kappa=0.0)
+                mu, ell, h, a_want = _kappa0_closed_form(family, lam, a, sign)
+                assert (pt.a, pt.b, pt.kappa) == (a_want, None, 0.0)
+                assert pt.mu * mu >= 0.0, (family, lam, a)
+                assert abs(pt.mu * pt.mu - mu * mu) <= 1e-11, (family, lam, a)
+                assert abs(pt.ell - ell) <= 1e-11, (family, lam, a)
+                assert abs(pt.h - h) <= 1e-11, (family, lam, a)
+                n += 1
+    assert n == 16 * (3 + 2 * 11 + 2 * 11)
+
 
 def test_kappa0_catalog_spot_values():
     pt = catalog_point("HHsub1_k0", lam=1.0, kappa=0.0)
@@ -926,8 +981,8 @@ def test_oracle_slice_reads_the_stratum_branch_values(monkeypatch):
     st = LambdaStratum(-1.0, 1.0)
     assert len(st.oracle[1]) > 100
     calls = []
-    real = bifurcations._ell_from_am
-    monkeypatch.setattr(bifurcations, "_ell_from_am",
+    real = bifurcations._ell_from_mu2
+    monkeypatch.setattr(bifurcations, "_ell_from_mu2",
                         lambda *args: calls.append(args) or real(*args))
     assert oracle_slice(st, 0.75) == []
     assert calls == []

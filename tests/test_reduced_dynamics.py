@@ -140,7 +140,7 @@ def _equilibria_numpy_oracle(cas, rp, merge_tol=ROOT_MERGE_TOL):
         roots = np.sort(found[np.abs(found.imag) <= tol].real)
     dcoeffs = np.polyder(coeffs)
     polished = []
-    for x in roots:
+    for x in roots[roots >= rmin - merge_tol * scale]:
         for _ in range(3):
             d = np.polyval(dcoeffs, x)
             if d == 0.0:
@@ -232,6 +232,26 @@ def test_equilibria_match_numpy_oracle_bit_for_bit(draw):
     assert [(_bits(e.R), _bits(e.X), _bits(e.h), e.stability, _bits(e.quintic_deriv))
             for e in got] == [(_bits(r), _bits(x), _bits(h), stab, _bits(sp))
                               for r, x, h, stab, sp in expected]
+
+
+@pytest.mark.parametrize("mu, ell, lam, kappa, regular", [
+    # ell = -|mu|: S = (R - mu)(R + mu)^2 (...) has a double root at -|mu|,
+    # below r_min; Newton carried one of its companion images up to a false
+    # elliptic R = 5.34443124133694, whose fiber is one regular Torus3
+    (0.7658262489009331, -0.7658262489009331, -1.3982458155993052, 1.0,
+     [4.788602319250386]),
+    # S = R^2 (-9 R^2 + 28 R - 20): only 10/9 and 2 lie above r_min = 1, and
+    # the double root at 0 was polished up to a false R = 1.055851614725544
+    (1.6521545050332558e-129, 1.0, 2.0, 0.0, [10.0 / 9.0, 2.0]),
+    # the cone |mu| = ell: Newton carries the double root at the tip down to
+    # 2.654, below r_min, so the polished roots are held to r_min as well
+    (-2.7000000000000002, 2.7000000000000002, 0.52, 1.0, []),
+])
+def test_equilibria_polish_only_the_roots_above_the_tip(mu, ell, lam, kappa,
+                                                        regular):
+    eqs = equilibria(CasimirValues(mu, ell), ReducedParams(lam=lam, kappa=kappa))
+    got = [e.R for e in eqs if e.stability is not Stability.SINGULAR_TIP]
+    assert got == pytest.approx(regular, rel=1e-12)
 
 
 @pytest.mark.parametrize("mu, ell, lam, kappa", [
