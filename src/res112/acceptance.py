@@ -297,7 +297,7 @@ def check_conservation() -> AcceptanceResult:
 
     params = ModelParams(delta=0.0, kappa=1.0)
     value = (-0.5, 0.0, 0.3)
-    rd = rotation_numbers(value, params)
+    (rd,) = rotation_numbers(value, params)
     # re-integrate one period and measure the invariant drift directly
     from scipy.integrate import solve_ivp
     mu, iota, h = value
@@ -605,7 +605,7 @@ ALL_CHECKS = [
 SLOW_CHECKS = {"check_conservation", "check_cli_determinism"}
 
 
-def run_all(skip_slow: bool = False) -> list[AcceptanceResult]:
+def run_all(skip_slow: bool) -> list[AcceptanceResult]:
     out = []
     for fn in ALL_CHECKS:
         if skip_slow and fn.__name__ in SLOW_CHECKS:

@@ -159,9 +159,10 @@ def classify_multiple_root(a: float, q: Quartic,
     F'''(a) > 0 and subcritical for F'''(a) < 0; away from the tip it is a
     centre-saddle event, turning into a cusp when F'''(a) = 0; a vanishing
     F''' at the tip is the degenerate Hopf case.  Raises
-    AmbiguousClassificationError when both |F'''(a)| and |a - r_min| sit in
-    the gray band around their thresholds, and ValidationError when the
-    root residuals are too large to trust.
+    AmbiguousClassificationError, naming a, r_min, F'''(a) and both
+    tolerances, when |F'''(a)| and |a - r_min| sit in the gray band around
+    their thresholds, and ValidationError when the root residuals are too
+    large to trust.
     """
     h = _h_of_quartic(q, cas)
     scale = residual_scale(a, h, cas, q.kappa)
@@ -182,9 +183,9 @@ def classify_multiple_root(a: float, q: Quartic,
     gray_f3 = tol_f3 < abs(f3) <= 10.0 * tol_f3
     if (gray_a and (f3_zero or gray_f3)) or (gray_f3 and at_tip):
         raise AmbiguousClassificationError(
-            "classification sits between discrete outcomes",
-            diagnostics={"a": a, "r_min": rmin, "f3": f3,
-                         "tol_a": tol_a, "tol_f3": tol_f3})
+            f"classification sits between discrete outcomes: a = {a:.17g}, "
+            f"r_min = {rmin:.17g} (tolerance {tol_a:.3e}), "
+            f"F'''(a) = {f3:.17g} (tolerance {tol_f3:.3e})")
 
     if f3_zero:
         return (BifurcationKind.HOPF_DEGENERATE if at_tip
@@ -998,7 +999,7 @@ def _special_lambda(lam: float, kappa: float) -> float | None:
 
 
 def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
-                               n_grid: int = 2001) -> list[BifurcationEvent]:
+                               n_grid: int) -> list[BifurcationEvent]:
     """Numerically enumerate the bifurcation set at fixed lam.
 
     Works from the coefficient-matching system of the triple-root

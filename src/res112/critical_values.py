@@ -456,16 +456,18 @@ class CriticalSlice:
 
 
 def critical_slice(rp: ReducedParams, mu_values, ell_values,
-                   validate: bool = True) -> CriticalSlice:
+                   validate: bool) -> CriticalSlice:
     """Sample the set of critical values over a (mu, ell)-grid at fixed lam.
 
     Per node: the minimal energy (surface B) plus every other equilibrium
     energy, tagged elliptic (Fe), hyperbolic (Fh), stable tip above B
-    (tip-stable) or unstable tip (thread).  Each height is optionally
-    cross-validated by the fiber classifier; mismatches are flagged on the
-    node, never fatal.  The spans of the normal-mode curves themselves
-    (instability and above-minimum intervals) are not per-node data: get
-    them once per lam from ``thread_segments``.
+    (tip-stable) or unstable tip (thread).  With ``validate``, each height
+    is cross-validated by the fiber classifier; mismatches are flagged on
+    the node, never fatal.  A node that fails, for instance because its
+    tangency quintic overflows, keeps the error and no heights.  The spans
+    of the normal-mode curves themselves (instability and above-minimum
+    intervals) are not per-node data: get them once per lam from
+    ``thread_segments``.
     """
     if rp.kappa <= 0.0:
         raise UnsupportedRegimeError("critical_slice requires kappa > 0")

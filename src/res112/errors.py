@@ -32,10 +32,6 @@ class SingularityProximityError(NumericalError):
 class AmbiguousClassificationError(NumericalError):
     """A classification sits inside the tolerance band between two discrete outcomes."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
-
 
 class LoopError(NumericalError):
     """A monodromy loop is unusable (hits critical values, loses its component, ...)."""

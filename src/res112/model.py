@@ -272,16 +272,28 @@ def kappa_scaling(kappa: float, *, lam=None, mu=None, ell=None, R=None, X=None,
     normalises kappa-frame data to the kappa = 1 frame; this is the
     direction that maps detected events onto the unit-frame catalog.  For
     kappa < 0 the odd powers reflect lam, X, Y and h either way.  Slots
-    passed as None are returned as None.
+    passed as None are returned as None.  Raises ValidationError for a
+    zero or non-finite kappa, a non-finite slot and a result that
+    overflows.
     """
-    if kappa == 0.0:
-        raise ValidationError("kappa_scaling requires kappa != 0")
+    if kappa == 0.0 or not math.isfinite(kappa):
+        raise ValidationError(
+            f"kappa_scaling requires a finite kappa != 0 (got {kappa})")
     vals = {"lam": lam, "mu": mu, "ell": ell, "R": R, "X": X, "Y": Y, "h": h}
     out = {}
     for name, v in vals.items():
         if v is None:
             out[name] = None
-        else:
-            pw = _KAPPA_POWERS[name]
-            out[name] = v * kappa ** pw if inverse else v * kappa ** (-pw)
+            continue
+        if not math.isfinite(v):
+            raise ValidationError(f"kappa_scaling: {name} must be finite (got {v})")
+        pw = _KAPPA_POWERS[name] if inverse else -_KAPPA_POWERS[name]
+        try:
+            scaled = v * kappa ** pw
+        except OverflowError:  # kappa ** pw itself
+            scaled = math.inf
+        if not math.isfinite(scaled):
+            raise ValidationError(
+                f"kappa_scaling: {name} = {v} overflows at kappa = {kappa}")
+        out[name] = scaled
     return KappaScaled(**out)

@@ -114,8 +114,9 @@ QUAD_BATCH = QUAD_NODES_MAX
 
 
 def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
-                     component: int = 0, tol: float = 1e-11) -> RotationData:
-    """Rotation numbers of the fiber over (mu, iota, h).
+                     tol: float = 1e-11) -> tuple[RotationData, ...]:
+    """Rotation numbers of each torus of the fiber over (mu, iota, h), in
+    the order of their R-intervals.
 
     Over one reduced period the phases of z1, z2, z3 advance by the period
     integrals Delta_k = int_{r1}^{r2} omega_k dR / sqrt(-F) of the phase
@@ -128,12 +129,8 @@ def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
     """
     _check_tol(tol)
     (tori,) = _regular_tori([value], params)
-    tori = _raised(tori)
-    if component >= len(tori):
-        raise ValidationError(
-            f"component {component} out of range ({len(tori)} torus components)")
-    (rd,) = _fiber_rotations([(value, tori[component])], params, tol)
-    return _raised(rd)
+    items = [(value, interval) for interval in _raised(tori)]
+    return tuple(map(_raised, _fiber_rotations(items, params, tol)))
 
 
 def _check_tol(tol: float) -> None:
@@ -427,16 +424,18 @@ class MonodromyResult:
     n_points: int
 
 
-def monodromy_vector(loop, params: ModelParams, component: int = 0,
+def monodromy_vector(loop, params: ModelParams,
                      tol: float = 1e-11) -> MonodromyResult:
     """Continue rotation numbers along a closed loop of regular values.
 
     ``loop`` is a sequence of (mu, iota, h) with first point equal to last
-    (the closure is validated).  Mod-1 jumps are unwrapped by nearest-
-    integer matching; segments where either rotation number moves by more
-    than STEP_CAP, or where the component tracking cannot yet decide what
-    happened between samples, are bisected adaptively (hard cap
-    MAX_LOOP_POINTS).  The tracked torus family follows interval overlap;
+    (the closure is validated), and at most MAX_LOOP_POINTS points, since
+    every point is evaluated at least once.  The continuation starts on
+    the torus of lowest R over the first point.  Mod-1 jumps are unwrapped
+    by nearest-integer matching; segments where either rotation number
+    moves by more than STEP_CAP, or where the component tracking cannot
+    yet decide what happened between samples, are bisected adaptively
+    (hard cap MAX_LOOP_POINTS evaluated points).  The tracked torus family follows interval overlap;
     crossing a hyperbolic face (the tracked interval splitting at a saddle,
     or merging with a second substantial family) raises LoopError, while
     passing through an elliptic face on the surviving family is fine.
@@ -453,6 +452,10 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
         raise ValidationError("loop needs at least 4 points")
     if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-13):
         raise ValidationError("loop must be closed (first point == last)")
+    if len(pts) > MAX_LOOP_POINTS:
+        raise ValidationError(
+            f"loop has {len(pts)} points, more than MAX_LOOP_POINTS "
+            f"({MAX_LOOP_POINTS})")
 
     placed = (loop.tori if isinstance(loop, GeneratorLoop)
               and loop.params == params else {})
@@ -489,13 +492,10 @@ def monodromy_vector(loop, params: ModelParams, component: int = 0,
 
     evaluate(pts)
     tori0 = tori_at(pts[0])
-    if component >= len(tori0):
-        raise ValidationError(
-            f"component {component} out of range ({len(tori0)} torus components)")
-    data0 = eval_point(pts[0], tori0[component])
+    data0 = eval_point(pts[0], tori0[0])
     lift = np.array([data0.theta_N, data0.theta_J])
     prev = data0
-    prev_tori, prev_idx = tori0, component
+    prev_tori, prev_idx = tori0, 0
     n_eval = 1
 
     # stack entries: (a, b, depth); depth counts bisections of the original
@@ -598,7 +598,7 @@ def _advance_component(prev_tori, prev_idx, new_tori) -> int:
 LOOP_THREADS = {"gamma1": "C23", "gamma2": "C13", "gamma3": "C12"}
 
 
-def generator_loop(name: str, params: ModelParams, n_points: int = 48,
+def generator_loop(name: str, params: ModelParams, n_points: int,
                    radius: float | None = None,
                    plane: float | None = None) -> "GeneratorLoop":
     """Construct a named generator loop around one of the three threads.
@@ -609,17 +609,20 @@ def generator_loop(name: str, params: ModelParams, n_points: int = 48,
     (J, H)), gamma3 the normal 3-mode thread C12 in iota = -c (clockwise in
     (N, H)).  Each loop is centred where its thread, taken from
     ``thread_segments``, pierces the plane, and has ``n_points`` distinct
-    points (at least 3) plus the first again at the end.  Radii are
-    shrunk automatically until every sample is a regular value; the loop
-    carries the tori found on the way to ``monodromy_vector``.
+    points plus the first again at the end: at least 3, and at most
+    MAX_LOOP_POINTS - 1, so that ``monodromy_vector`` can evaluate them
+    all.  Radii are shrunk automatically until every sample is a regular
+    value; the loop carries the tori found on the way to
+    ``monodromy_vector``.
     """
     if params.lambda1 != 0.0 or params.lambda2 != 0.0:
         raise ValidationError("named generator loops assume lambda1 = lambda2 = 0")
     if name not in LOOP_THREADS:
         raise ValidationError(f"unknown generator loop {name!r}")
-    if n_points < 3:
+    if not 3 <= n_points < MAX_LOOP_POINTS:
         raise ValidationError(
-            f"a generator loop needs at least 3 points (got {n_points})")
+            f"a generator loop needs between 3 and {MAX_LOOP_POINTS - 1} "
+            f"points (got {n_points})")
     c = plane if plane is not None else (0.75 if name == "gamma3" else 0.5)
     if not c > 0.0:
         raise ValidationError(f"loop plane must be positive (got {c})")

@@ -126,10 +126,14 @@ def equilibria(cas: CasimirValues, rp: ReducedParams) -> list[Equilibrium]:
     Finds the real roots of the tangency quintic on [r_min, inf), recovers
     the X-branch from the slope condition, classifies each root by the sign
     of the quintic derivative, and appends the singular tip where the
-    reduced space has one.  Raises RootFindingError if the companion-matrix
-    solve fails; an empty regular list is *not* an error.
+    reduced space has one.  Raises ValidationError if a coefficient of the
+    quintic overflows, RootFindingError if the companion-matrix solve
+    fails; an empty regular list is *not* an error.
     """
     coeffs = tangency_quintic_coeffs(cas, rp).tolist()
+    if not all(map(math.isfinite, coeffs)):
+        raise ValidationError(
+            f"the tangency quintic overflows (coefficients {coeffs})")
     dcoeffs = polyder(coeffs)
     rmin = float(r_min(cas))
     tip = tip_class(cas)

@@ -26,7 +26,7 @@ def test_skip_slow_skips_exactly_ac6_and_ac11(monkeypatch):
 
     names = [fn.__name__ for fn in acceptance.ALL_CHECKS]
     monkeypatch.setattr(acceptance, "ALL_CHECKS", [stub(n) for n in names])
-    assert [r.name for r in acceptance.run_all()] == names
+    assert [r.name for r in acceptance.run_all(skip_slow=False)] == names
     ran = [r.name for r in acceptance.run_all(skip_slow=True)]
     skipped = [n for n in names if n not in ran]
     assert skipped == ["check_conservation", "check_cli_determinism"]

@@ -14,7 +14,8 @@ from res112 import (AmbiguousClassificationError, BifurcationKind,
                     catalog_point, catalog_slice,
                     classify_multiple_root, f_quartic, families_at,
                     family_domain, hopf_cusp_slice, instability_interval,
-                    kappa_scaling, oracle_slice, solve_bifurcations_numeric)
+                    kappa_scaling, oracle_slice, r_min,
+                    solve_bifurcations_numeric)
 from res112 import bifurcations
 from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_probe,
                                  _discriminant_core, _ell_from_mu2,
@@ -109,6 +110,24 @@ def test_classify_flags_gray_zone():
                    CasimirValues(pt2.mu, pt2.ell))
     assert classify_multiple_root(pt2.a, q2, CasimirValues(pt2.mu, pt2.ell)) \
         is BifurcationKind.HOPF_SUB
+
+
+def test_ambiguous_classification_names_its_numbers():
+    # the message carries what the gray-band test compared: the root and
+    # the tip, F'''(a), and the two tolerances
+    lam = 1.0 - 2e-8
+    pt = catalog_point("HHsub3", lam=lam)
+    cas = CasimirValues(pt.mu, pt.ell)
+    q = f_quartic(pt.h, ReducedParams(lam=lam, kappa=1.0), cas)
+    with pytest.raises(AmbiguousClassificationError) as raised:
+        classify_multiple_root(pt.a, q, cas)
+    tol_a = 1e-10 * (1.0 + abs(r_min(cas)))
+    tol_f3 = 1e-8 * 6.0 * (1.0 + abs(pt.a))
+    assert str(raised.value) == (
+        f"classification sits between discrete outcomes: a = {pt.a:.17g}, "
+        f"r_min = {r_min(cas):.17g} (tolerance {tol_a:.3e}), "
+        f"F'''(a) = {q.d3(pt.a):.17g} (tolerance {tol_f3:.3e})")
+    assert not hasattr(raised.value, "diagnostics")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +468,7 @@ def test_numeric_solver_drops_candidates_off_the_quartic(lam, kappa, n_grid):
 
 
 def test_numeric_solver_lambda_zero_special_case():
-    evs = solve_bifurcations_numeric(0.0, 1.0)
+    evs = solve_bifurcations_numeric(0.0, 1.0, n_grid=2001)
     coords = sorted((round(e.mu, 9), round(e.ell, 9)) for e in evs)
     assert coords == [(-2.0, 2.0), (0.0, 0.0), (2.0, 2.0)]
     kinds = {(round(e.mu, 9)): e.kind for e in evs}

@@ -376,6 +376,47 @@ def test_cli_exit_codes(monkeypatch, capsys):
         assert "validation error" in err, args
 
 
+def test_cli_overflowing_or_oversized_input_exit_1(monkeypatch, capsys):
+    # inputs that overflow a kernel, or a loop too long to finish, are
+    # validation errors (exit 1), not tracebacks, numerical failures or
+    # quietly non-finite output
+    import res112.monodromy as mono
+    for key in [k for k in os.environ if k.startswith("RES112_")]:
+        monkeypatch.delenv(key)
+    gamma1 = ["monodromy", "--delta", "0", "--loop", "gamma1"]
+    for args in (["scale", "--kappa", "1e-300", "--h", "1"],
+                 ["scale", "--kappa", "nan", "--lam", "1"],
+                 ["scale", "--kappa", "inf", "--lam", "1"],
+                 ["scale", "--kappa", "2", "--lam", "nan"],
+                 [*gamma1, "--plane", "1e300"],
+                 [*gamma1, "--points", "12000", "--format", "json"]):
+        monkeypatch.setattr(sys, "argv", ["res112", *args])
+        with pytest.raises(SystemExit) as exited:
+            main()
+        captured = capsys.readouterr()
+        assert exited.value.code == 1, (args, captured.err)
+        assert captured.err.startswith("validation error:"), args
+        assert captured.out == "", args
+    # the loop budget is checked before any fiber is evaluated
+    monkeypatch.setattr(mono, "classify_fibers", None)
+    monkeypatch.setattr(sys, "argv", ["res112", *gamma1, "--points", "12000"])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == 1
+    assert "between 3 and 9999 points" in capsys.readouterr().err
+
+
+def test_critvals_overflowing_quintic_is_a_validation_error(tmp_path, runner):
+    res = runner.invoke(cli, ["critvals", "--delta", "1e300", "--grid", "2",
+                              "--out", str(tmp_path / "cv")])
+    assert res.exit_code == 0
+    rows = (tmp_path / "cv_surface.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        assert row.split(",")[3] == "error"
+        assert ",ValidationError: the tangency quintic overflows" in row
+
+
 def test_cli_env_var_defaults():
     # environment variables (RES112_ prefix) are honored below flags
     res = subprocess.run(

@@ -229,6 +229,24 @@ def test_kappa_scaling_round_trip_and_reflection():
         kappa_scaling(0.0, lam=1.0)
 
 
+def test_kappa_scaling_rejects_non_finite_input_and_overflow():
+    for kappa, slots, inverse in (
+            (math.nan, {"lam": 1.0}, False),
+            (math.inf, {"lam": 1.0}, False),
+            (-math.inf, {"h": 1.0}, True),
+            (2.0, {"lam": math.nan}, False),
+            (2.0, {"mu": 1.0, "h": math.inf}, True),
+            (1e-300, {"h": 1.0}, False),       # kappa ** -3 overflows
+            (1e200, {"X": 1.0}, True),         # kappa ** 3 overflows
+            (1e-100, {"lam": 1e300}, False)):  # the product overflows
+        with pytest.raises(ValidationError):
+            kappa_scaling(kappa, inverse=inverse, **slots)
+    # a negative kappa stays valid, and a result that underflows is 0
+    s = kappa_scaling(-2.0, lam=2.0, h=8.0)
+    assert (s.lam, s.h) == (-1.0, -1.0)
+    assert kappa_scaling(1e300, h=1.0).h == 0.0
+
+
 def test_fullstate_chart_tag_round_trip():
     st_ = FullState.original((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))
     osc = st_.as_oscillator()

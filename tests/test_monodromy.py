@@ -37,7 +37,7 @@ def inverse(a: MonodromyMatrix) -> MonodromyMatrix:
 
 
 def test_rotation_numbers_basic():
-    rd = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0)
+    (rd,) = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0)
     assert 0.0 <= rd.theta_N < 1.0
     assert 0.0 <= rd.theta_J < 1.0
     assert rd.T_red > 0.0
@@ -46,8 +46,8 @@ def test_rotation_numbers_basic():
 
 def test_rotation_numbers_tolerance_independence():
     # fiber invariants: tightening the quadrature must not move them
-    a = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0)
-    b = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0, tol=1e-12)
+    (a,) = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0)
+    (b,) = rotation_numbers((-0.5, 0.0, 0.3), PARAMS0, tol=1e-12)
     assert abs(a.theta_N - b.theta_N) <= 1e-7
     assert abs(a.theta_J - b.theta_J) <= 1e-7
 
@@ -66,10 +66,24 @@ def test_rotation_numbers_both_island_components():
     eqs = equilibria(CasimirValues(0.1, 0.0), ReducedParams(lam=-1.0, kappa=1.0))
     hB, hFh, hFe = sorted(e.h for e in eqs)
     value = (0.1, 0.05, 0.5 * (hFh + hFe))
-    rd0 = rotation_numbers(value, params, component=0)
-    rd1 = rotation_numbers(value, params, component=1)
+    # one call gives both tori of the fiber, in R order
+    rd0, rd1 = rotation_numbers(value, params)
     assert rd0.T_red > 0 and rd1.T_red > 0
     assert rd0.r_interval[1] <= rd1.r_interval[0]  # disjoint tori
+    assert (rd0.theta_N, rd0.theta_J) != (rd1.theta_N, rd1.theta_J)
+
+
+def test_rotation_numbers_and_loops_take_no_component():
+    # a fiber's tori all come back from rotation_numbers, and a loop
+    # follows the lowest torus of its first point: neither picks one
+    import inspect
+    for fn in (rotation_numbers, monodromy_vector):
+        assert "component" not in inspect.signature(fn).parameters, fn
+    with pytest.raises(TypeError):
+        rotation_numbers((-0.5, 0.0, 0.3), PARAMS0, component=0)
+    with pytest.raises(TypeError):
+        monodromy_vector(generator_loop("gamma2", PARAMS0, n_points=16),
+                         PARAMS0, component=0)
 
 
 def test_full_flow_projects_to_reduced_field():
@@ -102,7 +116,7 @@ def test_full_flow_projects_to_reduced_field():
 def test_full_invariants_conserved_per_period():
     params = ModelParams(delta=0.0, kappa=1.0)
     value = (-0.5, 0.0, 0.3)
-    rd = rotation_numbers(value, params)
+    (rd,) = rotation_numbers(value, params)
     mu, iota, h = value
     ell = 2 * iota - mu
     z0 = lift_turning_point(rd.r_interval[1], CasimirValues(mu, ell),
@@ -208,9 +222,11 @@ def test_loop_through_hyperbolic_face_rejected():
     params = ModelParams(delta=-1.0, kappa=1.0)
     eqs = equilibria(CasimirValues(0.0, -0.8), ReducedParams(lam=-1.0, kappa=1.0))
     h_fh = [e for e in eqs if e.stability is Stability.HYPERBOLIC][0].h
+    # the first point's fiber has two tori; the loop follows the lower
+    # one, which the other family merges into at the face
     loop = _planar_loop(0.0, -0.4, 0.0, 2.5 * abs(h_fh), squeeze_mu=0.2)
-    with pytest.raises(LoopError):
-        monodromy_vector(loop, params, component=1)
+    with pytest.raises(LoopError, match="crossed a hyperbolic face"):
+        monodromy_vector(loop, params)
     # same at small positive detuning, where the island sits above the crease
     params2 = ModelParams(delta=0.3, kappa=1.0)
     with pytest.raises(LoopError):
@@ -245,9 +261,38 @@ def test_generator_loops_centre_on_their_threads(delta):
 def test_loop_plane_must_be_positive():
     for name in ("gamma1", "gamma2", "gamma3"):
         with pytest.raises(ValidationError):
-            generator_loop(name, PARAMS0, plane=-0.5)
+            generator_loop(name, PARAMS0, n_points=16, plane=-0.5)
         with pytest.raises(ValidationError):
-            generator_loop(name, PARAMS0, plane=0.0)
+            generator_loop(name, PARAMS0, n_points=16, plane=0.0)
+
+
+def test_loop_point_budget_checked_before_any_fiber(monkeypatch):
+    # a loop of more than MAX_LOOP_POINTS points can never finish, so it is
+    # rejected before a single fiber is classified or integrated
+    import res112.monodromy as mono
+
+    def boom(*args):
+        raise AssertionError("a fiber was evaluated")
+
+    monkeypatch.setattr(mono, "classify_fibers", boom)
+    monkeypatch.setattr(mono, "_fiber_rotations", boom)
+    with pytest.raises(ValidationError, match="between 3 and 9999 points"):
+        generator_loop("gamma1", PARAMS0, n_points=mono.MAX_LOOP_POINTS)
+    too_long = [(-0.5, 0.0, 0.3)] * (mono.MAX_LOOP_POINTS + 1)
+    with pytest.raises(ValidationError, match="more than MAX_LOOP_POINTS"):
+        monodromy_vector(too_long, PARAMS0)
+
+
+def test_loop_point_budget_boundary(monkeypatch):
+    # n_points distinct points plus the closing one: the largest loop that
+    # fits the budget is evaluated in full
+    import res112.monodromy as mono
+    monkeypatch.setattr(mono, "MAX_LOOP_POINTS", 33)
+    res = monodromy_vector(generator_loop("gamma2", PARAMS0, n_points=32),
+                           PARAMS0)
+    assert (res.vector.m_N, res.vector.m_J, res.n_points) == (0, 1, 33)
+    with pytest.raises(ValidationError):
+        generator_loop("gamma2", PARAMS0, n_points=33)
 
 
 def test_degenerate_loop_rejected():
@@ -282,7 +327,7 @@ def test_rotation_numbers_start_point_independence():
     params = PARAMS0
     mu, iota, h = -0.5, 0.0, 0.3
     ell = 2 * iota - mu
-    rd = rotation_numbers((mu, iota, h), params)
+    (rd,) = rotation_numbers((mu, iota, h), params)
     z0 = lift_turning_point(rd.r_interval[0], CasimirValues(mu, ell),
                             ReducedParams(lam=0.0, kappa=1.0), h)
     sol = solve_ivp(full_vector_field(0.0, 1.0), (0.0, rd.T_red), z0,
@@ -374,7 +419,7 @@ def test_batched_quadrature_stops_each_fiber_at_its_own_node_count(monkeypatch):
     assert sums == [(32, 3), (64, 3), (128, 2), (256, 2), (512, 1), (1024, 1),
                     (2048, 1), (4096, 1), (8192, 1), (16384, 1)]
     assert [_rotation_outcome(rd) for rd in batch[:2]] == \
-        [repr(rotation_numbers(v, PARAMS0)) for v in values[:2]]
+        [repr(rd) for v in values[:2] for rd in rotation_numbers(v, PARAMS0)]
     assert _rotation_outcome(batch[2]) == \
         (NumericalError, "period integrals unconverged at 16384 nodes")
     with pytest.raises(NumericalError, match="unconverged at 16384 nodes"):
@@ -386,8 +431,8 @@ def test_quadrature_chunks_leave_the_bits(monkeypatch):
     # fibers give the bits of one chunk
     import res112.monodromy as mono
     fibers = _loop_fibers(-1.0, 1.0)
-    items = [(value, rotation_numbers(value, params).r_interval)
-             for params, value, _ in fibers]
+    items = [(value, rotation_numbers(value, params)[c].r_interval)
+             for params, value, c in fibers]
     whole = mono._fiber_rotations(items, fibers[0][0], 1e-11)
     monkeypatch.setattr(mono, "QUAD_BATCH", 64)
     chunked = mono._fiber_rotations(items, fibers[0][0], 1e-11)
@@ -493,7 +538,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_period_quadrature_matches_ode_oracle(case):
     for params, value, component in ORACLE_CASES[case]():
-        rd = rotation_numbers(value, params, component=component)
+        rd = rotation_numbers(value, params)[component]
         if case == "near-pole":
             assert 0.0 < rd.r_interval[0] - value[0] < 1e-10
         s, t, T = _ode_rotation(value, params, rd.r_interval)
@@ -509,7 +554,7 @@ def test_batched_rotations_match_one_fiber_calls(case):
     fibers = ORACLE_CASES[case]()
     params = fibers[0][0]
     assert all(p == params for p, _, _ in fibers)
-    one = [rotation_numbers(value, params, component=c) for _, value, c in fibers]
+    one = [rotation_numbers(value, params)[c] for _, value, c in fibers]
     batch = mono._fiber_rotations(
         [(value, rd.r_interval) for (_, value, _), rd in zip(fibers, one)],
         params, 1e-11)

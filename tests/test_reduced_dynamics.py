@@ -14,7 +14,7 @@ from res112 import (CasimirValues, InvariantPoint, ModelParams, ReducedParams,
                     integrate_orbit, reduced_h, r_min, rotation_numbers,
                     section_sq, tip_class, vector_field)
 from res112.bifurcations import f_quartic
-from res112.errors import RootFindingError
+from res112.errors import RootFindingError, ValidationError
 from res112.reduced_dynamics import ROOT_MERGE_TOL
 from res112.reduced_space import section_sq_deriv
 
@@ -323,7 +323,8 @@ def test_integrate_orbit_conserves_and_finds_period():
     # the reduced period from the period-integral quadrature is a genuine
     # full return of the flow, not an R-return alias: integrating for
     # exactly one period lands back at the start
-    period = rotation_numbers((0.0, 0.0, 0.5), ModelParams(delta=-1.0)).T_red
+    (rd,) = rotation_numbers((0.0, 0.0, 0.5), ModelParams(delta=-1.0))
+    period = rd.T_red
     traj2 = integrate_orbit(start, cas, rp, t_end=period)
     assert np.linalg.norm(traj2.points[-1] - start.as_array()) <= 1e-6
 
@@ -455,3 +456,12 @@ def test_internal_frequencies_closed_form_and_fd():
                 - h_full(n0, j0 - eps, R0, 0.0, mp)) / (2 * eps)
         assert dn == pytest.approx(fd_n, abs=1e-8)
         assert dj == pytest.approx(fd_j, abs=1e-8)
+
+
+def test_equilibria_reject_an_overflowing_quintic():
+    # like an overflowing quartic F, an overflowing tangency quintic is an
+    # input out of range, not a failed root solve
+    for cas, rp in ((CasimirValues(-3.0, -3.0), ReducedParams(1e300, 1.0)),
+                    (CasimirValues(1e200, 0.0), ReducedParams(0.0, 1.0))):
+        with pytest.raises(ValidationError, match="tangency quintic overflows"):
+            equilibria(cas, rp)
