@@ -151,6 +151,12 @@ class BifurcationEvent:
     family: str | None = None
 
 
+def _f3_tol(a: float, kappa: float) -> float:
+    """Below this |F'''(a)| counts as zero: _F3_REL_TOL times the scale
+    6 max(1, kappa^2)(1 + |a|) of F'''(a) = 6 kappa^2 a + 6(kappa lam - 1)."""
+    return _F3_REL_TOL * (6.0 * max(1.0, kappa * kappa) * (1.0 + abs(a)))
+
+
 def classify_multiple_root(a: float, q: Quartic,
                            cas: CasimirValues) -> BifurcationKind:
     """Classify a verified triple root of F per the tangency-order rules.
@@ -173,8 +179,7 @@ def classify_multiple_root(a: float, q: Quartic,
 
     rmin = r_min(cas)
     f3 = q.d3(a)
-    f3_scale = 6.0 * max(1.0, q.kappa * q.kappa) * (1.0 + abs(a))
-    tol_f3 = _F3_REL_TOL * f3_scale
+    tol_f3 = _f3_tol(a, q.kappa)
     tol_a = TIP_TOL * (1.0 + abs(rmin))
 
     at_tip = abs(a - rmin) <= tol_a
@@ -1151,8 +1156,7 @@ def instability_interval(cas: CasimirValues, kappa: float = 1.0) -> InstabilityI
         rp = ReducedParams(lam=lam, kappa=kappa)
         q = f_quartic(tip_energy(rmin, rp), rp, cas)
         f3 = q.d3(rmin)
-        f3_scale = 6.0 * max(1.0, kappa * kappa) * (1.0 + abs(rmin))
-        if abs(f3) <= _F3_REL_TOL * f3_scale:
+        if abs(f3) <= _f3_tol(rmin, kappa):
             return BifurcationKind.HOPF_DEGENERATE
         return (BifurcationKind.HOPF_SUPER if f3 > 0.0
                 else BifurcationKind.HOPF_SUB)

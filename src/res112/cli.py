@@ -316,8 +316,7 @@ def scale(kappa, lam, mu, ell, r_, x_, y_, h, inverse):
 
 @cli.command()
 @click.option("--skip-slow", is_flag=True, default=False,
-              help="skip the slow criteria: conservation (AC6) and CLI "
-              "determinism (AC11)")
+              help="skip the slow criterion: CLI determinism (AC11)")
 def selfcheck(skip_slow):
     """Run the acceptance suite and print one pass/fail line per criterion."""
     from . import acceptance  # only this command needs it
@@ -345,6 +344,10 @@ def main():
         sys.exit(1)
     except ValidationError as exc:
         click.echo(f"validation error: {exc}", err=True)
+        sys.exit(1)
+    except OverflowError as exc:
+        click.echo(f"validation error: the input overflows a closed form ({exc})",
+                   err=True)
         sys.exit(1)
     except IOFailure as exc:
         click.echo(f"io error: {exc}", err=True)

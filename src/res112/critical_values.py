@@ -344,7 +344,8 @@ def thread_segments(rp: ReducedParams) -> list[ThreadSegments]:
     between the Hopf parabolas ``a_sub_boundary`` and ``a_sup_boundary``,
     C12 below ell = -lam^2, and C12 sits above the minimal energy below
     ell* (0 for kappa lam <= 1/2, (1 - 2 kappa lam)/kappa^2 up to
-    kappa lam = 1, -lam^2 beyond).
+    kappa lam = 1, -lam^2 beyond).  Raises ValidationError when a finite
+    span end overflows (-lam^2 at |lam| > 1e154).
     """
     if rp.kappa <= 0.0:
         raise UnsupportedRegimeError("thread_segments requires kappa > 0")
@@ -355,11 +356,18 @@ def thread_segments(rp: ReducedParams) -> list[ThreadSegments]:
         if name == "C12":
             unstable = (-math.inf, -lam * lam)
             positive = (-math.inf, _ell_star(lam, k))
+            ends = (unstable[1], positive[1])  # below, C12 is unbounded
         elif 1.0 - 2.0 * k * lam > 0.0:
             unstable = (a_sub_boundary(lam, k), a_sup_boundary(lam, k))
             positive = (0.0, unstable[1])
+            ends = unstable
         else:
             unstable = positive = None
+            ends = ()
+        if not all(map(math.isfinite, ends)):
+            raise ValidationError(
+                f"the {name} spans overflow at lam = {lam}, kappa = {k}: "
+                f"unstable {unstable}, above the minimum {positive}")
         out.append(ThreadSegments(name=name, mu_of_ell=sgn, ell_sign=side,
                                   ell_unstable=unstable, ell_positive=positive,
                                   lam=lam, kappa=k))

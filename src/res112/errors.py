@@ -25,10 +25,6 @@ class RootFindingError(NumericalError):
     """Polynomial or scalar root finding did not converge."""
 
 
-class SingularityProximityError(NumericalError):
-    """Integration stalled close to a singular point of the reduced space."""
-
-
 class AmbiguousClassificationError(NumericalError):
     """A classification sits inside the tolerance band between two discrete outcomes."""
 

@@ -3,13 +3,13 @@
 For a regular fiber the reduced orbit closes after one period T_red; the
 full-phase-space flow then misses its start by an element (s, t) of the
 torus action, the rotation numbers.  They are computed from the period
-integrals of the mode phase speeds over the reduced orbit; the flow on C^3
-is integrated only to check them.  Continuing (theta_N, theta_J) = (s, t)
-around a closed loop of regular values and counting the integer winding
-yields the monodromy vector of the loop.  The method is an
-independent verification path: the reference results for the generator
-loops come from isotropy-weight arguments, not from any computation
-performed here.
+integrals of the mode phase speeds over the reduced orbit; the tests
+integrate the flow on C^3 (``tests/unreduced.py``) to check them.
+Continuing (theta_N, theta_J) = (s, t) around a closed loop of regular
+values and counting the integer winding yields the monodromy vector of the
+loop.  The method is an independent verification path: the reference
+results for the generator loops come from isotropy-weight arguments, not
+from any computation performed here.
 
 Orientation conventions: threads are oriented from infinity toward the
 origin and loops follow the right-hand rule around them; on the oriented
@@ -369,48 +369,6 @@ def _mode_actions(r: float, cas: CasimirValues) -> tuple[float, float, float]:
         raise ValidationError(
             "orbit touches a vanished mode; fiber is not strictly regular")
     return i1, i2, i3
-
-
-def lift_turning_point(r: float, cas: CasimirValues, rp: ReducedParams,
-                       h: float) -> np.ndarray:
-    """Point of C^3 over the turning point (R, X, Y) = (r, X(r), 0) of the
-    reduced orbit at energy h, with r first polished as a root of F."""
-    r = newton(f_quartic(h, rp, cas).coeffs[::-1], r, 4)
-    i1, i2, i3 = _mode_actions(r, cas)
-    x0 = h - rp.lam * r - 0.5 * rp.kappa * r * r
-    z = np.array([math.sqrt(2.0 * i1), math.sqrt(2.0 * i2),
-                  math.sqrt(2.0 * i3)], dtype=complex)
-    if x0 < 0.0:
-        z[2] *= -1.0  # put the cubic invariant phase into mode 3
-    return z
-
-
-def full_vector_field(lam: float, kappa: float):
-    """Right-hand side f(t, z) of the flow of H = Re(z1 z2 z3) + lam R +
-    (kappa/2) R^2 on C^3, in the form solve_ivp takes."""
-
-    def rhs(t, z):
-        gp = lam + 0.5 * kappa * (abs(z[0]) ** 2 + abs(z[1]) ** 2)
-        w = np.conj(z)
-        return np.array([
-            1j * (w[1] * w[2] + gp * z[0]),
-            1j * (w[0] * w[2] + gp * z[1]),
-            1j * (w[0] * w[1]),
-        ])
-
-    return rhs
-
-
-def full_invariants(z: np.ndarray, lam: float, kappa: float) -> tuple[float, float, float]:
-    """(N, J, H) of a full-phase-space point; used for drift diagnostics."""
-    i1 = 0.5 * abs(z[0]) ** 2
-    i2 = 0.5 * abs(z[1]) ** 2
-    i3 = 0.5 * abs(z[2]) ** 2
-    n = i1 - i2
-    l = i1 + i2 - 2.0 * i3
-    r = i1 + i2
-    h = (z[0] * z[1] * z[2]).real + lam * r + 0.5 * kappa * r * r
-    return n, 0.5 * (n + l), h
 
 
 # ---------------------------------------------------------------------------

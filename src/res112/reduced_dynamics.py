@@ -3,8 +3,9 @@
 The reduced Hamiltonian X + lam*R + (kappa/2) R^2 cuts the reduced phase
 space along its level sets; tangencies are equilibria.  This module locates
 all equilibria through the degree-five tangency polynomial, classifies
-their stability, computes the minimal energy and integrates orbits of the
-reduced flow.
+their stability and computes the minimal energy.  The flow itself and its
+integration only check the reduction; they live in the tests
+(``tests/unreduced.py``).
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (NumericalError, RootFindingError,
-                     SingularityProximityError, UnsupportedRegimeError,
+from .errors import (NumericalError, RootFindingError, UnsupportedRegimeError,
                      ValidationError)
-from .model import CasimirValues, InvariantPoint, ModelParams, detuning_lambda
+from .model import CasimirValues, ModelParams, detuning_lambda
 from .polyroots import newton, polyder, polymul, polysub, polyval, real_roots
 from .reduced_space import r_min, section_sq, section_sq_deriv, tip_class
 
@@ -64,15 +64,6 @@ class Equilibrium:
     stability: Stability
     quintic_deriv: float
 
-    @property
-    def point(self) -> InvariantPoint:
-        return InvariantPoint(R=self.R, X=self.X, Y=0.0)
-
-
-def reduced_h(point: InvariantPoint, rp: ReducedParams) -> float:
-    """Reduced Hamiltonian X + lam*R + (kappa/2) R^2."""
-    return point.X + rp.lam * point.R + 0.5 * rp.kappa * point.R * point.R
-
 
 def tip_energy(r, rp: ReducedParams):
     """Energy lam*r + (kappa/2) r^2 of the reduced Hamiltonian at X = 0.
@@ -81,27 +72,6 @@ def tip_energy(r, rp: ReducedParams):
     (or equilibrium) over it.  Works elementwise on arrays.
     """
     return rp.lam * r + 0.5 * rp.kappa * r * r
-
-
-def vector_field(cas: CasimirValues, rp: ReducedParams):
-    """Right-hand side rhs(t, (R, X, Y)) of the reduced flow
-    (dR, dX, dY) = grad(H) x grad(S), in the form solve_ivp takes.
-
-    The sign is fixed so the bracket table is reproduced: with H = X the
-    field gives dR/dt = 2Y.  Both the syzygy and the energy are conserved
-    along the flow (the field is a cross product of their gradients).
-    """
-    mu2 = cas.mu * cas.mu
-    ell = cas.ell
-    lam, kap = rp.lam, rp.kappa
-
-    def rhs(t, y):
-        r, x, yy = y
-        gp = lam + kap * r
-        c = 3.0 * r * r - 2.0 * ell * r - mu2
-        return (2.0 * yy, -2.0 * gp * yy, 2.0 * gp * x + c)
-
-    return rhs
 
 
 def tangency_quintic_coeffs(cas: CasimirValues, rp: ReducedParams) -> np.ndarray:
@@ -216,70 +186,3 @@ def h_min(cas: CasimirValues, rp: ReducedParams) -> float:
     if not eqs:
         raise NumericalError("no equilibria found; cannot evaluate h_min")
     return min(e.h for e in eqs)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Output of integrate_orbit: samples plus conservation diagnostics."""
-
-    t: np.ndarray
-    points: np.ndarray           # shape (n, 3), columns (R, X, Y)
-    s_drift: float               # max |syzygy residual - initial| along the run
-    h_drift: float               # max |H - initial| along the run
-
-
-# Step tolerance of integrate_orbit, relative and (times the start's
-# scale) absolute: just above the least rtol solve_ivp accepts,
-# 100 eps = 2.2e-14.  Over 1e3 time units it keeps the syzygy drift at
-# 4.7e-10 against AC6's 1e-9 bound; 1e-13 gives 2.4e-9.
-ORBIT_RTOL = 2.3e-14
-
-
-def integrate_orbit(start: InvariantPoint, cas: CasimirValues, rp: ReducedParams,
-                    t_end: float) -> Trajectory:
-    """Integrate the reduced flow with an adaptive high-order Runge-Kutta pair.
-
-    The solver is DOP853 at rtol ``ORBIT_RTOL`` and atol ``ORBIT_RTOL``
-    times max(1, |R|, |X|, |Y|) of the start; the trajectory is sampled at
-    400 evenly spaced times on [0, t_end].  The syzygy and energy
-    invariants are monitored, never projected, so their drift is an honest
-    integrator diagnostic.
-    """
-    from scipy.integrate import solve_ivp
-
-    res0 = _syzygy_value(start, cas)
-    scale = max(1.0, abs(start.R), abs(start.X), abs(start.Y))
-    if abs(res0) > 1e-8 * max(1.0, start.R ** 3):
-        raise ValidationError(
-            f"start point is off the reduced surface (residual {res0:.3e})")
-
-    mu2 = cas.mu * cas.mu
-    ell = cas.ell
-    lam, kap = rp.lam, rp.kappa
-    y0 = np.array([start.R, start.X, start.Y])
-    h0 = reduced_h(start, rp)
-
-    sol = solve_ivp(vector_field(cas, rp), (0.0, t_end), y0, method="DOP853",
-                    rtol=ORBIT_RTOL, atol=ORBIT_RTOL * scale,
-                    t_eval=np.linspace(0.0, t_end, 400))
-    if not sol.success:
-        last = sol.y[:, -1] if sol.y.size else y0
-        rmin = r_min(cas)
-        tip_dist = float(np.linalg.norm(last - np.array([rmin, 0.0, 0.0])))
-        if tip_dist < 0.05 * scale:
-            raise SingularityProximityError(
-                f"step size collapsed near the singular tip (distance {tip_dist:.3e})")
-        raise NumericalError(f"integration failed: {sol.message}")
-
-    pts = sol.y.T
-    res = np.array([
-        x * x + yy * yy - (r * r - mu2) * (r - ell) for r, x, yy in pts])
-    hs = pts[:, 1] + lam * pts[:, 0] + 0.5 * kap * pts[:, 0] ** 2
-    s_drift = float(np.max(np.abs(res - res0)))
-    h_drift = float(np.max(np.abs(hs - h0)))
-    return Trajectory(t=sol.t, points=pts, s_drift=s_drift, h_drift=h_drift)
-
-
-def _syzygy_value(point: InvariantPoint, cas: CasimirValues) -> float:
-    return (point.X ** 2 + point.Y ** 2
-            - (point.R ** 2 - cas.mu ** 2) * (point.R - cas.ell))

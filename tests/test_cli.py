@@ -258,25 +258,25 @@ def test_cli_imports_no_private_or_catalog_names():
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
-    # scipy is imported only by the orbit integrators (integrate_orbit and
-    # AC6): importing the CLI and running bifdiag with its numeric oracle,
-    # critvals, fiber and monodromy loads none of it
+    # scipy is a test dependency only: with every scipy import blocked, the
+    # CLI imports and runs bifdiag with its numeric oracle, critvals, fiber,
+    # monodromy and the full selfcheck
     commands = [
         ["bifdiag", "--ell", "-0.125,0.125", "--lambda-window=-1,0.8",
          "--grid", "4", "--out", "b"],
         ["critvals", "--delta", "-1", "--grid", "3", "--out", "c"],
         ["fiber", "--delta", "0", "--mu", "0", "--ell", "0", "--h", "0"],
-        ["monodromy", "--delta", "0", "--loop", "gamma1", "--points", "16"]]
+        ["monodromy", "--delta", "0", "--loop", "gamma1", "--points", "16"],
+        ["selfcheck"]]
     res = subprocess.run(
-        [sys.executable, "-c", "import sys\nfrom res112.cli import cli\n"
-         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        [sys.executable, "-c", "import sys\nsys.modules['scipy'] = None\n"
+         "from res112.cli import cli\n"
          f"for args in {commands!r}:\n"
-         "    cli.main(args, standalone_mode=False)\n"
-         "print(loaded, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=_cli_env(), cwd=tmp_path, capture_output=True, text=True, timeout=60)
+         "    cli.main(args, standalone_mode=False)\n"],
+        env=_cli_env(), cwd=tmp_path, capture_output=True, text=True, timeout=180)
     assert res.returncode == 0, res.stderr
     assert "monodromy vector" in res.stdout
-    assert res.stdout.splitlines()[-1] == "[] []"
+    assert res.stdout.splitlines()[-1] == "all 9 criteria passed"
 
 
 def test_critvals_outputs(tmp_path, runner):
@@ -325,7 +325,7 @@ def test_cli_determinism_quick(tmp_path, runner):
     assert outs[0] == outs[1]
 
 
-def test_cli_exit_codes(monkeypatch, capsys):
+def test_cli_exit_codes(monkeypatch, capsys, tmp_path):
     def run(*args):
         return subprocess.run([sys.executable, "-m", "res112.cli", *args],
                               env=_cli_env(), capture_output=True, text=True)
@@ -350,6 +350,7 @@ def test_cli_exit_codes(monkeypatch, capsys):
     for key in [k for k in os.environ if k.startswith("RES112_")]:
         monkeypatch.delenv(key)
     nowhere = ["--out", "/nonexistent-dir/xx"]
+    here = ["--out", str(tmp_path / "o")]
     gamma1 = ["monodromy", "--delta", "0", "--loop", "gamma1"]
     for args in (["critvals", "--delta", "0", "--mu-window", "1", *nowhere],
                  ["critvals", "--delta", "0", "--ell-window", "1,2,3", *nowhere],
@@ -367,7 +368,16 @@ def test_cli_exit_codes(monkeypatch, capsys):
                  ["fiber", "--delta", "0", "--mu", "0", "--ell", "0", "--h", "1e200"],
                  [*gamma1, "--tol", "0"], [*gamma1, "--tol", "-1"],
                  [*gamma1, "--tol", "nan"], [*gamma1, "--radius", "0"],
-                 [*gamma1, "--radius", "nan"], [*gamma1, "--points", "-5"]):
+                 [*gamma1, "--radius", "nan"], [*gamma1, "--points", "-5"],
+                 # closed forms that overflow: lam^2 in the C12 spans, and
+                 # kappa^2 in the Hopf boundaries
+                 ["critvals", "--delta", "1e200", "--grid", "2", *here],
+                 ["critvals", "--delta", "-1e300", "--grid", "2", *here],
+                 ["critvals", "--delta", "0", "--kappa", "1e200", "--grid", "2",
+                  *here],
+                 ["bifdiag", "--kappa", "1e200", "--ell", "0.1", "--grid", "3",
+                  *here],
+                 [*gamma1, "--kappa", "1e200"]):
         monkeypatch.setattr(sys, "argv", ["res112", *args])
         with pytest.raises(SystemExit) as exited:
             main()
@@ -407,9 +417,11 @@ def test_cli_overflowing_or_oversized_input_exit_1(monkeypatch, capsys):
 
 
 def test_critvals_overflowing_quintic_is_a_validation_error(tmp_path, runner):
+    # every node fails, and the run then stops at the overflowing C12 spans
     res = runner.invoke(cli, ["critvals", "--delta", "1e300", "--grid", "2",
                               "--out", str(tmp_path / "cv")])
-    assert res.exit_code == 0
+    assert res.exit_code == 1
+    assert isinstance(res.exception, ValidationError)
     rows = (tmp_path / "cv_surface.csv").read_text().splitlines()[1:]
     assert len(rows) == 4
     for row in rows:

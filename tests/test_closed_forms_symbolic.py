@@ -25,10 +25,17 @@ def exact(expr):
     return sp.nsimplify(expr, rational=True)
 
 
-def quartic_in_R(h, ell):
+def quartic_in_R(h, ell, mu=mu, lam=lam):
     """F(R) from the library's coefficient expansion, as a sympy expression."""
     q = f_quartic(h, SimpleNamespace(lam=lam, kappa=k), SimpleNamespace(mu=mu, ell=ell))
     return sum(exact(c) * R ** i for i, c in enumerate(q.coeffs))
+
+
+def exact_sqrt(monkeypatch):
+    """Make the bifurcations module take exact square roots: a plain
+    sp.sqrt of 2.0 * ... would turn sqrt(2.0) into a 14-digit rational."""
+    monkeypatch.setattr(bifurcations, "math",
+                        SimpleNamespace(sqrt=lambda x: sp.sqrt(exact(x))))
 
 
 def test_crease_is_a_perfect_square():
@@ -46,7 +53,7 @@ def test_crease_is_a_perfect_square():
 def test_hopf_boundaries_are_the_instability_roots(monkeypatch):
     # the C23/C13 tip at r is unstable iff (lam + kappa r)^2 < 2 r; the
     # unstable span ends at the two roots of that quadratic
-    monkeypatch.setattr(bifurcations, "math", SimpleNamespace(sqrt=sp.sqrt))
+    exact_sqrt(monkeypatch)
     r_sub = exact(a_sub_boundary(lam, k))
     r_sup = exact(a_sup_boundary(lam, k))
     for r in (r_sub, r_sup):
@@ -75,3 +82,25 @@ def test_eliminated_quadratic_discriminant_is_a_cube():
     A, B, C = (exact(c) for c in _q_quadratic_coeffs(a, lam, k))
     disc = 16 * lam ** 2 * ((k * a + lam) ** 2 - 2 * a) ** 3
     assert sp.expand(B ** 2 - 4 * A * C - disc) == 0
+
+
+def test_centre_saddle_at_lambda_half_is_a_triple_root(monkeypatch):
+    # at lam = 1/(2 kappa) the eliminated quartic factorises, and the CS1/CS2
+    # sheets continue onto mu^2 = 2 kappa^2 a^3, where F = (kappa^2/4)
+    # (R - a)^3 (R - b): a triple root a and the simple root b
+    exact_sqrt(monkeypatch)
+    for family in ("CS1", "CS2"):
+        pt = bifurcations._cs_point_lambda_half(family, a, k)
+        F = quartic_in_R(exact(pt.h), exact(pt.ell), pt.mu, exact(pt.lam))
+        b = exact(pt.b)
+        assert sp.simplify(F - k ** 2 / 4 * (R - a) ** 3 * (R - b)) == 0
+
+
+def test_cusp3_is_a_quadruple_root(monkeypatch):
+    # on the Cusp3 line (lam = 1/(2 kappa), any mu) F = (kappa^2/4)(R - a)^4
+    # with a = b = 1/(2 kappa^2)
+    exact_sqrt(monkeypatch)
+    pt = bifurcations._cusp3_point(mu, k)
+    assert pt.b == pt.a
+    F = quartic_in_R(exact(pt.h), exact(pt.ell), mu, exact(pt.lam))
+    assert sp.simplify(F - k ** 2 / 4 * (R - exact(pt.a)) ** 4) == 0

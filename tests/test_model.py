@@ -1,4 +1,5 @@
-"""Kinematics: charts, invariants, syzygy, Poisson structure, isotropy."""
+"""Kinematics: charts, invariants, syzygy, Poisson structure, isotropy,
+the detuning map and the kappa-normalising scaling."""
 
 import math
 from enum import Enum
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from res112 import (CasimirValues, Chart, FullState, InvariantPoint,
-                    ModelParams, ValidationError, detuning_lambda,
-                    from_oscillator, kappa_scaling, reduce, structure_matrix,
-                    syzygy_gradient, syzygy_residual, to_oscillator,
-                    torus_action)
+from res112 import (CasimirValues, ModelParams, ValidationError,
+                    detuning_lambda, kappa_scaling)
+from unreduced import (Chart, FullState, InvariantPoint, from_oscillator,
+                       reduce, structure_matrix, syzygy_gradient,
+                       syzygy_residual, to_oscillator, torus_action)
 
 RNG = np.random.default_rng(90125)
 

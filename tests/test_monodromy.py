@@ -12,12 +12,11 @@ from scipy.integrate import solve_ivp
 
 from res112 import (CasimirValues, LoopError, ModelParams, MonodromyMatrix,
                     MonodromyVector, NumericalError, ReducedParams,
-                    ValidationError, generator_loop, lift_turning_point,
-                    monodromy_vector, reduce, rotation_numbers,
-                    thread_segments, to_matrix, vector_field)
-from res112.model import FullState
-from res112.monodromy import (MONODROMY_SIGN, full_invariants,
-                              full_vector_field)
+                    ValidationError, generator_loop, monodromy_vector,
+                    rotation_numbers, thread_segments, to_matrix)
+from res112.monodromy import MONODROMY_SIGN
+from unreduced import (FullState, full_invariants, full_vector_field,
+                       lift_turning_point, reduce, vector_field)
 
 PARAMS0 = ModelParams(delta=0.0, kappa=1.0)
 
@@ -125,6 +124,13 @@ def test_full_invariants_conserved_per_period():
     assert n0 == pytest.approx(mu, abs=1e-12)
     assert j0 == pytest.approx(iota, abs=1e-12)
     assert h0 == pytest.approx(h, abs=1e-10)
+    # integrating the flow on C^3 for one reduced period moves none of them
+    sol = solve_ivp(full_vector_field(0.0, 1.0), (0.0, rd.T_red), z0,
+                    method="DOP853", rtol=1e-11, atol=1e-12,
+                    t_eval=np.linspace(0.0, rd.T_red, 50))
+    assert sol.success, sol.message
+    inv = np.array([full_invariants(z, 0.0, 1.0) for z in sol.y.T])
+    assert np.max(np.abs(inv - (n0, j0, h0))) <= 1e-9
 
 
 GENERATORS = {"gamma1": (1, -1), "gamma2": (0, 1), "gamma3": (-1, 0)}
