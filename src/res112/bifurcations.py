@@ -30,8 +30,7 @@ import numpy as np
 
 from . import polyroots
 from .errors import (AmbiguousClassificationError, Res112Error,
-                     RootFindingError, UnsupportedRegimeError,
-                     ValidationError)
+                     UnsupportedRegimeError, ValidationError)
 from .model import CasimirValues
 from .reduced_dynamics import ReducedParams, tip_energy
 from .reduced_space import r_min, tip_class
@@ -272,11 +271,11 @@ def _h_from_mu2(a: float, mu2: float, lam: float, kappa: float) -> float:
 
 
 def a_sub_boundary(lam: float, kappa: float) -> float:
-    """a-value where the mu-branches meet the subcritical Hopf curve; its
-    limit lam^2/2 at kappa = 0."""
-    if kappa == 0.0:
-        return 0.5 * lam * lam
-    return (1.0 - kappa * lam - math.sqrt(1.0 - 2.0 * kappa * lam)) / kappa ** 2
+    """a-value where the mu-branches meet the subcritical Hopf curve,
+    (1 - kappa lam - sqrt(1 - 2 kappa lam))/kappa^2 written without the
+    cancellation at small |kappa lam| or the division by kappa^2; lam^2/2 at
+    kappa = 0."""
+    return lam * lam / (1.0 - kappa * lam + math.sqrt(1.0 - 2.0 * kappa * lam))
 
 
 def a_sup_boundary(lam: float, kappa: float) -> float:
@@ -287,17 +286,6 @@ def a_sup_boundary(lam: float, kappa: float) -> float:
 def a_quadruple(lam: float, kappa: float) -> float:
     """The unique a with b = a: quadruple roots live at a = 1/kappa^2 - lam/kappa."""
     return 1.0 / kappa ** 2 - lam / kappa
-
-
-def g_cubic_coeffs(lam: float, kappa: float) -> np.ndarray:
-    """Descending coefficients of the range cubic g(a)."""
-    k, L = kappa, lam
-    return np.array([
-        4.0 * k ** 4,
-        12.0 * k ** 3 * L - 12.0 * k ** 2,
-        12.0 * k ** 2 * L ** 2 - 18.0 * k * L + 9.0,
-        4.0 * k * L ** 3 - 4.0 * L ** 2,
-    ])
 
 
 def _slice_quartic_coeffs(lam: float, ell: float, kappa: float) -> np.ndarray:
@@ -322,31 +310,39 @@ def _slice_quartic_coeffs(lam: float, ell: float, kappa: float) -> np.ndarray:
 
 
 def a0_root(lam: float, kappa: float = 1.0) -> float:
-    """Unique non-negative root of the range cubic g(a).
+    """Unique positive root of the range cubic g(a) = 4 k^4 a^3
+    + 12 k^2 (k lam - 1) a^2 + (12 k^2 lam^2 - 18 k lam + 9) a
+    + 4 lam^2 (k lam - 1), k = kappa >= 0, for lam != 0 and k lam < 1.
 
-    Defined for kappa > 0 and lam < 1/kappa with lam != 0 (then
-    g(0) = 4 kappa^2 lam^2 (kappa lam - 1) < 0 and the positive root is
-    unique); for lam >= 1/kappa the cubic is positive on a > 0 and there is
-    nothing to find.
+    With s = k lam, t = 1 - s, w = 2s - 1 and k^2 a = t + v, k^2 g is
+    4 v^3 + 3 w v - t w.  Its real root v1 is sqrt(w) sinh(asinh(t/sqrt(w))/3)
+    for w > 0, -sqrt(-w) cosh(acosh(t/sqrt(-w))/3) for w < 0 (t^2 + w = s^2
+    keeps the acosh argument >= 1) and 0 at the triple root w = 0.  Vieta
+    gives a0 = t lam^2 / Q, Q = t^2 - v1 t + v1^2 + 3w/4 (9/4 at lam = 0):
+    no cancellation next to lam = 0, no division by k, 4 lam^2/9 at k = 0.
+    Raises ValidationError outside that range, UnsupportedRegimeError for
+    k < 0 and OverflowError where t lam^2 or Q overflows.
     """
-    if kappa <= 0.0:
-        raise UnsupportedRegimeError("a0_root requires kappa > 0")
+    if kappa < 0.0:
+        raise UnsupportedRegimeError("a0_root requires kappa >= 0")
     if lam == 0.0:
         raise ValidationError("a0_root is not defined at lam = 0")
-    if kappa * lam >= 1.0:
+    s = kappa * lam
+    if s >= 1.0:
         raise ValidationError(
             "no positive root: g(a) > 0 for all a > 0 when lam >= 1/kappa")
-    coeffs = g_cubic_coeffs(lam, kappa)
-    roots = polyroots.roots(coeffs)
-    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
-    pos = np.sort(real[real > 0.0])
-    if pos.size == 0:
-        raise RootFindingError(f"g(a) has no positive root at lam={lam}")
-    coeffs = coeffs.tolist()
-    a0 = polyroots.newton(coeffs, pos[0], 1)
-    gscale = max(1.0, max(abs(c) for c in coeffs) * max(1.0, a0) ** 3)
-    if abs(polyroots.polyval(coeffs, a0)) > 1e-10 * gscale:
-        raise RootFindingError(f"a0 polish failed at lam={lam}")
+    t, w = 1.0 - s, 2.0 * s - 1.0
+    if w > 0.0:
+        r = math.sqrt(w)
+        v1 = r * math.sinh(math.asinh(t / r) / 3.0)
+    elif w < 0.0:
+        r = math.sqrt(-w)
+        v1 = -r * math.cosh(math.acosh(t / r) / 3.0)
+    else:
+        v1 = 0.0
+    a0 = t * lam * lam / (t * t - v1 * t + v1 * v1 + 0.75 * w)
+    if not math.isfinite(a0):
+        raise OverflowError(f"a0_root overflows at lam = {lam}, kappa = {kappa}")
     return a0
 
 
@@ -390,15 +386,13 @@ def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, f
     - CS4: ((1 - kappa lam)/kappa^2, a0_root) for 1/(2 kappa) < lam < 1/kappa
 
     The kappa = 0 families CS1_k0, CS2_k0 and CS3_k0 span (0, lam^2/2),
-    (0, lam^2/2) and (4 lam^2/9, lam^2/2), the limits of the CS1..CS3
-    ranges (a_sub_boundary at kappa = 0, and a0_root -> 4 lam^2/9); kappa
-    is not used for them.
+    (0, lam^2/2) and (4 lam^2/9, lam^2/2): the same closed forms at
+    kappa = 0, where a_sub_boundary is lam^2/2 and a0_root is 4 lam^2/9.
+    Both ends are cancellation-free down to lam -> 0.
     Raises ValidationError wherever the family has no points at lam
     (families_at), and UnsupportedRegimeError for CS1..CS4 with kappa <= 0.
     Within 1e-14/kappa of lam = 1/(2 kappa), where the catalog uses the
     boundary formula, CS1 and CS2 span (0, 1/(2 kappa^2)).
-    ``a0_root`` runs at most once per call, so callers that probe many a at
-    one lam compute the interval once and pass it on.
     """
     if family not in ("CS1", "CS2", "CS3", "CS4", "CS1_k0", "CS2_k0", "CS3_k0"):
         raise ValidationError(f"{family!r} is not a centre-saddle family")
@@ -408,7 +402,7 @@ def family_domain(family: str, lam: float, kappa: float = 1.0) -> tuple[float, f
     if family not in families_at(lam, 0.0 if k0 else kappa):
         raise ValidationError(f"{family} has no points at lam = {lam}")
     if k0:
-        return (4.0 * lam * lam / 9.0 if family == "CS3_k0" else 0.0,
+        return (a0_root(lam, 0.0) if family == "CS3_k0" else 0.0,
                 a_sub_boundary(lam, 0.0))
     k = kappa
     if family == "CS3":
@@ -597,12 +591,9 @@ class LambdaStratum:
         for family in families_at(self.lam, self.kappa):
             if family_kind(family) is not BifurcationKind.CENTRE_SADDLE:
                 continue
-            try:
-                lo, hi = family_domain(family, self.lam, self.kappa)
-            except RootFindingError:
-                # a0_root finds no positive root of the range cubic for some
-                # |lam| below about 1e-16; CS3 spans (4 lam^2/9, lam^2/2) there
-                continue
+            # closed forms, so every family of families_at has its range;
+            # only one that rounds to empty is left out
+            lo, hi = family_domain(family, self.lam, self.kappa)
             if hi > lo:
                 out[family] = lo, hi
         return out
@@ -931,10 +922,7 @@ def _structural_points(lam: float, kappa: float) -> list[float]:
     if 1.0 - 2.0 * kappa * lam >= 0.0:
         pts += [a_sub_boundary(lam, kappa), a_sup_boundary(lam, kappa)]
     if lam != 0.0 and kappa * lam < 1.0:
-        try:
-            pts.append(a0_root(lam, kappa))
-        except (ValidationError, RootFindingError):
-            pass
+        pts.append(a0_root(lam, kappa))
     return pts
 
 

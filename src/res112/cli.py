@@ -75,6 +75,13 @@ def _parse_floats(text: str) -> list[float]:
     return vals
 
 
+def _check_kappa(kappa: float) -> None:
+    """A nonzero kappa needs a normal kappa^2: the closed forms divide by it."""
+    if kappa != 0.0 and kappa * kappa < sys.float_info.min:
+        raise ValidationError(f"kappa = {kappa!r} is too small: kappa^2 "
+                              "underflows; see the scale command")
+
+
 def _parse_window(text: str) -> tuple[float, float]:
     vals = _parse_floats(text)
     if len(vals) != 2:
@@ -108,6 +115,7 @@ def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out):
     if not 0.0 <= kappa < math.inf:
         raise ValidationError("bifdiag requires a finite kappa >= 0; see the "
                               "scale command")
+    _check_kappa(kappa)
     ells = _parse_floats(ell)
     lo, hi = _parse_window(lambda_window)
     if not ells or hi <= lo or grid < 2:
@@ -160,6 +168,7 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
     """Critical values of the energy-momentum map over a (mu, ell)-grid."""
     if kappa <= 0.0:
         raise ValidationError("critvals requires kappa > 0")
+    _check_kappa(kappa)
     if grid < 1:
         raise ValidationError("critvals needs --grid >= 1")
     mu_lo, mu_hi = _parse_window(mu_window)
@@ -274,6 +283,7 @@ def fiber(delta, lambda1, lambda2, kappa, mu, ell, iota, h, fmt):
               default="text", show_default=True)
 def monodromy_cmd(delta, kappa, loop_name, points, radius, plane, tol, fmt):
     """Compute the monodromy vector of a named generator loop."""
+    _check_kappa(kappa)
     params = ModelParams(delta=delta, kappa=kappa)
     loop = generator_loop(loop_name, params, n_points=points, radius=radius,
                           plane=plane)

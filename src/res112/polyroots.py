@@ -1,7 +1,7 @@
 """Roots of the small real polynomials behind the critical values.
 
-The tangency quintic, the quartic F, the range cubic g(a) and the slice
-quartic in a all take their roots from this one kernel.  Coefficients are
+The tangency quintic, the quartic F and the slice quartic in a all take
+their roots from this one kernel.  Coefficients are
 descending, as ``np.roots`` takes them, and every result has the bits of
 the numpy polynomial routine it stands for:
 

@@ -4,6 +4,7 @@ routes, the numeric solver, and the instability intervals."""
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -21,7 +22,8 @@ from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_probe,
                                  _discriminant_core, _ell_from_mu2,
                                  _ell_slope, _mu2_branches, a_quadruple,
                                  a_sub_boundary, a_sup_boundary,
-                                 g_cubic_coeffs, residual_scale)
+                                 residual_scale)
+from range_cubic import a0_companion, a0_shadow, a_sub_shadow, g_cubic_coeffs
 
 RNG = np.random.default_rng(31415926)
 
@@ -394,16 +396,27 @@ def test_a0_root_window_behavior():
         a0_root(1.2, 1.0)  # g > 0 for all a > 0
     with pytest.raises(ValidationError):
         a0_root(0.0, 1.0)
+    # t lam^2 overflows; the root itself, about -lam/kappa, would not
+    with pytest.raises(OverflowError):
+        a0_root(-1e120, 1.0)
 
 
 def test_a_sub_boundary_at_kappa0_is_its_limit():
-    # (1 - k lam - sqrt(1 - 2 k lam)) / k^2 -> lam^2 / 2 as k -> 0
-    for lam in (-1.6, -0.3, -1e-9, 1e-9, 0.7, 1.45):
+    # (1 - k lam - sqrt(1 - 2 k lam)) / k^2 -> lam^2 / 2 as k -> 0, bit for
+    # bit wherever lam^2 is a normal float
+    for lam in (-1.6, -0.3, -1e-9, 1e-9, 0.7, 1.45, -1e-150, 3e150):
         assert a_sub_boundary(lam, 0.0) == 0.5 * lam * lam
 
 
-@pytest.mark.xfail(strict=True, reason="1 - kappa lam - sqrt(1 - 2 kappa lam) "
-                   "cancels for small |lam|; the fix moves CS and HHsub bytes")
+def test_a0_root_at_kappa0_is_its_limit():
+    # the root of g -> 9a - 4 lam^2 as k -> 0, bit for bit wherever lam^2 is
+    # a normal float; so CS3_k0 starts at a0_root(lam, 0)
+    for lam in (-1.6, -0.3, -1e-9, 1e-9, 0.7, 1.45, -1e-150, 3e150):
+        assert a0_root(lam, 0.0) == 4.0 * lam * lam / 9.0
+    with pytest.raises(UnsupportedRegimeError):
+        a0_root(0.3, -1.0)
+
+
 def test_a_sub_boundary_is_accurate_near_lam_zero():
     # the cancellation-free form lam^2 / (1 - kappa lam + sqrt(1 - 2 kappa lam))
     for lam in (-1e-9, -1e-6):
@@ -411,12 +424,82 @@ def test_a_sub_boundary_is_accurate_near_lam_zero():
         assert a_sub_boundary(lam, 1.0) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="the companion-matrix roots return the "
-                   "double root 3/2 of a (2a - 3)^2; the fix moves CS3 bytes")
 def test_a0_root_near_lam_zero_is_the_small_root():
-    # np.linspace(-3, 3, 20001)[10000]; the root is 4 lam^2/9 to leading order
+    # np.linspace(-3, 3, 20001)[10000]; the root is 4 lam^2/9 to leading
+    # order, next to the double root 3/2 of g = a (2a - 3)^2 at lam = 0
     lam = -4.440892098500626e-16
     assert a0_root(lam, 1.0) == pytest.approx(4.0 * lam * lam / 9.0, rel=1e-6, abs=0.0)
+    # so the stratum there holds CS1..CS3, (0, lam^2/2) and (4 lam^2/9, lam^2/2)
+    doms = LambdaStratum(lam, 1.0).domains
+    assert list(doms) == ["CS1", "CS2", "CS3"]
+    assert doms["CS3"] == (a0_root(lam, 1.0), a_sub_boundary(lam, 1.0))
+    assert doms["CS3"] == pytest.approx((4.0 * lam * lam / 9.0, 0.5 * lam * lam),
+                                        rel=1e-15, abs=0.0)
+
+
+def test_a0_root_agrees_with_the_companion_route():
+    # the eigenvalue route the closed form replaced, on generic draws
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        kappa = float(rng.uniform(0.1, 3.0))
+        x = float(rng.uniform(-3.0, 0.95))  # kappa lam, away from 0, 1/2, 1
+        if abs(x) < 1e-2 or abs(x - 0.5) < 1e-2:
+            continue
+        lam = x / kappa
+        assert a0_root(lam, kappa) == pytest.approx(
+            a0_companion(lam, kappa), rel=1e-13, abs=0.0), (lam, kappa)
+
+
+def _draw(region, rng):
+    """(lam, kappa) in one region of the range cubic; kappa is a power of
+    two (kappa lam exact) or random."""
+    if region == "kappa0":
+        return float(rng.uniform(-3.0, 3.0)), 0.0
+    if region == "kappa1e-150":
+        return float(rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-3, 3)), 1e-150
+    kappa = float(rng.choice([0.5, 1.0, 2.0]) if rng.uniform() < 0.5
+                  else rng.uniform(0.1, 3.0))
+    x = {"generic": lambda: rng.uniform(-3.0, 0.999),
+         "lam->0": lambda: math.copysign(10.0 ** rng.uniform(-150, -3),
+                                         rng.uniform(-1.0, 1.0)),
+         "far": lambda: -(10.0 ** rng.uniform(0, 100)),
+         "half": lambda: 0.5 + rng.uniform(-1e-12, 1e-12),
+         "one": lambda: 1.0 - rng.uniform(0.0, 1e-12)}[region]()
+    return float(x / kappa), kappa
+
+
+# worst relative error over the draws of each region, measured over seeds
+# 0..3 and 2718 of 100 draws: 5.4e-16 (generic), 5.3e-16 (lam -> 0),
+# 3.5e-16 (kappa lam down to -1e100, next to the triple root
+# a = -lam/kappa), 4.9e-16 (kappa lam within 1e-12 of 1/2, a triple root),
+# 2.9e-16 (within 1e-12 of 1), 1.7e-16 (kappa = 0), 1.8e-16
+# (kappa = 1e-150)
+SHADOW_BUDGET = {"generic": 2e-15, "lam->0": 2e-15, "far": 2e-15,
+                 "half": 2e-15, "one": 1e-15, "kappa0": 1e-15,
+                 "kappa1e-150": 1e-15}
+
+
+@pytest.mark.parametrize("region", list(SHADOW_BUDGET))
+def test_range_ends_match_the_50_digit_shadow(region):
+    # Both closed forms see kappa only through the rounded product kappa lam
+    # (and lam through lam^2), so they are held to the exact values at
+    # kappa~ = fl(kappa lam)/lam: next to the triple root kappa lam = 1/2 and
+    # next to kappa lam = 1 that rounding alone moves a0 by up to about 1e-7
+    # and 1e-16/(1 - kappa lam) relative, whatever the formula
+    rng = np.random.default_rng(2718)
+    budget = SHADOW_BUDGET[region]
+    for _ in range(100):
+        lam, kappa = _draw(region, rng)
+        if lam == 0.0 or kappa * lam >= 1.0:
+            continue
+        with mp.workdps(60):
+            k_eff = mp.mpf(kappa * lam) / mp.mpf(lam)
+        exact = a0_shadow(lam, k_eff)
+        assert abs(a0_root(lam, kappa) - exact) <= budget * exact, (lam, kappa)
+        if kappa * lam <= 0.5:
+            exact = a_sub_shadow(lam, k_eff)
+            assert abs(a_sub_boundary(lam, kappa) - exact) <= budget * exact, \
+                (lam, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,15 @@ def test_cli_exit_codes(monkeypatch, capsys, tmp_path):
                   *here],
                  ["bifdiag", "--kappa", "1e200", "--ell", "0.1", "--grid", "3",
                   *here],
-                 [*gamma1, "--kappa", "1e200"]):
+                 [*gamma1, "--kappa", "1e200"],
+                 # kappa^2 that underflows, which the closed forms divide by
+                 ["critvals", "--delta", "0", "--kappa", "1e-200", "--grid", "2",
+                  *here],
+                 ["bifdiag", "--kappa", "1e-200", "--ell", "0.1", "--grid", "3",
+                  *here],
+                 [*gamma1, "--kappa", "1e-200"],
+                 ["bifdiag", "--kappa", "1e-160", "--ell", "0.1,-0.1", "--grid",
+                  "3", *here]):
         monkeypatch.setattr(sys, "argv", ["res112", *args])
         with pytest.raises(SystemExit) as exited:
             main()

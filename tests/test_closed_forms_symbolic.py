@@ -15,6 +15,7 @@ from res112.bifurcations import (_ell_from_mu2, _q_quadratic_coeffs,
                                  _slice_quartic_coeffs, a_sub_boundary,
                                  a_sup_boundary)
 from res112.critical_values import _crease_energy, _crease_offset
+from range_cubic import g_cubic_coeffs
 
 R, mu, lam, a, ell = sp.symbols("R mu lam a ell", real=True)
 k = sp.symbols("kappa", positive=True)
@@ -57,9 +58,13 @@ def test_hopf_boundaries_are_the_instability_roots(monkeypatch):
     r_sub = exact(a_sub_boundary(lam, k))
     r_sup = exact(a_sup_boundary(lam, k))
     for r in (r_sub, r_sup):
-        assert sp.expand((lam + k * r) ** 2 - 2 * r) == 0
+        assert sp.simplify((lam + k * r) ** 2 - 2 * r) == 0
+    # the subcritical end is the rationalised lam^2/(1 - kappa lam + sqrt(..))
+    # of the smaller root, which has no cancellation at small kappa lam
+    root = sp.sqrt(1 - 2 * k * lam)
+    assert sp.simplify(r_sub - (1 - k * lam - root) / k ** 2) == 0
     # and they are distinct exactly when 1 - 2 kappa lam > 0
-    assert sp.simplify(r_sup - r_sub - 2 * sp.sqrt(1 - 2 * k * lam) / k ** 2) == 0
+    assert sp.simplify(r_sup - r_sub - 2 * root / k ** 2) == 0
 
 
 def test_slice_quartic_is_the_eliminated_quadratic_on_the_plane():
@@ -104,3 +109,47 @@ def test_cusp3_is_a_quadruple_root(monkeypatch):
     assert pt.b == pt.a
     F = quartic_in_R(exact(pt.h), exact(pt.ell), mu, exact(pt.lam))
     assert sp.simplify(F - k ** 2 / 4 * (R - exact(pt.a)) ** 4) == 0
+
+
+# a0_root: s = kappa lam, t = 1 - s, w = 2s - 1 and kappa^2 a = u = t + v
+s_, u, v, phi = sp.symbols("s u v phi", real=True)
+r = sp.symbols("r", positive=True)
+t_, w_ = 1 - s_, 2 * s_ - 1
+p_u = (4 * u ** 3 - 12 * t_ * u ** 2 + (12 * s_ ** 2 - 18 * s_ + 9) * u
+       - 4 * s_ ** 2 * t_)
+
+
+def depressed(v, t=t_, w=w_):
+    return 4 * v ** 3 + 3 * w * v - t * w
+
+
+def test_range_cubic_in_u_is_kappa_free():
+    # kappa^2 g(u/kappa^2) = p(u) with coefficients in s = kappa lam alone
+    g = sum(c * a ** (3 - i) for i, c in enumerate(g_cubic_coeffs(lam, k)))
+    assert sp.expand(k ** 2 * g.subs(a, u / k ** 2) - p_u.subs(s_, k * lam)) == 0
+    # p(t + v) is the depressed cubic 4 v^3 + 3 w v - t w
+    assert sp.expand(p_u.subs(u, t_ + v) - depressed(v)) == 0
+    # for w < 0 the acosh argument t/sqrt(-w) is >= 1: t^2 + w = s^2
+    assert sp.expand(t_ ** 2 + w_ - s_ ** 2) == 0
+
+
+def test_trigonometric_roots_of_the_depressed_cubic():
+    # w = r^2 > 0: v1 = r sinh(phi) with phi = asinh(t/r)/3, t = r sinh(3 phi)
+    v1, t = r * sp.sinh(phi), r * sp.sinh(3 * phi)
+    assert sp.simplify(sp.expand_trig(depressed(v1, t, r ** 2))) == 0
+    # w = -r^2 < 0: v1 = -r cosh(phi) with phi = acosh(t/r)/3, t = r cosh(3 phi)
+    v1, t = -r * sp.cosh(phi), r * sp.cosh(3 * phi)
+    assert sp.simplify(sp.expand_trig(depressed(v1, t, -r ** 2))) == 0
+
+
+def test_vieta_deflation_gives_the_small_root():
+    # p/4 = (u - u1)(u^2 + (v1 - 2t) u + Q) modulo the depressed cubic in
+    # v1, so u1 Q = s^2 t (the product of the roots): kappa^2 a0 = s^2 t/Q
+    # and a0 = t lam^2 / Q, with Q = 9/4 at lam = 0 (s = 0, v1 = -1)
+    v1 = v
+    u1 = t_ + v1
+    Q = t_ ** 2 - v1 * t_ + v1 ** 2 + sp.Rational(3, 4) * w_
+    deflated = sp.expand(p_u / 4 - (u - u1) * (u ** 2 + (v1 - 2 * t_) * u + Q))
+    assert sp.rem(deflated, depressed(v1), v1) == 0
+    assert sp.rem(sp.expand(u1 * Q - s_ ** 2 * t_), depressed(v1), v1) == 0
+    assert Q.subs({s_: 0, v1: -1}) == sp.Rational(9, 4)
