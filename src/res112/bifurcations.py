@@ -270,17 +270,54 @@ def _h_from_mu2(a: float, mu2: float, lam: float, kappa: float) -> float:
             - 3.0 * kappa * a ** 2 * lam) / (2.0 * lam)
 
 
+def _split(x: float) -> tuple[float, float]:
+    """Veltkamp's split of x into a 26-bit head and the exact rest; NaN
+    where 134217729 x overflows (|x| above about 1.3e300)."""
+    c = 134217729.0 * x  # 2^27 + 1
+    head = c - (c - x)
+    return head, x - head
+
+
+def _exact_product(x: float, y: float) -> tuple[float, float]:
+    """(s, e) with s = fl(x y) and s + e = x y: Dekker's two-product
+    (Numer. Math. 18, 1971), exact unless a partial product underflows.
+    e is 0 where it would not be finite (s overflows, or a factor is too
+    large to split), so s keeps its own exits there."""
+    s = x * y
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    e = ((xh * yh - s) + xh * yl + xl * yh) + xl * yl
+    return s, (e if math.isfinite(e) else 0.0)
+
+
+def _one_minus_kappa_lam(lam: float, kappa: float) -> tuple[float, float]:
+    """(1 - kappa lam, 1 - 2 kappa lam) from the exact product (s, e) of
+    _exact_product, as (1 - s) - e and (1 - 2s) - 2e: the rounding of
+    kappa lam does not enter.  The second is held at 0 where 1 - 2s >= 0,
+    so that a float test on 1 - 2s decides where its root exists."""
+    s, e = _exact_product(kappa, lam)
+    d = 1.0 - 2.0 * s
+    return (1.0 - s) - e, (max(d - 2.0 * e, 0.0) if d >= 0.0 else d)
+
+
 def a_sub_boundary(lam: float, kappa: float) -> float:
     """a-value where the mu-branches meet the subcritical Hopf curve,
     (1 - kappa lam - sqrt(1 - 2 kappa lam))/kappa^2 written without the
-    cancellation at small |kappa lam| or the division by kappa^2; lam^2/2 at
-    kappa = 0."""
-    return lam * lam / (1.0 - kappa * lam + math.sqrt(1.0 - 2.0 * kappa * lam))
+    cancellation at small |kappa lam| or the division by kappa^2, as
+    lam^2/(1 - kappa lam + sqrt(1 - 2 kappa lam)); lam^2/2 at kappa = 0.
+    1 - kappa lam and 1 - 2 kappa lam see the exact product kappa lam
+    (_one_minus_kappa_lam), so they keep their digits next to
+    kappa lam = 1/2 for every kappa."""
+    t, d = _one_minus_kappa_lam(lam, kappa)
+    return lam * lam / (t + math.sqrt(d))
 
 
 def a_sup_boundary(lam: float, kappa: float) -> float:
-    """a-value of the supercritical Hopf curve."""
-    return (1.0 - kappa * lam + math.sqrt(1.0 - 2.0 * kappa * lam)) / kappa ** 2
+    """a-value of the supercritical Hopf curve,
+    (1 - kappa lam + sqrt(1 - 2 kappa lam))/kappa^2, with the exact product
+    kappa lam (_one_minus_kappa_lam)."""
+    t, d = _one_minus_kappa_lam(lam, kappa)
+    return (t + math.sqrt(d)) / kappa ** 2
 
 
 def a_quadruple(lam: float, kappa: float) -> float:
@@ -315,8 +352,10 @@ def a0_root(lam: float, kappa: float = 1.0) -> float:
     + 4 lam^2 (k lam - 1), k = kappa >= 0, for lam != 0 and k lam < 1.
 
     With s = k lam, t = 1 - s, w = 2s - 1 and k^2 a = t + v, k^2 g is
-    4 v^3 + 3 w v - t w.  Its real root v1 is sqrt(w) sinh(asinh(t/sqrt(w))/3)
-    for w > 0, -sqrt(-w) cosh(acosh(t/sqrt(-w))/3) for w < 0 (t^2 + w = s^2
+    4 v^3 + 3 w v - t w.  t and w are formed from the exact product
+    s + e = k lam (_exact_product) as (1 - s) - e and (2s - 1) + 2e, so the
+    rounding of k lam does not move a0 next to k lam = 1/2 or 1.  Its real
+    root v1 is sqrt(w) sinh(asinh(t/sqrt(w))/3) for w > 0, -sqrt(-w) cosh(acosh(t/sqrt(-w))/3) for w < 0 (t^2 + w = s^2
     keeps the acosh argument >= 1) and 0 at the triple root w = 0.  Vieta
     gives a0 = t lam^2 / Q, Q = t^2 - v1 t + v1^2 + 3w/4 (9/4 at lam = 0):
     no cancellation next to lam = 0, no division by k, 4 lam^2/9 at k = 0.
@@ -327,11 +366,11 @@ def a0_root(lam: float, kappa: float = 1.0) -> float:
         raise UnsupportedRegimeError("a0_root requires kappa >= 0")
     if lam == 0.0:
         raise ValidationError("a0_root is not defined at lam = 0")
-    s = kappa * lam
+    s, e = _exact_product(kappa, lam)
     if s >= 1.0:
         raise ValidationError(
             "no positive root: g(a) > 0 for all a > 0 when lam >= 1/kappa")
-    t, w = 1.0 - s, 2.0 * s - 1.0
+    t, w = (1.0 - s) - e, (2.0 * s - 1.0) + 2.0 * e
     if w > 0.0:
         r = math.sqrt(w)
         v1 = r * math.sinh(math.asinh(t / r) / 3.0)
@@ -511,7 +550,10 @@ def catalog_point(family: str, *, lam: float | None = None, a: float | None = No
     # centre-saddle families
     if a is None:
         raise ValidationError(f"family {family} needs the triple root a")
-    return _cs_probe(family, lam, a, sign, k, *family_domain(family, lam, k))
+    lo, hi = family_domain(family, lam, k)
+    if not lo < a < hi:
+        raise ValidationError(f"{family} needs {lo} < a < {hi}")
+    return _cs_point(family, lam, a, sign, k)
 
 
 def _cusp3_point(mu: float, k: float) -> CatalogPoint:
@@ -529,47 +571,50 @@ def _at_lambda_half(lam: float, k: float) -> bool:
     return k != 0.0 and abs(lam - 0.5 / k) <= 1e-14 / k
 
 
+def _cs_probe(family: str, lam: float, a: float, k: float) -> tuple[float, float, float]:
+    """(mu, ell, h) of a CS1..CS4 (CS1_k0..CS3_k0) point at (lam, a), on the
+    mu >= 0 branch of CS2..CS4 and mu <= 0 for CS1, without the a-range
+    check: the callers test lo < a < hi themselves.  Within 1e-14/kappa of
+    lam = 1/(2 kappa) (_at_lambda_half) the eliminated quartic factorises
+    and CS1/CS2 continue onto the boundary sheet mu^2 = 2 kappa^2 a^3.
+    Raises ValidationError where the mu^2-branches are complex."""
+    if _at_lambda_half(lam, k):
+        mu2 = 2.0 * k ** 2 * a ** 3
+        ell = (6.0 * k ** 2 * a - 1.0) / (4.0 * k ** 2)
+        h = 1.5 * k * a * a
+    else:
+        m_minus, m_plus = _mu2_branches(a, lam, k)
+        mu2 = max(m_plus if family.startswith("CS3") else m_minus, 0.0)
+        ell = _ell_from_mu2(a, mu2, lam, k)
+        h = _h_from_mu2(a, mu2, lam, k)
+    mu = math.sqrt(mu2)
+    return (-mu if family.startswith("CS1") else mu), ell, h
+
+
 def _cs_point(family: str, lam: float, a: float, sign: int, k: float) -> CatalogPoint:
-    """CS1..CS4 (CS1_k0..CS3_k0) point at (lam, a) off lam = 1/(2 kappa)."""
-    base = family.removesuffix("_k0")
-    m_minus, m_plus = _mu2_branches(a, lam, k)
-    mu2 = max(m_plus if base == "CS3" else m_minus, 0.0)
-    mu_val = math.sqrt(mu2)
-    if base == "CS1":
-        mu_val = -mu_val
-    elif base in ("CS3", "CS4"):
-        mu_val = sign * mu_val
-    ell = _ell_from_mu2(a, mu2, lam, k)
-    h = _h_from_mu2(a, mu2, lam, k)
+    """The CatalogPoint of _cs_probe, on the mu-branch of ``sign`` for CS3,
+    CS4 and CS3_k0.  At lam = 1/(2 kappa) it is a boundary point of CS1/CS2
+    with lam = 1/(2 kappa) and b = 2/kappa^2 - 3a."""
+    mu, ell, h = _cs_probe(family, lam, a, k)
+    if sign == -1 and family in _TWO_SIGN_FAMILIES:
+        mu = -mu
+    if _at_lambda_half(lam, k):
+        return CatalogPoint(family=family, kind=BifurcationKind.CENTRE_SADDLE,
+                            lam=0.5 / k, mu=mu, ell=ell, a=a,
+                            b=-3.0 * a + 2.0 / k ** 2, h=h, kappa=k,
+                            boundary=True)
     return CatalogPoint(family=family, kind=BifurcationKind.CENTRE_SADDLE,
-                        lam=lam, mu=mu_val, ell=ell, a=a,
-                        b=_b_of_a(a, lam, k), h=h, kappa=k)
+                        lam=lam, mu=mu, ell=ell, a=a, b=_b_of_a(a, lam, k),
+                        h=h, kappa=k)
 
 
-def _cs_point_lambda_half(family: str, a: float, k: float) -> CatalogPoint:
-    """CS1/CS2 boundary point at lam = 1/(2 kappa).  There the eliminated
-    quartic factorises and the sheets continue onto mu^2 = 2 kappa^2 a^3,
-    flagged as boundary points."""
-    lam = 0.5 / k
-    mu2 = 2.0 * k ** 2 * a ** 3
-    mu_val = math.sqrt(mu2)
-    if family == "CS1":
-        mu_val = -mu_val
-    ell = (6.0 * k ** 2 * a - 1.0) / (4.0 * k ** 2)
-    h = 1.5 * k * a * a
-    return CatalogPoint(family=family, kind=BifurcationKind.CENTRE_SADDLE,
-                        lam=lam, mu=mu_val, ell=ell, a=a,
-                        b=-3.0 * a + 2.0 / k ** 2, h=h, kappa=k,
-                        boundary=True)
+# families with a mu-branch of each sign
+_TWO_SIGN_FAMILIES = ("CS3", "CS4", "CS3_k0")
 
 
 # ---------------------------------------------------------------------------
 # Slices and samples of the catalog
 # ---------------------------------------------------------------------------
-
-# families with a mu-branch of each sign
-_TWO_SIGN_FAMILIES = ("CS3", "CS4", "CS3_k0")
-
 
 @dataclass(frozen=True)
 class LambdaStratum:
@@ -599,20 +644,20 @@ class LambdaStratum:
         return out
 
     @cached_property
-    def oracle(self) -> tuple[list[BifurcationEvent], list[float],
-                              tuple[list[float], list[float]]]:
+    def oracle(self) -> tuple[list[BifurcationEvent], list[float], np.ndarray]:
         """(events, grid, ells) of the numeric oracle at lam: no events, 129
         equally spaced a-values up to 1.05 times the largest of 1 and the
-        structural points (_structural_points) plus those points, and ell(a,
-        m) (_ell_from_mu2) at each of them on each mu^2-branch of
-        _m_branches_numeric (_branch_values; NaN where the branch does not
-        exist), which every plane's oracle_slice shares.  At lam = 0 and
-        1/(2 kappa) (_special_lambda), where the eliminated quartic
-        degenerates, the events of solve_bifurcations_numeric(lam, kappa,
-        n_grid=201) and an empty grid and branches instead."""
+        structural points (_structural_points) plus those points, and the
+        (2, n) array of ell(a, m) (_ell_from_mu2) at each of them on each
+        mu^2-branch of _m_branches_numeric (_branch_values; NaN where the
+        branch does not exist), which every plane's oracle_slice shares.  At
+        lam = 0 and 1/(2 kappa) (_special_lambda), where the eliminated
+        quartic degenerates, the events of solve_bifurcations_numeric(lam,
+        kappa, n_grid=201) and an empty grid and branch array instead."""
         lam, kappa = self.lam, self.kappa
         if _special_lambda(lam, kappa) is not None:
-            return solve_bifurcations_numeric(lam, kappa, n_grid=201), [], ([], [])
+            return (solve_bifurcations_numeric(lam, kappa, n_grid=201), [],
+                    np.empty((2, 0)))
         pts = _structural_points(lam, kappa)
         grid = _a_grid(1.05 * max([1.0, *pts]), 129, pts)
         table = [_m_branches_numeric(a, lam, kappa) for a in grid]
@@ -634,9 +679,8 @@ class LambdaStratum:
                 lo, hi = self.domains.get(family, (math.nan, math.nan))
                 if not lo <= ev.a <= hi:  # also where it has no points at lam
                     return math.inf
-                # the closed range is checked here, so the probe gets no bounds
-                pt = _cs_probe(family, ev.lam, ev.a, 1 if ev.mu >= 0.0 else -1,
-                               ev.kappa, -math.inf, math.inf)
+                pt = _cs_point(family, ev.lam, ev.a, 1 if ev.mu >= 0.0 else -1,
+                               ev.kappa)
             else:
                 pt = catalog_point(family, lam=ev.lam, mu=ev.mu, kappa=ev.kappa)
         except Res112Error:
@@ -665,70 +709,89 @@ class LambdaStratum:
         return tagged
 
 
-def _cs_probe(family: str, lam: float, a: float, sign: int, kappa: float,
-              lo: float, hi: float) -> CatalogPoint:
-    """catalog_point of a centre-saddle family, with the a-range (lo, hi)
-    already taken from family_domain; raises ValidationError outside it."""
-    if not lo < a < hi:
-        raise ValidationError(f"{family} needs {lo} < a < {hi}")
-    if _at_lambda_half(lam, kappa):
-        return _cs_point_lambda_half(family, a, kappa)
-    return _cs_point(family, lam, a, sign, kappa)
-
-
-def catalog_slice(st: LambdaStratum, ell_target: float) -> list[tuple]:
-    """Centre-saddle points of the closed-form catalog on the plane
-    ell = ell_target at the stratum's lam.
+def catalog_slice(st: LambdaStratum, ell_targets) -> list[list[tuple]]:
+    """Centre-saddle points of the closed-form catalog on each plane
+    ell = ell_target of ``ell_targets`` at the stratum's lam: one row list
+    per plane, in plane order.
 
     Their triple roots a are real roots of the slice quartic
-    (_slice_quartic_coeffs); for kappa = 0 it degenerates to
+    (_slice_quartic_coeffs), whose rows for all planes are solved together
+    by polyroots.roots_many; for kappa = 0 it degenerates to
     (3a - ell - lam^2)^2, and within 1e-14/kappa of lam = 1/(2 kappa) the
     boundary formula gives a = (4 kappa^2 ell + 1)/(6 kappa^2).  For
     kappa > 0 the real part of each quartic root is polished by two Newton
     steps on each family's own ell(a) (_ell_slope): next to a subcritical
     Hopf point the quartic's roots on the two mu^2-branches nearly coincide
     and lose their accuracy, while each branch's own root stays well
-    conditioned.  A root counts once per family and mu-branch sign when it
-    lies in the family's interval of ``st.domains`` less 1e-9 of its width
-    at each end, its last Newton step is below 1e-6 of that width, and its
-    ell lies within 1e-9 max(1, |ell_target|) of the plane.  lam = 0 gives
-    no rows.  Returns (family, lam, mu, ell, a, h) tuples in family, sign
-    and a order.
+    conditioned.  ell(a) does not depend on the sign of mu, so CS3 and CS4
+    are polished once for both signs.  A start or iterate outside the
+    family's interval of ``st.domains`` is dropped.  A root counts once per
+    family and mu-branch sign when it lies in that interval less 1e-9 of
+    its width at each end, its last Newton step is below 1e-6 of that
+    width, and its ell lies within 1e-9 max(1, |ell_target|) of the plane.
+    lam = 0 gives no rows.  Each plane's rows are (family, lam, mu, ell, a,
+    h) tuples in family, sign and a order.  Raises the
+    np.linalg.LinAlgError of the first plane whose quartic solve fails.
     """
     lam, kappa = st.lam, st.kappa
     steps = 0
     if kappa == 0.0:
-        starts = [(ell_target + lam * lam) / 3.0]
+        starts = [[(ell + lam * lam) / 3.0] for ell in ell_targets]
     elif _at_lambda_half(lam, kappa):
-        starts = [(4.0 * kappa ** 2 * ell_target + 1.0) / (6.0 * kappa ** 2)]
+        starts = [[(4.0 * kappa ** 2 * ell + 1.0) / (6.0 * kappa ** 2)]
+                  for ell in ell_targets]
     else:
-        starts = sorted({float(z.real) for z in
-                         polyroots.roots(_slice_quartic_coeffs(lam, ell_target, kappa))})
+        starts = []
+        for roots in polyroots.roots_many(
+                [_slice_quartic_coeffs(lam, ell, kappa) for ell in ell_targets]):
+            if isinstance(roots, np.linalg.LinAlgError):
+                raise roots
+            starts.append(sorted(set(roots.real.tolist())))
         steps = 2
-    tol = 1e-9 * max(1.0, abs(ell_target))
-    rows = []
-    for family, (lo, hi) in st.domains.items():
-        pad, near = 1e-9 * (hi - lo), 1e-6 * (hi - lo)
-        branch = 1 if family == "CS3" else -1  # CS3 is the m_plus sheet
-        for sign in ((1, -1) if family in _TWO_SIGN_FAMILIES else (1,)):
+    planes = []
+    for ell_target, plane_starts in zip(ell_targets, starts):
+        tol = 1e-9 * max(1.0, abs(ell_target))
+        rows = []
+        for family, (lo, hi) in st.domains.items():
+            pad, near = 1e-9 * (hi - lo), 1e-6 * (hi - lo)
             found = []
-            for a in starts:
-                step = 0.0
-                try:
-                    pt = _cs_probe(family, lam, a, sign, kappa, lo, hi)
-                    for _ in range(steps):
-                        step = (pt.ell - ell_target) / _ell_slope(a, lam, kappa, branch)
-                        a -= step
-                        pt = _cs_probe(family, lam, a, sign, kappa, lo, hi)
-                except (Res112Error, ZeroDivisionError):
+            for start in plane_starts:
+                hit = _polish(family, lam, kappa, start, ell_target, steps, lo, hi)
+                if hit is None:
                     continue
+                a, step, mu, ell, h = hit
                 if lo + pad <= a <= hi - pad and abs(step) <= near \
-                        and abs(pt.ell - ell_target) <= tol \
-                        and all(abs(a - b) > near for b, _ in found):
-                    found.append((a, pt))
-            rows += [(family, lam, pt.mu, pt.ell, a, pt.h) for a, pt in sorted(
-                found, key=lambda f: f[0])]
-    return rows
+                        and abs(ell - ell_target) <= tol \
+                        and all(abs(a - f[0]) > near for f in found):
+                    found.append((a, mu, ell, h))
+            found.sort(key=lambda f: f[0])
+            rows += [(family, lam, mu, ell, a, h) for a, mu, ell, h in found]
+            if family in _TWO_SIGN_FAMILIES:
+                rows += [(family, lam, -mu, ell, a, h) for a, mu, ell, h in found]
+        planes.append(rows)
+    return planes
+
+
+def _polish(family: str, lam: float, kappa: float, a: float, ell_target: float,
+            steps: int, lo: float, hi: float):
+    """(a, last step, mu, ell, h) after ``steps`` Newton steps from a on the
+    family's ell(a) - ell_target (_ell_slope), each iterate probed by
+    _cs_probe; None where an iterate leaves (lo, hi) or the probe fails."""
+    branch = 1 if family == "CS3" else -1  # CS3 is the m_plus sheet
+    step = 0.0
+    try:
+        if not lo < a < hi:
+            return None
+        mu, ell, h = _cs_probe(family, lam, a, kappa)
+        for _ in range(steps):
+            step = (ell - ell_target) / _ell_slope(a, lam, kappa, branch)
+            a -= step
+            if not lo < a < hi:
+                return None
+            mu, ell, h = _cs_probe(family, lam, a, kappa)
+    except (Res112Error, ZeroDivisionError):
+        return None
+    return a, step, mu, ell, h
 
 
 def hopf_cusp_slice(ell_target: float, kappa: float, lam_lo: float,
@@ -806,14 +869,18 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
     for lam in lam_grid:
         lam = float(lam)
         for family, (lo, hi) in LambdaStratum(lam, kappa).domains.items():
-            signs = (1, -1) if family in _TWO_SIGN_FAMILIES else (1,)
-            for a in np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 17):
-                for sign in signs:
-                    try:
-                        pt = _cs_probe(family, lam, float(a), sign, kappa, lo, hi)
-                    except Res112Error:
-                        continue
-                    rows.append((family, lam, float(a), pt.mu, pt.ell, pt.h))
+            two_signs = family in _TWO_SIGN_FAMILIES
+            for a in np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo),
+                                 17).tolist():
+                if not lo < a < hi:
+                    continue
+                try:
+                    mu, ell, h = _cs_probe(family, lam, a, kappa)
+                except Res112Error:
+                    continue
+                rows.append((family, lam, a, mu, ell, h))
+                if two_signs:
+                    rows.append((family, lam, a, -mu, ell, h))
         for family in families_at(lam, kappa):
             if family_kind(family) is not BifurcationKind.CENTRE_SADDLE:
                 pt = catalog_point(family, lam=lam, kappa=kappa)
@@ -833,15 +900,19 @@ def catalog_surface(kappa: float, lam_lo: float, lam_hi: float,
 def _q_quadratic_coeffs(a: float, lam: float, kappa: float) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of the eliminated quadratic in m = mu^2."""
     k, L = kappa, lam
+    # each power once; the sums keep their terms and order
+    k2, k3, k4 = k ** 2, k ** 3, k ** 4
+    a2, a3, a4, a5, a6 = a ** 2, a ** 3, a ** 4, a ** 5, a ** 6
+    L2, L3, L4 = L ** 2, L ** 3, L ** 4
     A = 1.0 - 2.0 * k * L
-    B = (4.0 * k ** 3 * a ** 3 * L - 4.0 * k ** 2 * a ** 3
-         + 12.0 * k ** 2 * a ** 2 * L ** 2 - 12.0 * k * a ** 2 * L
-         + 6.0 * a ** 2 + 12.0 * k * a * L ** 3 - 12.0 * a * L ** 2
-         + 4.0 * L ** 4)
-    C = (4.0 * k ** 4 * a ** 6 + 12.0 * k ** 3 * a ** 5 * L
-         - 12.0 * k ** 2 * a ** 5 + 12.0 * k ** 2 * a ** 4 * L ** 2
-         - 18.0 * k * a ** 4 * L + 9.0 * a ** 4
-         + 4.0 * k * a ** 3 * L ** 3 - 4.0 * a ** 3 * L ** 2)
+    B = (4.0 * k3 * a3 * L - 4.0 * k2 * a3
+         + 12.0 * k2 * a2 * L2 - 12.0 * k * a2 * L
+         + 6.0 * a2 + 12.0 * k * a * L3 - 12.0 * a * L2
+         + 4.0 * L4)
+    C = (4.0 * k4 * a6 + 12.0 * k3 * a5 * L
+         - 12.0 * k2 * a5 + 12.0 * k2 * a4 * L2
+         - 18.0 * k * a4 * L + 9.0 * a4
+         + 4.0 * k * a3 * L3 - 4.0 * a3 * L2)
     return A, B, C
 
 
@@ -933,46 +1004,50 @@ def _a_grid(a_hi: float, n: int, pts) -> list[float]:
                   | {a for a in pts if 0.0 <= a <= a_hi})
 
 
-def _branch_values(grid: list[float], table: list[list[float]],
-                   g) -> tuple[list[float], list[float]]:
-    """g(a, m) at each a of ``grid`` on the smaller (branch 0), then on the
-    larger (branch 1) mu^2-root m of ``table``, its _m_branches_numeric
-    roots there; NaN where the branch has no real m >= 0."""
-    return tuple([g(a, ms[which]) if len(ms) > which and ms[which] >= 0.0
-                  else math.nan for a, ms in zip(grid, table)]
-                 for which in (0, 1))
+def _branch_values(grid: list[float], table: list[list[float]], g) -> np.ndarray:
+    """The (2, n) array of g(a, m) at each a of ``grid`` on the smaller
+    (row 0), then on the larger (row 1) mu^2-root m of ``table``, its
+    _m_branches_numeric roots there; NaN where the branch has no real
+    m >= 0.  g runs on Python floats, so the values have its bits."""
+    return np.array([[g(a, ms[which]) if len(ms) > which and ms[which] >= 0.0
+                      else math.nan for a, ms in zip(grid, table)]
+                     for which in (0, 1)])
 
 
 def _branch_crossings(grid: list[float], values, g, lam: float,
                       kappa: float) -> list[tuple[float, float]]:
     """Roots of g(a, m) along each mu^2-branch m(a) of _m_branches_numeric.
 
-    ``grid`` is an increasing list of a-values and ``values`` the
+    ``grid`` is an increasing list of a-values and ``values`` the (2, n)
     _branch_values of g on it, so g itself runs only inside a bracket.  On
-    the smaller root (branch 0), then on the larger (branch 1), a grid value
-    of exactly zero is a root; a strict sign change between neighbours is
-    polished by polyroots.brentq (xtol 1e-13), and a bracket where g meets
-    a missing branch (NaN) is skipped.  Returns the distinct (a, m) pairs,
-    branch by branch in grid order; where the branches meet, a root on
-    both counts once.
+    the smaller root (row 0), then on the larger (row 1), a grid value of
+    exactly zero is a root; a strict sign change between neighbours, found
+    by one array scan, is polished by polyroots.brentq (xtol 1e-13) with
+    the scalar g, and a bracket where g meets a missing branch (NaN) is
+    skipped.  Returns the distinct (a, m) pairs, branch by branch in grid
+    order; where the branches meet, a root on both counts once.
     """
+    neg, pos = values < 0.0, values > 0.0
+    changes = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+    at = ([], []), ([], [])  # each branch's (zero, sign change) positions
+    for kind, mask in enumerate((values == 0.0, changes)):
+        for which, i in zip(*(ix.tolist() for ix in np.nonzero(mask))):
+            at[which][kind].append(i)
     out = []
-    for which, vals in enumerate(values):
+    for which, (zeros, brackets) in enumerate(at):
         def g_at(a):
             ms = _m_branches_numeric(a, lam, kappa)
             if len(ms) <= which or ms[which] < 0.0:
                 return math.nan
             return g(a, ms[which])
 
-        roots = [a for a, v in zip(grid, vals) if v == 0.0]
-        for i in range(len(grid) - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if v0 < 0.0 < v1 or v1 < 0.0 < v0:
-                try:
-                    roots.append(polyroots.brentq(g_at, grid[i], grid[i + 1],
-                                                  xtol=1e-13))
-                except ValueError:
-                    continue
+        roots = [grid[i] for i in zeros]
+        for i in brackets:
+            try:
+                roots.append(polyroots.brentq(g_at, grid[i], grid[i + 1],
+                                              xtol=1e-13))
+            except ValueError:
+                continue
         for a in sorted(roots):
             ms = _m_branches_numeric(a, lam, kappa)
             if len(ms) > which and ms[which] >= 0.0 and (a, ms[which]) not in out:
@@ -1029,34 +1104,39 @@ def solve_bifurcations_numeric(lam: float, kappa: float = 1.0, *,
     return LambdaStratum(lam, kappa).tag(events)
 
 
-def oracle_slice(st: LambdaStratum, ell_target: float) -> list[tuple]:
-    """Numeric-oracle points on the plane ell = ell_target at the stratum's
-    lam.
+def oracle_slice(st: LambdaStratum, ell_targets) -> list[list[tuple]]:
+    """Numeric-oracle points on each plane ell = ell_target of
+    ``ell_targets`` at the stratum's lam: one row list per plane, in plane
+    order.
 
     Independent of the catalog: the events of ``st.oracle`` within 1e-6 of
     the plane (there are some only at lam = 0 and lam = 1/(2 kappa)), then,
     along each root branch of the eliminated quadratic in mu^2, the roots
     of ell(a) - ell_target on the oracle's grid (_branch_crossings), whose
-    grid values are the stratum's ell less ell_target; points below the tip
-    are dropped.  Returns ("numeric-oracle", lam, mu, ell, a, h) tuples.
+    grid values are the stratum's ell array less ell_target; points below
+    the tip are dropped.  Each plane's rows are ("numeric-oracle", lam, mu,
+    ell, a, h) tuples.
     """
     lam, kappa = st.lam, st.kappa
     events, grid, ells = st.oracle
-    rows = [("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h)
-            for ev in events if abs(ev.ell - ell_target) <= 1e-6]
+    planes = []
+    for ell_target in ell_targets:
+        rows = [("numeric-oracle", ev.lam, ev.mu, ev.ell, ev.a, ev.h)
+                for ev in events if abs(ev.ell - ell_target) <= 1e-6]
 
-    def off_plane(a, m):
-        return _ell_from_mu2(a, m, lam, kappa) - ell_target
+        def off_plane(a, m):
+            return _ell_from_mu2(a, m, lam, kappa) - ell_target
 
-    values = [[ell - ell_target for ell in branch] for branch in ells]
-    for a, m in _branch_crossings(grid, values, off_plane, lam, kappa):
-        ell, h = _ell_from_mu2(a, m, lam, kappa), _h_from_mu2(a, m, lam, kappa)
-        for sgn in _mu_signs(m):
-            mu = sgn * math.sqrt(m)
-            if a < max(abs(mu), ell) - 1e-10:
-                continue
-            rows.append(("numeric-oracle", lam, mu, ell, a, h))
-    return rows
+        for a, m in _branch_crossings(grid, ells - ell_target, off_plane,
+                                      lam, kappa):
+            ell, h = _ell_from_mu2(a, m, lam, kappa), _h_from_mu2(a, m, lam, kappa)
+            for sgn in _mu_signs(m):
+                mu = sgn * math.sqrt(m)
+                if a < max(abs(mu), ell) - 1e-10:
+                    continue
+                rows.append(("numeric-oracle", lam, mu, ell, a, h))
+        planes.append(rows)
+    return planes
 
 
 def _events_lambda_zero(kappa: float) -> list[BifurcationEvent]:
@@ -1091,7 +1171,7 @@ def _events_lambda_half(kappa: float, n_grid: int) -> list[BifurcationEvent]:
     # sheet mu^2 = 2 kappa^2 a^3 on [0, a_c] (so with its Hopf end point a = 0)
     points = [_cusp3_point(float(mu), kappa) for mu in np.linspace(-a_c, a_c, n)]
     for a in np.linspace(0.0, a_c, n):
-        pt = _cs_point_lambda_half("CS2", float(a), kappa)
+        pt = _cs_point("CS2", lam, float(a), 1, kappa)
         points += [replace(pt, mu=sgn * pt.mu) for sgn in _mu_signs(pt.mu * pt.mu)]
     events = []
     for pt in points:

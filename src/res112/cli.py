@@ -31,14 +31,6 @@ from .reduced_dynamics import ReducedParams
 FMT = "%.17g"
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return FMT % x
-    return str(x)
-
-
 def _write_rows(path, header, rows, fmt):
     """Write rows as CSV or JSON-lines with deterministic float formatting."""
     try:
@@ -46,7 +38,9 @@ def _write_rows(path, header, rows, fmt):
             if fmt == "csv":
                 fh.write(",".join(header) + "\n")
                 for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                    fh.write(",".join([FMT % v if isinstance(v, float)
+                                       else "" if v is None else str(v)
+                                       for v in row]) + "\n")
             else:
                 for row in rows:
                     obj = {k: (FMT % v if isinstance(v, float) else v)
@@ -126,10 +120,10 @@ def bifdiag(kappa, ell, lambda_window, grid, oracle, surface, fmt, out):
     rows = []
     for lam in lam_grid:
         st = LambdaStratum(float(lam), kappa)
-        for ell_t in ells:
-            found = catalog_slice(st, ell_t)
-            if oracle:
-                found += oracle_slice(st, ell_t)
+        planes = catalog_slice(st, ells)
+        if oracle:
+            planes = [cat + ora for cat, ora in zip(planes, oracle_slice(st, ells))]
+        for ell_t, found in zip(ells, planes):
             rows += [(fam, ell_t, *rest) for fam, *rest in found]
     for ell_t in ells:
         found = hopf_cusp_slice(ell_t, kappa, lo, hi)

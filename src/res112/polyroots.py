@@ -6,9 +6,10 @@ descending, as ``np.roots`` takes them, and every result has the bits of
 the numpy polynomial routine it stands for:
 
 * ``roots`` builds the companion matrix exactly as ``np.roots`` does and
-  hands it to ``np.linalg.eigvals``; ``real_roots_many`` stacks those
+  hands it to ``np.linalg.eigvals``; ``roots_many`` stacks those
   matrices for many coefficient rows into one ``eigvals`` call, whose
-  eigenvalues have the bits of the one-matrix calls;
+  eigenvalues have the bits of the one-matrix calls, and
+  ``real_roots_many`` keeps their real parts;
 * ``polyval`` is Horner's rule on Python floats, the same IEEE operations
   in the same order as ``np.polyval``;
 * ``polyder``, ``polymul`` and ``polysub`` are ``np.polyder``,
@@ -59,24 +60,21 @@ def real_roots(coeffs, imag_rtol: float) -> tuple[list[float], float]:
     """Sorted real parts of the roots whose imaginary part is at most
     ``imag_rtol`` times the root scale 1 + max |root|, and that scale (1.0
     for a constant polynomial)."""
-    found = roots(coeffs)
-    if not found.size:
-        return [], 1.0
-    return _real_parts(found.tolist(), 1.0 + float(abs(found).max()), imag_rtol)
+    return _real_parts(roots(coeffs), imag_rtol)
 
 
-def real_roots_many(rows, imag_rtol: float) -> list:
-    """``real_roots`` of each coefficient row, with one eigenvalue solve
-    per group of rows.
+def roots_many(rows) -> list:
+    """``roots`` of each coefficient row, with one eigenvalue solve per
+    group of rows.
 
     Rows are grouped by their length and the span of their nonzero
     coefficients, so that leading and trailing zeros act as in ``roots``.
     A group's companion matrices, laid out as ``roots`` lays them out, go
     to ``np.linalg.eigvals`` as one (N, n, n) stack; a group of one row
-    takes ``roots`` itself.  Entry i is the (roots, scale) pair of
-    ``real_roots(rows[i], imag_rtol)``, or the ``np.linalg.LinAlgError``
-    that solving that row raises: a group whose stacked solve raises is
-    solved again row by row, so the error stays with its own row.
+    takes ``roots`` itself.  Entry i is the array ``roots(rows[i])``
+    returns, with its bits, or the ``np.linalg.LinAlgError`` that solving
+    that row raises: a group whose stacked solve raises is solved again
+    row by row, so the error stays with its own row.
     """
     rows = [[float(c) for c in row] for row in rows]
     groups: dict[tuple, list[int]] = {}
@@ -90,20 +88,26 @@ def real_roots_many(rows, imag_rtol: float) -> list:
             except np.linalg.LinAlgError:
                 pass  # find the row that raises
             else:
-                if found.shape[1]:
-                    scales = (1.0 + abs(found).max(axis=1)).tolist()
-                    for i, row, scale in zip(idx, found.tolist(), scales):
-                        out[i] = _real_parts(row, scale, imag_rtol)
-                else:
-                    for i in idx:
-                        out[i] = [], 1.0
+                # one matrix's eigvals are real when all its eigenvalues are
+                real = (~found.imag.any(axis=1)).tolist()
+                for i, row, is_real in zip(idx, found, real):
+                    out[i] = row.real if is_real else row
                 continue
         for i in idx:
             try:
-                out[i] = real_roots(rows[i], imag_rtol)
+                out[i] = roots(rows[i])
             except np.linalg.LinAlgError as exc:
                 out[i] = exc
     return out
+
+
+def real_roots_many(rows, imag_rtol: float) -> list:
+    """``real_roots`` of each coefficient row: ``roots_many``, then the
+    real parts of each row's roots.  Entry i is the (roots, scale) pair of
+    ``real_roots(rows[i], imag_rtol)``, or the ``np.linalg.LinAlgError``
+    that solving that row raises."""
+    return [found if isinstance(found, np.linalg.LinAlgError)
+            else _real_parts(found, imag_rtol) for found in roots_many(rows)]
 
 
 def _nonzero_span(p) -> tuple[int, int] | None:
@@ -133,13 +137,16 @@ def _stacked_roots(rows, length: int, span: tuple[int, int] | None) -> np.ndarra
     return found
 
 
-def _real_parts(found: list, scale: float,
-                imag_rtol: float) -> tuple[list[float], float]:
+def _real_parts(found: np.ndarray, imag_rtol: float) -> tuple[list[float], float]:
     """The step ``real_roots`` and ``real_roots_many`` share: the sorted
     real parts of the roots whose imaginary part is at most ``imag_rtol``
-    times the root scale, and that scale."""
+    times the root scale 1 + max |root|, and that scale (1.0 without
+    roots)."""
+    if not found.size:
+        return [], 1.0
+    scale = 1.0 + float(abs(found).max())
     tol = imag_rtol * scale
-    return sorted(z.real for z in found if abs(z.imag) <= tol), scale
+    return sorted(z.real for z in found.tolist() if abs(z.imag) <= tol), scale
 
 
 def polyval(coeffs, x: float) -> float:

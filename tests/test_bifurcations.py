@@ -18,7 +18,7 @@ from res112 import (AmbiguousClassificationError, BifurcationKind,
                     kappa_scaling, oracle_slice, r_min,
                     solve_bifurcations_numeric)
 from res112 import bifurcations
-from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_probe,
+from res112.bifurcations import (_TWO_SIGN_FAMILIES, _cs_point,
                                  _discriminant_core, _ell_from_mu2,
                                  _ell_slope, _mu2_branches, a_quadruple,
                                  a_sub_boundary, a_sup_boundary,
@@ -468,12 +468,12 @@ def _draw(region, rng):
     return float(x / kappa), kappa
 
 
-# worst relative error over the draws of each region, measured over seeds
-# 0..3 and 2718 of 100 draws: 5.4e-16 (generic), 5.3e-16 (lam -> 0),
-# 3.5e-16 (kappa lam down to -1e100, next to the triple root
+# worst relative error of a0_root over the draws of each region, measured
+# over seeds 0..3 and 2718 of 100 draws: 5.3e-16 (generic), 5.3e-16
+# (lam -> 0), 3.4e-16 (kappa lam down to -1e100, next to the triple root
 # a = -lam/kappa), 4.9e-16 (kappa lam within 1e-12 of 1/2, a triple root),
-# 2.9e-16 (within 1e-12 of 1), 1.7e-16 (kappa = 0), 1.8e-16
-# (kappa = 1e-150)
+# 3.1e-16 (within 1e-12 of 1), 1.7e-16 (kappa = 0), 1.8e-16
+# (kappa = 1e-150); a_sub_boundary's is at most 3.3e-16
 SHADOW_BUDGET = {"generic": 2e-15, "lam->0": 2e-15, "far": 2e-15,
                  "half": 2e-15, "one": 1e-15, "kappa0": 1e-15,
                  "kappa1e-150": 1e-15}
@@ -481,25 +481,60 @@ SHADOW_BUDGET = {"generic": 2e-15, "lam->0": 2e-15, "far": 2e-15,
 
 @pytest.mark.parametrize("region", list(SHADOW_BUDGET))
 def test_range_ends_match_the_50_digit_shadow(region):
-    # Both closed forms see kappa only through the rounded product kappa lam
-    # (and lam through lam^2), so they are held to the exact values at
-    # kappa~ = fl(kappa lam)/lam: next to the triple root kappa lam = 1/2 and
-    # next to kappa lam = 1 that rounding alone moves a0 by up to about 1e-7
-    # and 1e-16/(1 - kappa lam) relative, whatever the formula
+    # Both closed forms are held to the exact values at the float inputs:
+    # they take kappa lam as an exact two-float product, so its rounding,
+    # which alone moves a0 by up to about 1e-7 next to the triple root
+    # kappa lam = 1/2 and 1e-16/(1 - kappa lam) next to kappa lam = 1,
+    # does not enter
     rng = np.random.default_rng(2718)
     budget = SHADOW_BUDGET[region]
     for _ in range(100):
         lam, kappa = _draw(region, rng)
         if lam == 0.0 or kappa * lam >= 1.0:
             continue
-        with mp.workdps(60):
-            k_eff = mp.mpf(kappa * lam) / mp.mpf(lam)
-        exact = a0_shadow(lam, k_eff)
+        exact = a0_shadow(lam, kappa)
         assert abs(a0_root(lam, kappa) - exact) <= budget * exact, (lam, kappa)
-        if kappa * lam <= 0.5:
-            exact = a_sub_shadow(lam, k_eff)
+        with mp.workdps(60):
+            below_half = mp.mpf(kappa) * mp.mpf(lam) <= 0.5
+        if below_half:
+            exact = a_sub_shadow(lam, kappa)
             assert abs(a_sub_boundary(lam, kappa) - exact) <= budget * exact, \
                 (lam, kappa)
+
+
+def test_exact_product_carries_the_rounding_of_kappa_lam():
+    rng = np.random.default_rng(33)
+    for _ in range(500):
+        x, y = (float(rng.uniform(-3.0, 3.0) * 10.0 ** rng.integers(-100, 100))
+                for _ in range(2))
+        s, e = bifurcations._exact_product(x, y)
+        assert s == x * y
+        with mp.workdps(2200):
+            assert mp.mpf(s) + mp.mpf(e) == mp.mpf(x) * mp.mpf(y), (x, y)
+    # a power-of-two kappa makes kappa lam exact: e = 0, so the range ends
+    # keep the bits of the plain product
+    for kappa in (0.5, 1.0, 2.0):
+        for lam in rng.uniform(-3.0, 1.0, 50).tolist():
+            assert bifurcations._exact_product(kappa, lam) == (kappa * lam, 0.0)
+            if kappa * lam <= 0.5:
+                assert a_sub_boundary(lam, kappa) == lam * lam / (
+                    1.0 - kappa * lam + math.sqrt(1.0 - 2.0 * kappa * lam))
+
+
+@pytest.mark.parametrize("kappa,lam", [
+    (0.7, -1e308), (3e300, 1e-301), (1.7e308, -0.5), (0.7, -2e300),
+    (3e301, 1e-302)])
+def test_range_ends_near_the_float_limit_are_never_nan(kappa, lam):
+    # where 134217729 x overflows, the split is NaN; the product then keeps
+    # e = 0, and the range ends stay finite or take their usual exits
+    s, e = bifurcations._exact_product(kappa, lam)
+    assert s == kappa * lam and e == e
+    for end in (a_sub_boundary, a_sup_boundary, a0_root):
+        try:
+            value = end(lam, kappa)
+        except (OverflowError, ValueError, Res112Error):
+            continue
+        assert not math.isnan(value), end
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +916,14 @@ def test_surface_and_hopf_cusp_slice_ask_only_for_present_families(monkeypatch):
 # centre-saddle points on a plane ell = const
 # ---------------------------------------------------------------------------
 
+def _probe(family, lam, a, sign, kappa, lo, hi):
+    """catalog_point of a centre-saddle family with its family_domain
+    interval (lo, hi) already known: ValidationError outside it."""
+    if not lo < a < hi:
+        raise ValidationError(f"{family} needs {lo} < a < {hi}")
+    return _cs_point(family, lam, a, sign, kappa)
+
+
 def _catalog_slice_scan_oracle(lam, ell_target, kappa):
     """catalog_slice by the numeric route the slice quartic replaced: each
     family's family_domain interval, padded by 1e-9 of its width, is scanned
@@ -894,7 +937,7 @@ def _catalog_slice_scan_oracle(lam, ell_target, kappa):
         grid = np.linspace(lo + pad, hi - pad, 65)
         for sign in ((1, -1) if family in _TWO_SIGN_FAMILIES else (1,)):
             def dell(a):
-                return _cs_probe(family, lam, a, sign, kappa, lo, hi).ell - ell_target
+                return _probe(family, lam, a, sign, kappa, lo, hi).ell - ell_target
             vals = []
             for a in grid:
                 try:
@@ -906,7 +949,7 @@ def _catalog_slice_scan_oracle(lam, ell_target, kappa):
                 if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
                     continue
                 a_star = brentq(dell, grid[i], grid[i + 1], xtol=1e-13)
-                pt = _cs_probe(family, lam, a_star, sign, kappa, lo, hi)
+                pt = _probe(family, lam, a_star, sign, kappa, lo, hi)
                 rows.append((family, lam, pt.mu, pt.ell, a_star, pt.h))
     return rows
 
@@ -949,7 +992,7 @@ def _random_slices(kappa, n, seed):
         family, (lo, hi) = domains[rng.integers(len(domains))]
         sign = int(rng.choice((1, -1)))
         try:
-            pt = _cs_probe(family, lam, float(rng.uniform(lo, hi)), sign, kappa, lo, hi)
+            pt = _probe(family, lam, float(rng.uniform(lo, hi)), sign, kappa, lo, hi)
         except Res112Error:
             continue
         out.append((lam, pt.ell))
@@ -963,7 +1006,7 @@ def _by_family_sign_a(rows):
 @pytest.mark.parametrize("kappa", [0.0, 0.7, 1.0, 2.0])
 def test_catalog_slice_matches_scan_oracle(kappa):
     for lam, ell in _random_slices(kappa, 300, seed=2718 + int(10 * kappa)):
-        got = _by_family_sign_a(catalog_slice(LambdaStratum(lam, kappa), ell))
+        got = _by_family_sign_a(catalog_slice(LambdaStratum(lam, kappa), [ell])[0])
         want = _by_family_sign_a(_catalog_slice_scan_oracle(lam, ell, kappa))
         assert [(r[0], math.copysign(1.0, r[2])) for r in got] == \
             [(r[0], math.copysign(1.0, r[2])) for r in want], (kappa, lam, ell)
@@ -982,7 +1025,7 @@ def test_catalog_slice_matches_scan_oracle(kappa):
     (1.0, 0.9996995197013803, -0.9993990066788995, ["CS1", "CS2", "CS4", "CS4"]),
 ])
 def test_catalog_slice_matches_scan_oracle_at_hard_planes(kappa, lam, ell, families):
-    got = _by_family_sign_a(catalog_slice(LambdaStratum(lam, kappa), ell))
+    got = _by_family_sign_a(catalog_slice(LambdaStratum(lam, kappa), [ell])[0])
     want = _by_family_sign_a(_catalog_slice_scan_oracle(lam, ell, kappa))
     assert [r[0] for r in got] == [r[0] for r in want] == families
     for g, w in zip(got, want):
@@ -995,7 +1038,7 @@ def test_catalog_slice_rows_are_triple_roots_on_their_plane(kappa):
     n_rows = 0
     for lam, ell in _random_slices(kappa, 600, seed=1618 + int(10 * kappa)):
         st = LambdaStratum(lam, kappa)
-        for fam, lam_r, mu, ell_r, a, h in catalog_slice(st, ell):
+        for fam, lam_r, mu, ell_r, a, h in catalog_slice(st, [ell])[0]:
             n_rows += 1
             assert lam_r == lam and abs(ell_r - ell) <= 1e-9
             cas = CasimirValues(mu, ell_r)
@@ -1011,7 +1054,7 @@ def test_catalog_slice_through_the_cusp():
     # scan reports a CS1/CS2 pair at the padded end a = hi - pad, the
     # quartic's split pair is complex, and hopf_cusp_slice owns the point
     lam, ell = 0.625, -0.125
-    assert catalog_slice(LambdaStratum(lam, 1.0), ell) == []
+    assert catalog_slice(LambdaStratum(lam, 1.0), [ell])[0] == []
     scan = _catalog_slice_scan_oracle(lam, ell, 1.0)
     assert [r[0] for r in scan] == ["CS1", "CS2"]
     assert all(r[4] == pytest.approx(0.375 - 3.75e-10, abs=1e-15) for r in scan)
@@ -1028,7 +1071,7 @@ def test_catalog_slice_root_at_the_cs4_domain_end():
     lam, ell = 0.5625, 0.0
     lo, hi = family_domain("CS4", lam, 1.0)
     assert abs(hi - 0.5625) <= 2e-16
-    rows = catalog_slice(LambdaStratum(lam, 1.0), ell)
+    rows = catalog_slice(LambdaStratum(lam, 1.0), [ell])[0]
     assert [r[0] for r in rows] == ["CS1", "CS2"]
     assert [r[0] for r in _catalog_slice_scan_oracle(lam, ell, 1.0)] == ["CS1", "CS2"]
     assert rows[0][4] == pytest.approx(0.27441317200313, abs=1e-13)
@@ -1036,16 +1079,37 @@ def test_catalog_slice_root_at_the_cs4_domain_end():
 
 def test_catalog_slice_is_empty_where_there_are_no_interior_points():
     for kappa in (0.0, 1.0, 2.0):
-        assert catalog_slice(LambdaStratum(0.0, kappa), 0.1) == []
+        assert catalog_slice(LambdaStratum(0.0, kappa), [0.1])[0] == []
     # exactly at lam = 1/(2 kappa) the rows are those one ulp below
     below = [r[:1] + r[2:] for r in
-             catalog_slice(LambdaStratum(np.nextafter(0.5, 0.0), 1.0), 0.0)]
-    assert [r[:1] + r[2:] for r in catalog_slice(LambdaStratum(0.5, 1.0), 0.0)] == below != []
+             catalog_slice(LambdaStratum(np.nextafter(0.5, 0.0), 1.0), [0.0])[0]]
+    assert [r[:1] + r[2:] for r in catalog_slice(LambdaStratum(0.5, 1.0), [0.0])[0]] == below != []
     # one ulp below, the boundary formula's root is a = (4 kappa^2 ell + 1)/(6 kappa^2)
     lam = float(np.nextafter(0.25, 0.0))
-    rows = catalog_slice(LambdaStratum(lam, 2.0), 0.0)
+    rows = catalog_slice(LambdaStratum(lam, 2.0), [0.0])[0]
     assert [r[0] for r in rows] == ["CS1", "CS2"]
     assert all(r[4] == pytest.approx(1.0 / 24.0, abs=1e-16) for r in rows)
+
+
+@pytest.mark.parametrize("kappa,lam", [
+    (1.0, -0.7), (1.0, 0.0), (1.0, 0.5), (1.0, 0.75), (0.7, 0.3),
+    (0.7, 0.5 / 0.7), (0.0, -0.9), (0.0, 0.0), (2.0, -0.4), (2.0, 0.25),
+    (2.0, 0.3)])
+def test_slices_of_many_planes_are_the_one_plane_slices(kappa, lam):
+    # one call for all planes of a lam returns, plane by plane, exactly the
+    # rows of a one-plane call, whatever the planes share (repeated planes,
+    # ell = 0, whose quartic has another nonzero span, planes with no rows,
+    # a plane through the middle of each centre-saddle family)
+    st = LambdaStratum(lam, kappa)
+    ells = [-1.25, -0.125, 0.0, 0.125, 0.3125, 0.75, -0.125, 1e-3, -2.5]
+    ells += [_cs_point(family, lam, 0.5 * (lo + hi), 1, kappa).ell
+             for family, (lo, hi) in st.domains.items()]
+    for route in (catalog_slice, oracle_slice):
+        many = route(st, ells)
+        assert len(many) == len(ells)
+        assert many == [route(LambdaStratum(lam, kappa), [ell])[0] for ell in ells]
+        assert route(st, []) == []
+    assert all(catalog_slice(st, ells)[9:])
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
@@ -1065,9 +1129,9 @@ def test_oracle_slice_matches_catalog_slice(kappa):
             if abs(lam - 0.5 / kappa) < 1e-12:
                 continue
             st = LambdaStratum(lam, kappa)
-            cat = catalog_slice(st, ell)
+            cat = catalog_slice(st, [ell])[0]
             known = cat + hopf_cusp_slice(ell, kappa, lam, lam)
-            rows = oracle_slice(st, ell)
+            rows = oracle_slice(st, [ell])[0]
             n_rows += len(cat)
             for r in cat:
                 assert any(near(r, o) for o in rows), (kappa, lam, ell, r)
@@ -1075,6 +1139,31 @@ def test_oracle_slice_matches_catalog_slice(kappa):
                 origin = lam == 0.0 and o[2:5] == (0.0, 0.0, 0.0)
                 assert origin or any(near(o, r) for r in known), (kappa, lam, ell, o)
     assert n_rows > 150
+
+
+def test_branch_crossings_array_scan_matches_the_loop(monkeypatch):
+    # the brackets the array scan hands to brentq are the strict sign
+    # changes between neighbours that a loop over the values finds, branch
+    # by branch in grid order; zeros, -0.0, NaN and inf give none
+    brackets = []
+
+    def record(f, xa, xb, xtol):
+        brackets.append((xa, xb))
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(bifurcations.polyroots, "brentq", record)
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        n = int(rng.integers(0, 12))
+        grid = sorted(rng.uniform(0.0, 2.0, n).tolist())
+        values = rng.choice([-2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0, math.nan,
+                             math.inf, -math.inf], size=(2, n))
+        want = [(grid[i], grid[i + 1]) for row in values.tolist()
+                for i in range(n - 1)
+                if row[i] < 0.0 < row[i + 1] or row[i + 1] < 0.0 < row[i]]
+        brackets.clear()
+        bifurcations._branch_crossings(grid, values, None, 0.3, 1.0)
+        assert brackets == want
 
 
 def test_oracle_slice_reads_the_stratum_branch_values(monkeypatch):
@@ -1086,7 +1175,7 @@ def test_oracle_slice_reads_the_stratum_branch_values(monkeypatch):
     real = bifurcations._ell_from_mu2
     monkeypatch.setattr(bifurcations, "_ell_from_mu2",
                         lambda *args: calls.append(args) or real(*args))
-    assert oracle_slice(st, 0.75) == []
+    assert oracle_slice(st, [0.75])[0] == []
     assert calls == []
-    assert len(oracle_slice(st, 0.125)) == 2
+    assert len(oracle_slice(st, [0.125])[0]) == 2
     assert 0 < len(calls) < 20

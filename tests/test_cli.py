@@ -203,6 +203,21 @@ def test_bifdiag_no_oracle_runs_no_solver(tmp_path, runner, monkeypatch):
     assert solves == branches == []
 
 
+def test_bifdiag_solves_all_slice_quartics_of_a_lambda_at_once(tmp_path, runner,
+                                                              monkeypatch):
+    # the slice quartics of every plane at one lam go to one stacked
+    # eigenvalue call, and the catalog makes no other
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(np.shape(a)) or eigvals(a))
+    res = runner.invoke(cli, ["bifdiag", "--ell", "0.125,-0.5,0.3,-1.25", "--grid",
+                              "9", "--no-surface", "--out", str(tmp_path / "bd")],
+                        catch_exceptions=False)
+    assert res.exit_code == 0
+    assert calls == [(4, 4, 4)] * 9
+
+
 def test_bifdiag_rejects_negative_kappa(tmp_path, runner):
     res = runner.invoke(cli, ["bifdiag", "--kappa", "-1", "--ell", "0",
                               "--grid", "5", "--no-surface",

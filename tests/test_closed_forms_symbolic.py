@@ -55,6 +55,10 @@ def test_hopf_boundaries_are_the_instability_roots(monkeypatch):
     # the C23/C13 tip at r is unstable iff (lam + kappa r)^2 < 2 r; the
     # unstable span ends at the two roots of that quadratic
     exact_sqrt(monkeypatch)
+    # 1 - kappa lam and 1 - 2 kappa lam, which the library forms from the
+    # exact float product kappa lam (its accuracy is the shadow test's)
+    monkeypatch.setattr(bifurcations, "_one_minus_kappa_lam",
+                        lambda lam, k: (1 - k * lam, 1 - 2 * k * lam))
     r_sub = exact(a_sub_boundary(lam, k))
     r_sup = exact(a_sup_boundary(lam, k))
     for r in (r_sub, r_sup):
@@ -94,8 +98,11 @@ def test_centre_saddle_at_lambda_half_is_a_triple_root(monkeypatch):
     # sheets continue onto mu^2 = 2 kappa^2 a^3, where F = (kappa^2/4)
     # (R - a)^3 (R - b): a triple root a and the simple root b
     exact_sqrt(monkeypatch)
+    # a symbolic kappa cannot be compared, so the band test is taken as met
+    monkeypatch.setattr(bifurcations, "_at_lambda_half", lambda lam, k: True)
     for family in ("CS1", "CS2"):
-        pt = bifurcations._cs_point_lambda_half(family, a, k)
+        pt = bifurcations._cs_point(family, 1 / (2 * k), a, 1, k)
+        assert pt.boundary
         F = quartic_in_R(exact(pt.h), exact(pt.ell), pt.mu, exact(pt.lam))
         b = exact(pt.b)
         assert sp.simplify(F - k ** 2 / 4 * (R - a) ** 3 * (R - b)) == 0

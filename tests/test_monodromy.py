@@ -233,10 +233,20 @@ def test_loop_through_hyperbolic_face_rejected():
     loop = _planar_loop(0.0, -0.4, 0.0, 2.5 * abs(h_fh), squeeze_mu=0.2)
     with pytest.raises(LoopError, match="crossed a hyperbolic face"):
         monodromy_vector(loop, params)
-    # same at small positive detuning, where the island sits above the crease
+    # at small positive detuning, where the island sits above the crease,
+    # the loop is refused too, but before the face: the period quadrature
+    # does not converge next to it (test_face_loop_at_small_positive_detuning)
     params2 = ModelParams(delta=0.3, kappa=1.0)
     with pytest.raises(LoopError):
         monodromy_vector(_planar_loop(0.0, -0.03, 0.0, 0.004), params2)
+
+
+@pytest.mark.xfail(strict=True, reason="item 18: the period integrals do not "
+                   "converge at 16384 nodes before the loop reaches the face")
+def test_face_loop_at_small_positive_detuning():
+    with pytest.raises(LoopError, match="crossed a hyperbolic face"):
+        monodromy_vector(_planar_loop(0.0, -0.03, 0.0, 0.004),
+                         ModelParams(delta=0.3, kappa=1.0))
 
 
 def test_large_detuning_only_gamma3():

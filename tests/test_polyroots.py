@@ -97,6 +97,35 @@ def _random_rows(rng, n):
     return rows
 
 
+def _array_bits(found):
+    """dtype, shape and bits of a root array, or the message of the error."""
+    if isinstance(found, np.linalg.LinAlgError):
+        return str(found)
+    return found.dtype, found.shape, found.tobytes()
+
+
+def test_stacked_roots_match_roots():
+    # mixed lengths and spans, leading and trailing zeros, all-zero,
+    # constant and pure-power rows, and a row whose solve raises
+    rows = _random_rows(np.random.default_rng(20261021), 3000)
+    rows += [[1.0, math.inf, 0.5, 1.0, -0.3], [2.0, math.nan, 0.5, 1.0, -0.3],
+             [0.0] * 3, [1.0, 2.0], [1.0, 2.0]]
+
+    def one(row):
+        try:
+            return polyroots.roots(row)
+        except np.linalg.LinAlgError as exc:
+            return exc
+
+    many = polyroots.roots_many(rows)
+    assert isinstance(many[-5], np.linalg.LinAlgError)
+    assert [_array_bits(r) for r in many] == [_array_bits(one(row)) for row in rows]
+    # an all-real row in a group with complex roots keeps its own real dtype
+    real, cplx = [1.0, -3.0, 2.0], [1.0, 0.0, 1.0]
+    assert [r.dtype for r in polyroots.roots_many([real, cplx])] == \
+        [np.dtype(float), np.dtype(complex)]
+
+
 def test_stacked_real_roots_match_real_roots():
     rows = _random_rows(np.random.default_rng(20261020), 12_000)
     many = polyroots.real_roots_many(rows, imag_rtol=1e-7)
@@ -220,7 +249,7 @@ def test_brentq_matches_scipy_on_the_oracle_brackets(monkeypatch):
             solve_bifurcations_numeric(float(lam), kappa, n_grid=201)
             stratum = LambdaStratum(float(lam), kappa)
             for ell in (-1.25, -0.125, 0.0, 0.125, 0.3125, 0.75):
-                oracle_slice(stratum, ell)
+                oracle_slice(stratum, [ell])[0]
     assert len(outcomes) > 150
 
 
