@@ -16,10 +16,10 @@ from .bifurcations import (BifurcationEvent, BifurcationKind, CatalogPoint,
                            families_at, family_domain, hopf_cusp_slice,
                            instability_interval, oracle_slice,
                            solve_bifurcations_numeric)
-from .critical_values import (ComponentDescriptor, CriticalSlice, FiberKind,
-                              FiberReport, SliceNode, ThreadSegments,
-                              classify_fiber, classify_fibers, crease_span,
-                              critical_slice, thread_segments)
+from .critical_values import (ComponentDescriptor, FiberKind, FiberReport,
+                              SliceNode, ThreadSegments, classify_fiber,
+                              classify_fibers, crease_span, critical_slice,
+                              thread_segments)
 from .monodromy import (MonodromyMatrix, MonodromyResult, MonodromyVector,
                         RotationData, generator_loop, monodromy_vector,
                         rotation_numbers, to_matrix)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import polyroots
 from .errors import (AmbiguousClassificationError, Res112Error,
-                     UnsupportedRegimeError, ValidationError)
+                     UnsupportedRegimeError, ValidationError, raised)
 from .model import CasimirValues
 from .reduced_dynamics import ReducedParams, tip_energy
 from .reduced_space import r_min, tip_class
@@ -307,9 +307,11 @@ def a_sub_boundary(lam: float, kappa: float) -> float:
     lam^2/(1 - kappa lam + sqrt(1 - 2 kappa lam)); lam^2/2 at kappa = 0.
     1 - kappa lam and 1 - 2 kappa lam see the exact product kappa lam
     (_one_minus_kappa_lam), so they keep their digits next to
-    kappa lam = 1/2 for every kappa."""
+    kappa lam = 1/2 for every kappa.  Where lam^2 overflows, the boundary
+    (about |lam|) is (lam / D) lam instead."""
     t, d = _one_minus_kappa_lam(lam, kappa)
-    return lam * lam / (t + math.sqrt(d))
+    den, sq = t + math.sqrt(d), lam * lam
+    return sq / den if sq != math.inf else lam / den * lam
 
 
 def a_sup_boundary(lam: float, kappa: float) -> float:
@@ -730,8 +732,9 @@ def catalog_slice(st: LambdaStratum, ell_targets) -> list[list[tuple]]:
     its width at each end, its last Newton step is below 1e-6 of that
     width, and its ell lies within 1e-9 max(1, |ell_target|) of the plane.
     lam = 0 gives no rows.  Each plane's rows are (family, lam, mu, ell, a,
-    h) tuples in family, sign and a order.  Raises the
-    np.linalg.LinAlgError of the first plane whose quartic solve fails.
+    h) tuples in family, sign and a order.  Raises OverflowError where a
+    slice quartic coefficient is not finite, and the exception of the first
+    plane whose quartic solve fails.
     """
     lam, kappa = st.lam, st.kappa
     steps = 0
@@ -741,12 +744,12 @@ def catalog_slice(st: LambdaStratum, ell_targets) -> list[list[tuple]]:
         starts = [[(4.0 * kappa ** 2 * ell + 1.0) / (6.0 * kappa ** 2)]
                   for ell in ell_targets]
     else:
-        starts = []
-        for roots in polyroots.roots_many(
-                [_slice_quartic_coeffs(lam, ell, kappa) for ell in ell_targets]):
-            if isinstance(roots, np.linalg.LinAlgError):
-                raise roots
-            starts.append(sorted(set(roots.real.tolist())))
+        quartics = [_slice_quartic_coeffs(lam, ell, kappa) for ell in ell_targets]
+        if not np.isfinite(quartics).all():
+            raise OverflowError(f"a slice quartic at lam = {lam}, kappa = "
+                                f"{kappa} has a coefficient that is not finite")
+        starts = [sorted(set(raised(roots).real.tolist()))
+                  for roots in polyroots.roots_many(quartics)]
         steps = 2
     planes = []
     for ell_target, plane_starts in zip(ell_targets, starts):

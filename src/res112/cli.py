@@ -33,25 +33,18 @@ FMT = "%.17g"
 
 def _write_rows(path, header, rows, fmt):
     """Write rows as CSV or JSON-lines with deterministic float formatting."""
-    try:
-        with open(path, "w", newline="\n") as fh:
-            if fmt == "csv":
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join([FMT % v if isinstance(v, float)
-                                       else "" if v is None else str(v)
-                                       for v in row]) + "\n")
-            else:
-                for row in rows:
-                    obj = {k: (FMT % v if isinstance(v, float) else v)
-                           for k, v in zip(header, row)}
-                    fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}") from exc
-
-
-class IOFailure(Exception):
-    pass
+    with open(path, "w", newline="\n") as fh:
+        if fmt == "csv":
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join([FMT % v if isinstance(v, float)
+                                   else "" if v is None else str(v)
+                                   for v in row]) + "\n")
+        else:
+            for row in rows:
+                obj = {k: (FMT % v if isinstance(v, float) else v)
+                       for k, v in zip(header, row)}
+                fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 @click.group()
@@ -177,7 +170,7 @@ def critvals(delta, lambda1, lambda2, kappa, mu_window, ell_window, grid,
             # lambda differs from node to node when lambda1 or lambda2 is set
             cas = CasimirValues(mu=float(m), ell=float(l))
             nodes += critical_slice(ReducedParams.from_model(params, cas),
-                                    [cas.mu], [cas.ell], validate=validate).nodes
+                                    [cas.mu], [cas.ell], validate=validate)
     nodes.sort(key=lambda nd: (nd.mu, nd.ell))
 
     ext = "csv" if fmt == "csv" else "jsonl"
@@ -353,9 +346,6 @@ def main():
         click.echo(f"validation error: the input overflows a closed form ({exc})",
                    err=True)
         sys.exit(1)
-    except IOFailure as exc:
-        click.echo(f"io error: {exc}", err=True)
-        sys.exit(3)
     except OSError as exc:
         click.echo(f"io error: {exc}", err=True)
         sys.exit(3)

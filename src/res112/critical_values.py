@@ -15,7 +15,7 @@ Reconstruction rules (reduced component -> fiber component):
   open F<0 interval, tip not involved ................ Torus3
   open F<0 interval through a conical tip ............ PinchedTorusTimesT1
   open F<0 interval through the cuspidal tip ......... CuspPinchedT3
-  open F<0 interval closing at a smooth tip .......... Torus3 (through_tip)
+  open F<0 interval closing at a smooth tip .......... Torus3
   two intervals joined by an interior double root .... FigureEightTimesT2
   isolated tangency at a regular point ............... Torus2
   isolated root at a conical tip ..................... Circle (normal mode)
@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NumericalError, UnsupportedRegimeError, ValidationError
+from .errors import (NumericalError, UnsupportedRegimeError, ValidationError,
+                     attempt, batched)
 from .model import CasimirValues
 from .polyroots import real_roots, real_roots_many
 from .bifurcations import (Quartic, a_sub_boundary, a_sup_boundary,
@@ -60,7 +61,6 @@ class FiberKind(Enum):
 class ComponentDescriptor:
     kind: FiberKind
     r_interval: tuple[float, float]
-    through_tip: bool = False
 
 
 @dataclass(frozen=True)
@@ -100,27 +100,17 @@ def classify_fibers(cas_seq, rp_seq, hs) -> list:
 
     Entry i is ``classify_fiber(cas_seq[i], rp_seq[i], hs[i])``, or the
     exception that call raises, so that one bad fiber does not stop the
-    others.  The quartics of all fibers go to ``real_roots_many``; the
-    interval walk runs on each fiber.
+    others: the checks and the interval walk run on each fiber under
+    ``errors.attempt``, and the quartics that pass the checks go to one
+    ``real_roots_many`` call through ``errors.batched``.
     """
-    out: list = []
-    for cas, rp, h in zip(cas_seq, rp_seq, hs, strict=True):
-        try:
-            out.append(_fiber_quartic(cas, rp, h))
-        except Exception as exc:  # noqa: BLE001 - kept as this fiber's result
-            out.append(exc)
-    todo = [i for i, q in enumerate(out) if isinstance(q, Quartic)]
-    found = real_roots_many([out[i].coeffs[::-1] for i in todo],
-                            imag_rtol=FIBER_IMAG_RTOL)
-    for i, roots in zip(todo, found):
-        if isinstance(roots, Exception):
-            out[i] = roots
-            continue
-        try:
-            out[i] = _fiber_report(cas_seq[i], rp_seq[i], hs[i], out[i], *roots)
-        except Exception as exc:  # noqa: BLE001 - kept as this fiber's result
-            out[i] = exc
-    return out
+    fibers = list(zip(cas_seq, rp_seq, hs, strict=True))
+    quartics = [attempt(_fiber_quartic, *fiber) for fiber in fibers]
+    found = batched(lambda valid: real_roots_many(
+        [q.coeffs[::-1] for q in valid], imag_rtol=FIBER_IMAG_RTOL), quartics)
+    return [roots if isinstance(roots, Exception)
+            else attempt(_fiber_report, *fiber, q, *roots)
+            for fiber, q, roots in zip(fibers, quartics, found)]
 
 
 def _fiber_quartic(cas: CasimirValues, rp: ReducedParams, h: float) -> Quartic:
@@ -232,16 +222,14 @@ def _fiber_report(cas: CasimirValues, rp: ReducedParams, h: float, q: Quartic,
             else:
                 kind = FiberKind.TORUS3
             components.append(ComponentDescriptor(
-                kind=kind, r_interval=(left, right),
-                through_tip=starts_at_tip))
+                kind=kind, r_interval=(left, right)))
         else:
             if saddles > 1:
                 flags.append(f"{saddles} saddle junctions in one chain")
             if starts_at_tip and tip.is_singular:
                 flags.append("saddle chain attached to a singular tip")
             components.append(ComponentDescriptor(
-                kind=FiberKind.FIGURE_EIGHT_T2, r_interval=(left, right),
-                through_tip=starts_at_tip))
+                kind=FiberKind.FIGURE_EIGHT_T2, r_interval=(left, right)))
             is_critical = True
         # interior multiple root multiplicities beyond 2 are bifurcation values
         for k in range(i + 1, j + 1):
@@ -271,8 +259,7 @@ def _fiber_report(cas: CasimirValues, rp: ReducedParams, h: float, q: Quartic,
                 flags.append(f"odd-multiplicity isolated root at R~{c:.6g}")
             if m > 2:
                 flags.append(f"root multiplicity {m} at R~{c:.6g} (bifurcation value)")
-        components.append(ComponentDescriptor(
-            kind=kind, r_interval=(c, c), through_tip=at_tip))
+        components.append(ComponentDescriptor(kind=kind, r_interval=(c, c)))
         is_critical = True
 
     components.sort(key=lambda comp: comp.r_interval[0])
@@ -456,16 +443,10 @@ class SliceNode:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CriticalSlice:
-    lam: float
-    kappa: float
-    nodes: tuple[SliceNode, ...]
-
-
 def critical_slice(rp: ReducedParams, mu_values, ell_values,
-                   validate: bool) -> CriticalSlice:
-    """Sample the set of critical values over a (mu, ell)-grid at fixed lam.
+                   validate: bool) -> tuple[SliceNode, ...]:
+    """Sample the set of critical values over a (mu, ell)-grid at fixed lam:
+    one ``SliceNode`` per node, in (mu, ell) order.
 
     Per node: the minimal energy (surface B) plus every other equilibrium
     energy, tagged elliptic (Fe), hyperbolic (Fh), stable tip above B
@@ -479,11 +460,8 @@ def critical_slice(rp: ReducedParams, mu_values, ell_values,
     """
     if rp.kappa <= 0.0:
         raise UnsupportedRegimeError("critical_slice requires kappa > 0")
-    nodes = []
-    for mu in mu_values:
-        for ell in ell_values:
-            nodes.append(_slice_node(float(mu), float(ell), rp, validate))
-    return CriticalSlice(lam=rp.lam, kappa=rp.kappa, nodes=tuple(nodes))
+    return tuple(_slice_node(float(mu), float(ell), rp, validate)
+                 for mu in mu_values for ell in ell_values)
 
 
 def _slice_node(mu: float, ell: float, rp: ReducedParams, validate: bool) -> SliceNode:

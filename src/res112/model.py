@@ -52,10 +52,6 @@ class CasimirValues:
         if not (math.isfinite(self.mu) and math.isfinite(self.ell)):
             raise ValidationError("CasimirValues must be finite")
 
-    @property
-    def iota(self) -> float:
-        return 0.5 * (self.mu + self.ell)
-
 
 def detuning_lambda(params: ModelParams, cas: CasimirValues) -> float:
     """Reduced detuning lambda = delta + lambda1*mu + lambda2*ell."""

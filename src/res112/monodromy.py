@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LoopError, NumericalError, ValidationError
+from .errors import (LoopError, NumericalError, ValidationError, attempt,
+                     batched, raised)
 from .model import CasimirValues, ModelParams
 from .bifurcations import f_quartic
 from .critical_values import FiberKind, classify_fibers, thread_segments
@@ -129,8 +130,8 @@ def rotation_numbers(value: tuple[float, float, float], params: ModelParams,
     """
     _check_tol(tol)
     (tori,) = _regular_tori([value], params)
-    items = [(value, interval) for interval in _raised(tori)]
-    return tuple(map(_raised, _fiber_rotations(items, params, tol)))
+    items = [(value, interval) for interval in raised(tori)]
+    return tuple(map(raised, _fiber_rotations(items, params, tol)))
 
 
 def _check_tol(tol: float) -> None:
@@ -140,40 +141,14 @@ def _check_tol(tol: float) -> None:
             f"quadrature tol must be positive and finite (got {tol})")
 
 
-# Fibers are evaluated in batches.  A fiber whose evaluation fails keeps the
-# exception as its result, which is raised only where that fiber is used.
-
-def _attempt(f, *args):
-    """f(*args), or the exception it raises."""
-    try:
-        return f(*args)
-    except Exception as exc:  # noqa: BLE001 - kept as this fiber's result
-        return exc
-
-
-def _raised(result):
-    """A fiber's result; raises it if it is an exception."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _batched(batch, entries) -> list:
-    """``batch`` applied to the entries that are not exceptions, with the
-    exceptions left in place."""
-    valid = [e for e in entries if not isinstance(e, Exception)]
-    results = iter(batch(valid) if valid else ())
-    return [e if isinstance(e, Exception) else next(results) for e in entries]
-
-
 def _regular_tori(values, params: ModelParams) -> list:
     """For each (mu, iota, h): the sorted torus-component intervals of its
     fiber, or the exception classifying it raised (ValidationError unless
     the value is regular).  All fibers go to one ``classify_fibers`` call."""
-    fibers = [_attempt(_fiber_args, value, params) for value in values]
-    reports = _batched(lambda valid: classify_fibers(*zip(*valid)), fibers)
+    fibers = [attempt(_fiber_args, value, params) for value in values]
+    reports = batched(lambda valid: classify_fibers(*zip(*valid)), fibers)
     return [rep if isinstance(rep, Exception)
-            else _attempt(_torus_intervals, value, rep)
+            else attempt(_torus_intervals, value, rep)
             for value, rep in zip(values, reports)]
 
 
@@ -200,11 +175,11 @@ def _fiber_rotations(items, params: ModelParams, tol: float) -> list:
     ``value`` whose reduced orbit spans ``r_interval``, or the exception
     computing them raised.  The setup of each fiber is scalar; the period
     quadrature runs on all of them together."""
-    setups = [_attempt(_period_setup, value, params, r_interval)
+    setups = [attempt(_period_setup, value, params, r_interval)
               for value, r_interval in items]
-    sums = _batched(lambda valid: _period_integrals(valid, tol), setups)
+    sums = batched(lambda valid: _period_integrals(valid, tol), setups)
     return [res if isinstance(res, Exception)
-            else _attempt(_rotation_data, res, r_interval)
+            else attempt(_rotation_data, res, r_interval)
             for (_, r_interval), res in zip(items, sums)]
 
 
@@ -229,9 +204,7 @@ def _period_setup(value, params: ModelParams,
     """The period-integral terms of the torus over ``value`` whose reduced
     orbit spans ``r_interval``: its turning points, Newton-polished on F,
     the quadratic q and the pole terms."""
-    mu, iota, h = value
-    cas = CasimirValues(mu=mu, ell=2.0 * iota - mu)
-    rp = ReducedParams.from_model(params, cas)
+    cas, rp, h = _fiber_args(value, params)
     f = f_quartic(h, rp, cas)
     desc = f.coeffs[::-1]
     r1, r2 = (newton(desc, r, 4) for r in r_interval)
@@ -440,13 +413,13 @@ def monodromy_vector(loop, params: ModelParams,
         found = tori[key]
         if isinstance(found, ValidationError):
             raise LoopError(f"loop point {p} unusable: {found}") from found
-        return _raised(found)
+        return raised(found)
 
     def eval_point(p, interval):
         rd = rotations[_point_key(p), interval]
         if isinstance(rd, (ValidationError, NumericalError)):
             raise LoopError(f"loop point {p} unusable: {rd}") from rd
-        return _raised(rd)
+        return raised(rd)
 
     evaluate(pts)
     tori0 = tori_at(pts[0])
@@ -459,18 +432,22 @@ def monodromy_vector(loop, params: ModelParams,
     # stack entries: (a, b, depth); depth counts bisections of the original
     # segment so undecidable face crossings terminate
     stack = [(a, b, 0) for a, b in reversed(list(zip(pts[:-1], pts[1:])))]
+
+    def bisect(a, b, depth, why):
+        """Queue both halves of the segment (a, b), or give up at depth 14."""
+        if depth >= 14:
+            raise LoopError(why)
+        mid = tuple(0.5 * (np.asarray(a) + np.asarray(b)))
+        stack.append((mid, b, depth + 1))
+        stack.append((a, mid, depth + 1))
+
     while stack:
         a, b, depth = stack.pop()
         tori_b = tori_at(b)
         try:
             idx_b = _advance_component(prev_tori, prev_idx, tori_b)
         except _NeedRefinement as exc:
-            if depth >= 14:
-                raise LoopError(
-                    f"component tracking undecidable near {b}: {exc}") from exc
-            mid = tuple(0.5 * (np.asarray(a) + np.asarray(b)))
-            stack.append((mid, b, depth + 1))
-            stack.append((a, mid, depth + 1))
+            bisect(a, b, depth, f"component tracking undecidable near {b}: {exc}")
             continue
         rd = eval_point(b, tori_b[idx_b])
         n_eval += 1
@@ -479,11 +456,7 @@ def monodromy_vector(loop, params: ModelParams,
         step = np.array([_wrap_unit(rd.theta_N - prev.theta_N),
                          _wrap_unit(rd.theta_J - prev.theta_J)])
         if np.max(np.abs(step)) > STEP_CAP:
-            if depth >= 14:
-                raise LoopError(f"rotation numbers jump by {step} near {b}")
-            mid = tuple(0.5 * (np.asarray(a) + np.asarray(b)))
-            stack.append((mid, b, depth + 1))
-            stack.append((a, mid, depth + 1))
+            bisect(a, b, depth, f"rotation numbers jump by {step} near {b}")
             continue
         lift = lift + step
         prev, prev_tori, prev_idx = rd, tori_b, idx_b
@@ -650,5 +623,5 @@ def _loop_tori(loop, params: ModelParams) -> dict | None:
     for found in tori.values():
         if isinstance(found, (ValidationError, NumericalError)):
             return None
-        _raised(found)
+        raised(found)
     return tori

@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from .errors import attempt, batched
+
 
 def roots(coeffs) -> np.ndarray:
     """All roots of a polynomial, with the bits and dtype of ``np.roots``.
@@ -72,9 +74,9 @@ def roots_many(rows) -> list:
     A group's companion matrices, laid out as ``roots`` lays them out, go
     to ``np.linalg.eigvals`` as one (N, n, n) stack; a group of one row
     takes ``roots`` itself.  Entry i is the array ``roots(rows[i])``
-    returns, with its bits, or the ``np.linalg.LinAlgError`` that solving
-    that row raises: a group whose stacked solve raises is solved again
-    row by row, so the error stays with its own row.
+    returns, with its bits, or the exception (``np.linalg.LinAlgError``)
+    that solving that row raises: a group whose stacked solve raises is
+    solved again row by row, so the error stays with its own row.
     """
     rows = [[float(c) for c in row] for row in rows]
     groups: dict[tuple, list[int]] = {}
@@ -82,32 +84,26 @@ def roots_many(rows) -> list:
         groups.setdefault((len(p), _nonzero_span(p)), []).append(i)
     out: list = [None] * len(rows)
     for (length, span), idx in groups.items():
-        if len(idx) > 1:
-            try:
-                found = _stacked_roots([rows[i] for i in idx], length, span)
-            except np.linalg.LinAlgError:
-                pass  # find the row that raises
-            else:
-                # one matrix's eigvals are real when all its eigenvalues are
-                real = (~found.imag.any(axis=1)).tolist()
-                for i, row, is_real in zip(idx, found, real):
-                    out[i] = row.real if is_real else row
-                continue
-        for i in idx:
-            try:
-                out[i] = roots(rows[i])
-            except np.linalg.LinAlgError as exc:
-                out[i] = exc
+        found = (attempt(_stacked_roots, [rows[i] for i in idx], length, span)
+                 if len(idx) > 1 else None)
+        if isinstance(found, np.ndarray):
+            # one matrix's eigvals are real when all its eigenvalues are
+            real = (~found.imag.any(axis=1)).tolist()
+            for i, row, is_real in zip(idx, found, real):
+                out[i] = row.real if is_real else row
+        else:  # one row, or a stack that raised: find the row that raises
+            for i in idx:
+                out[i] = attempt(roots, rows[i])
     return out
 
 
 def real_roots_many(rows, imag_rtol: float) -> list:
     """``real_roots`` of each coefficient row: ``roots_many``, then the
     real parts of each row's roots.  Entry i is the (roots, scale) pair of
-    ``real_roots(rows[i], imag_rtol)``, or the ``np.linalg.LinAlgError``
-    that solving that row raises."""
-    return [found if isinstance(found, np.linalg.LinAlgError)
-            else _real_parts(found, imag_rtol) for found in roots_many(rows)]
+    ``real_roots(rows[i], imag_rtol)``, or the exception that solving that
+    row raises."""
+    return batched(lambda valid: [_real_parts(found, imag_rtol) for found in valid],
+                   roots_many(rows))
 
 
 def _nonzero_span(p) -> tuple[int, int] | None:

@@ -28,9 +28,6 @@ class TipKind(Enum):
 class TipClass:
     kind: TipKind
     r_min: float
-    # Ordered values a1 >= a2 >= a3 of {mu, -mu, ell}: the roots of the
-    # section cubic, in the form used by the singularity-type argument.
-    roots: tuple[float, float, float]
 
     @property
     def is_singular(self) -> bool:
@@ -57,7 +54,7 @@ def tip_class(cas: CasimirValues) -> TipClass:
         kind = TipKind.CONE
     else:
         kind = TipKind.SMOOTH
-    return TipClass(kind=kind, r_min=a1, roots=(a1, a2, a3))
+    return TipClass(kind=kind, r_min=a1)
 
 
 def section_sq(R, cas: CasimirValues):

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from res112 import (AmbiguousClassificationError, BifurcationKind,
                     CasimirValues, LambdaStratum, ReducedParams, Res112Error,
                     UnsupportedRegimeError, ValidationError, a0_root,
-                    catalog_point, catalog_slice,
+                    catalog_point, catalog_slice, catalog_surface,
                     classify_multiple_root, f_quartic, families_at,
                     family_domain, hopf_cusp_slice, instability_interval,
                     kappa_scaling, oracle_slice, r_min,
@@ -424,6 +424,15 @@ def test_a_sub_boundary_is_accurate_near_lam_zero():
         assert a_sub_boundary(lam, 1.0) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("lam,kappa", [(-1e200, 1.0), (-1e200, 0.7),
+                                       (1e200, -1.0)])
+def test_a_sub_boundary_is_finite_where_lam_squared_overflows(lam, kappa):
+    # lam * lam overflows from |lam| ~ 1.34e154 on, while the boundary,
+    # about |lam| / kappa, is a float
+    exact = a_sub_shadow(lam, kappa)
+    assert abs(a_sub_boundary(lam, kappa) - exact) <= 2e-15 * exact
+
+
 def test_a0_root_near_lam_zero_is_the_small_root():
     # np.linspace(-3, 3, 20001)[10000]; the root is 4 lam^2/9 to leading
     # order, next to the double root 3/2 of g = a (2a - 3)^2 at lam = 0
@@ -535,6 +544,39 @@ def test_range_ends_near_the_float_limit_are_never_nan(kappa, lam):
         except (OverflowError, ValueError, Res112Error):
             continue
         assert not math.isnan(value), end
+
+
+def _mu2_shadow(a: float, lam: float, kappa: float, branch: int) -> mp.mpf:
+    """The mu^2-branch m_minus (branch -1) or m_plus (+1) of _mu2_branches,
+    (core + branch rad)/(2 kappa lam - 1), at the exact float inputs to 60
+    digits: enough for 50 after the cancellation of two O(lam^4) terms
+    where mu^2 is small."""
+    with mp.workdps(60):
+        a, L, k = mp.mpf(a), mp.mpf(lam), mp.mpf(kappa)
+        d = max((k * a + L) ** 2 - 2 * a, 0)
+        core = (2 * k ** 3 * a ** 3 * L - 2 * k ** 2 * a ** 3
+                + 6 * k ** 2 * a ** 2 * L ** 2 - 6 * k * a ** 2 * L
+                + 3 * a ** 2 + 6 * k * a * L ** 3 - 6 * a * L ** 2
+                + 2 * L ** 4)
+        return (core + branch * 2 * abs(L) * d ** 1.5) / (2 * k * L - 1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 26: m_minus of "
+                   "_mu2_branches cancels where mu^2 is small")
+def test_cs_mu_matches_the_50_digit_shadow():
+    # the README bifdiag surface rows (kappa 1, 60 lams in [-1.5, 1.5]):
+    # today 308 of the 1,700 CS1/CS2 rows are off by more than 1e-12 in
+    # |mu| (CS4 by up to 6.6e-7, CS3 by at most 5.6e-13); the worst is
+    # this CS2 row
+    lam, a = 0.99152542372881358, 8.4745762711864182e-05
+    exact = mp.sqrt(_mu2_shadow(a, lam, 1.0, -1))
+    assert float(exact) == 7.2160163297785508e-08
+    mu = catalog_point("CS2", lam=lam, a=a).mu  # 7.2076890084091911e-08
+    assert abs(mu - exact) <= 1e-12 * exact
+    for family, lam, a, mu, _, _ in catalog_surface(1.0, -1.5, 1.5, 60):
+        if family in ("CS1", "CS2", "CS3", "CS4"):
+            exact = mp.sqrt(_mu2_shadow(a, lam, 1.0, 1 if family == "CS3" else -1))
+            assert abs(abs(mu) - exact) <= 1e-12 * exact, (family, lam, a)
 
 
 # ---------------------------------------------------------------------------

@@ -241,12 +241,14 @@ def test_module_imports_no_private_names(module):
 
 
 @pytest.mark.parametrize("cls", [res112.ModelParams, res112.ReducedParams,
-                                 res112.CasimirValues],
+                                 res112.CasimirValues,
+                                 res112.ComponentDescriptor, res112.TipClass],
                          ids=lambda cls: cls.__name__)
 def test_every_parameter_field_is_read(cls):
     # a field that no module reads is a setting that silently changes
-    # nothing: each field is read as an attribute somewhere in the package,
-    # outside the class's own body (which only validates it)
+    # nothing, or a result that nothing uses: each field is read as an
+    # attribute somewhere in the package, outside the class's own body
+    # (which only validates it)
     read = set()
     for path in Path(res112.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -400,7 +402,14 @@ def test_cli_exit_codes(monkeypatch, capsys, tmp_path):
                   *here],
                  [*gamma1, "--kappa", "1e-200"],
                  ["bifdiag", "--kappa", "1e-160", "--ell", "0.1,-0.1", "--grid",
-                  "3", *here]):
+                  "3", *here],
+                 # slice quartic coefficients that overflow without raising
+                 ["bifdiag", "--lambda-window=-1e70,1e70", "--ell", "1e150",
+                  "--grid", "3", *here],
+                 ["bifdiag", "--lambda-window=1e76,1e77", "--ell", "1e100",
+                  "--grid", "3", *here],
+                 ["bifdiag", "--kappa", "1e70", "--ell", "1e100", "--grid", "3",
+                  *here]):
         monkeypatch.setattr(sys, "argv", ["res112", *args])
         with pytest.raises(SystemExit) as exited:
             main()

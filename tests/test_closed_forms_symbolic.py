@@ -6,6 +6,7 @@ holds exactly, with no tolerance.  sympy is part of the ``test`` extra; a
 missing sympy fails the run.
 """
 
+import math
 from types import SimpleNamespace
 
 import sympy as sp
@@ -34,9 +35,11 @@ def quartic_in_R(h, ell, mu=mu, lam=lam):
 
 def exact_sqrt(monkeypatch):
     """Make the bifurcations module take exact square roots: a plain
-    sp.sqrt of 2.0 * ... would turn sqrt(2.0) into a 14-digit rational."""
+    sp.sqrt of 2.0 * ... would turn sqrt(2.0) into a 14-digit rational.
+    ``math.inf`` stays, for the overflow tests the formulas make."""
     monkeypatch.setattr(bifurcations, "math",
-                        SimpleNamespace(sqrt=lambda x: sp.sqrt(exact(x))))
+                        SimpleNamespace(sqrt=lambda x: sp.sqrt(exact(x)),
+                                        inf=math.inf))
 
 
 def test_crease_is_a_perfect_square():

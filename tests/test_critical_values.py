@@ -486,24 +486,24 @@ def test_threads_transversally_isolated_at_lambda_zero():
 
 def test_critical_slice_island_structure():
     rp = ReducedParams(lam=-1.0, kappa=1.0)
-    sl = critical_slice(rp, np.linspace(-0.2, 0.2, 5), np.linspace(-0.8, 0.1, 5),
-                        validate=True)
-    assert all(nd.error is None for nd in sl.nodes)
+    nodes = critical_slice(rp, np.linspace(-0.2, 0.2, 5),
+                           np.linspace(-0.8, 0.1, 5), validate=True)
+    assert all(nd.error is None for nd in nodes)
     # nodes inside the triangle carry three heights ordered B < Fh < Fe
-    inside = [nd for nd in sl.nodes
+    inside = [nd for nd in nodes
               if len([h for h in nd.heights if h.tag in ("B", "Fe", "Fh")]) == 3]
     assert inside
     for nd in inside:
         tags = [h.tag for h in sorted(nd.heights, key=lambda c: c.h)
                 if h.tag in ("B", "Fe", "Fh")]
         assert tags == ["B", "Fh", "Fe"]
-    assert not any(nd.flags for nd in sl.nodes), [nd.flags for nd in sl.nodes if nd.flags]
+    assert not any(nd.flags for nd in nodes), [nd.flags for nd in nodes if nd.flags]
 
 
 def test_critical_slice_thread_tagging():
     rp = ReducedParams(lam=0.0, kappa=1.0)
-    sl = critical_slice(rp, [0.0], [-1.0], validate=True)
-    (node,) = sl.nodes
+    nodes = critical_slice(rp, [0.0], [-1.0], validate=True)
+    (node,) = nodes
     assert any(h.tag == "thread" for h in node.heights)
 
 
@@ -515,17 +515,17 @@ def test_critical_slice_needs_no_thread_segments(monkeypatch):
 
     monkeypatch.setattr("res112.critical_values.thread_segments", boom)
     # lam = -1: the C12 thread is ell < -lam^2 = -1 (ell = -1 is the Hopf point)
-    sl = critical_slice(ReducedParams(-1.0, 1.0), [0.0], [-2.0], validate=True)
-    (node,) = sl.nodes
+    nodes = critical_slice(ReducedParams(-1.0, 1.0), [0.0], [-2.0], validate=True)
+    (node,) = nodes
     assert node.error is None and not node.flags
     assert [h.tag for h in node.heights] == ["B", "thread"]
 
 
 def test_critical_slice_large_detuning_plain():
     rp = ReducedParams(lam=1.5, kappa=1.0)
-    sl = critical_slice(rp, np.linspace(-1, 1, 5), np.linspace(-1.5, 1.5, 5),
-                        validate=False)
-    for nd in sl.nodes:
+    nodes = critical_slice(rp, np.linspace(-1, 1, 5),
+                           np.linspace(-1.5, 1.5, 5), validate=False)
+    for nd in nodes:
         assert nd.error is None
         # no hyperbolic faces anywhere at large detuning
         assert not any(h.tag == "Fh" for h in nd.heights)
@@ -538,11 +538,11 @@ def test_island_shrinks_as_lambda_to_zero():
     sizes = {}
     for lam in (-0.4, -0.2, -0.1):
         rp = ReducedParams(lam=lam, kappa=1.0)
-        sl = critical_slice(rp, mus, ells, validate=False)
-        n3 = sum(1 for nd in sl.nodes
+        nodes = critical_slice(rp, mus, ells, validate=False)
+        n3 = sum(1 for nd in nodes
                  if len([h for h in nd.heights if h.tag in ("B", "Fe", "Fh")]) == 3)
         gap = max((max(h.h for h in nd.heights) - nd.h_min)
-                  for nd in sl.nodes if nd.heights)
+                  for nd in nodes if nd.heights)
         sizes[lam] = (n3, gap)
     assert sizes[-0.4][0] >= sizes[-0.2][0] >= sizes[-0.1][0]
     assert sizes[-0.4][1] > sizes[-0.2][1] > sizes[-0.1][1]

@@ -32,7 +32,6 @@ def test_tip_class(mu, ell, kind):
     tc = tip_class(CasimirValues(mu, ell))
     assert tc.kind is kind
     assert tc.r_min == r_min(CasimirValues(mu, ell))
-    assert tc.roots[0] >= tc.roots[1] >= tc.roots[2]
 
 
 def test_tip_class_symmetric_in_mu():
